@@ -34,7 +34,6 @@ from .featurize import (
     FeatureMatrix,
     TokenizerConfig,
     build_matrix,
-    featurize_example,
     fit_density,
     ngrams,
     tokenize,
@@ -76,7 +75,6 @@ __all__ = [
     "TokenizerConfig",
     "build_matrix",
     "emit_report",
-    "featurize_example",
     "fit_density",
     "fit_moments",
     "histogram",

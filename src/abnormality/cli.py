@@ -5,8 +5,10 @@ and its artifacts are reusable across selection configs.  Every output is
 accompanied by content hashes of its inputs; ``sample`` and ``analyze``
 refuse scores whose recorded corpus hash no longer matches the input file.
 
-All pipeline outputs are deterministic: ``--threads`` only sets the degree
-of row-level worker pools and never changes any byte of any artifact.
+Featurization and scoring run once per distinct context and the scores are
+broadcast to every record.  All pipeline outputs are deterministic;
+``--threads`` is accepted for compatibility and never changes any byte of
+any artifact.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,9 +176,6 @@ class RunConfig:
             context=self.context_field, title=self.title_field, id=self.id_field
         )
 
-    def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
 
 class _Artifacts:
     """Tracks files being written so a failed command leaves nothing behind."""
@@ -216,7 +214,7 @@ def run_score_pipeline(
     matrix = feat_mod.build_matrix(corpus, table, tok, l_cap=cfg.l_cap)
     model = maha_mod.fit_moments(matrix)
     model = maha_mod.regularized_factorize(model, cfg.epsilon_policy())
-    scores = maha_mod.score_all(model, matrix, threads=cfg.resolved_threads())
+    scores = maha_mod.score_all(model, matrix)
     return scores, model, table
 
 
@@ -283,6 +281,55 @@ def _feature_config_hash(cfg: RunConfig) -> str:
     )
 
 
+# Keys that `sample` and `analyze` read, with the types they must have.
+_META_KEYS = (
+    (("artifacts", "scores.csv"), str),
+    (("input", "hash"), str),
+    (("input", "path"), str),
+    (("n",), int),
+    (("d",), int),
+    (("epsilon",), (int, float, type(None))),
+    (("pipeline",), dict),
+    *((("pipeline", k), str) for k in ("format", "context_field", "title_field", "id_field")),
+    (("pipeline", "ngram"), int),
+)
+_MANIFEST_KEYS = (
+    (("inputs", "scores.csv"), str),
+    (("artifacts", "selection.csv"), str),
+    (("policy_echo",), dict),
+)
+_MISSING = object()
+
+
+def _read_json(path: Path, keys) -> dict:
+    """A JSON object whose ``keys`` (paths into it, with types) are checked; SchemaError otherwise."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"{path.name} is not valid JSON: {e}", path=path.name) from e
+    for key_path, kind in keys:
+        value = obj
+        for key in key_path:
+            value = value.get(key, _MISSING) if isinstance(value, dict) else _MISSING
+        if not isinstance(value, kind):
+            dotted = ".".join(key_path)
+            raise SchemaError(f"{path.name}: key {dotted!r} is missing or ill-typed", path=dotted)
+    return obj
+
+
+def _read_meta(path: Path) -> dict:
+    """scores.meta.json; SchemaError unless it holds a complete, valid pipeline config."""
+    meta = _read_json(path, _META_KEYS)
+    missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
+    if missing:
+        raise SchemaError(f"{path.name}: pipeline keys {missing} are missing", path="pipeline")
+    try:
+        RunConfig.from_dict(meta["pipeline"]).validate()
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path.name}: invalid pipeline config: {e}", path="pipeline") from e
+    return meta
+
+
 def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     corpus_mod.Corpus, maha_mod.ScoreVector, dict
 ]:
@@ -292,7 +339,7 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     meta_path = scores_path.with_name(scores_path.stem + META_SUFFIX)
     if not meta_path.is_file():
         raise ValueError(f"missing metadata sidecar {meta_path.name}; rerun `score`")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = _read_meta(meta_path)
 
     recorded = meta["artifacts"].get(scores_path.name)
     actual = sha256_file(scores_path)
@@ -325,9 +372,36 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
             f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
         )
     columns = maha_mod.read_scores_csv(scores_path)
-    epsilon = meta.get("epsilon") or 0.0
-    scores = maha_mod.ScoreVector(scores=columns["score"], model_epsilon=float(epsilon))
+    scores = maha_mod.ScoreVector(scores=columns["score"], model_epsilon=float(meta["epsilon"] or 0.0))
     return corpus, scores, meta
+
+
+def _load_selection(
+    out: Path, corpus: corpus_mod.Corpus, scores_hash: str
+) -> sampler_mod.Selection | None:
+    """The selection `sample` wrote into ``out``, checked against its manifest.
+
+    None when ``out`` holds no selection manifest.  A manifest written for
+    other scores, or a selection.csv whose hash it does not record, raises
+    StaleScoresError.
+    """
+    manifest_path = out / "selection_manifest.json"
+    if not manifest_path.is_file():
+        return None
+    manifest = _read_json(manifest_path, _MANIFEST_KEYS)
+    if manifest["inputs"]["scores.csv"] != scores_hash:
+        raise StaleScoresError(
+            f"{manifest_path.name} was written for scores {manifest['inputs']['scores.csv']}, "
+            f"not the current {scores_hash}; rerun `sample`"
+        )
+    selection_csv = out / "selection.csv"
+    actual = sha256_file(selection_csv) if selection_csv.is_file() else None
+    if actual != manifest["artifacts"]["selection.csv"]:
+        raise StaleScoresError(
+            f"{selection_csv.name} hash {actual} does not match "
+            f"{manifest['artifacts']['selection.csv']} recorded in {manifest_path.name}"
+        )
+    return sampler_mod.read_selection_csv(selection_csv, corpus, manifest["policy_echo"])
 
 
 def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
@@ -386,6 +460,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     cfg.validate()
     corpus, scores, meta = _load_scores_with_meta(cfg, Path(scores_path))
 
+    selection = _load_selection(Path(cfg.out_dir), corpus, meta["artifacts"]["scores.csv"])
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)
 
@@ -393,7 +468,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     # requested orders are recomputed in memory with the same pipeline
     # settings.  A degenerate corpus (all contexts equal length) reports
     # the correlation as an undefined marker instead of failing.
-    pipeline_cfg = RunConfig.from_dict({**meta["pipeline"], "input": cfg.input, "out_dir": cfg.out_dir, "threads": cfg.threads})
+    pipeline_cfg = RunConfig.from_dict({**meta["pipeline"], "input": cfg.input, "out_dir": cfg.out_dir})
     primary_order = int(meta["pipeline"]["ngram"])
     pearson_by_order: dict[int, float | None] = {}
     for order in cfg.orders:
@@ -416,7 +491,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
         analyze_mod.emit_report(
             corpus,
             scores,
-            None,
+            selection,
             stats,
             pearson_by_order,
             report_dir,
@@ -453,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--title-field", help="JSONL title field name")
         p.add_argument("--id-field", help="JSONL id field name")
         p.add_argument("--out-dir", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads (0 = all cores); never changes results")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; never changes results")
 
     score_p = sub.add_parser("score", help="featurize and score every example")
     add_common(score_p)

@@ -3,6 +3,14 @@
 Feature i of an example is the corpus-wide relative frequency of the i-th
 n-gram of its context; rows are back padded with zeros to a common length L
 so one covariance matrix can be fit over the whole corpus.
+
+Contexts repeat (a SQuAD paragraph appears once per question), so a corpus
+is featurized once per distinct context: each distinct context is tokenized
+once, its tokens are mapped to integer ids, and every n-gram occurrence gets
+an integer code.  Densities are counted with ``np.bincount`` weighted by how
+often each context repeats, and the feature matrix keeps one row per
+distinct context plus the row of every record.  String n-gram keys are built
+once per distinct n-gram, for the density table's ``counts``.
 """
 
 from __future__ import annotations
@@ -10,9 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -25,17 +34,13 @@ __all__ = [
     "TokenizerConfig",
     "DensityTable",
     "FeatureMatrix",
-    "FeatureRow",
     "NGRAM_SEP",
     "tokenize",
     "ngrams",
     "fit_density",
-    "featurize_example",
     "build_matrix",
     "save_density",
     "load_density",
-    "save_matrix",
-    "load_matrix",
 ]
 
 # Unit separator: joins the tokens of an n-gram into a single map key.
@@ -61,6 +66,8 @@ class TokenizerConfig:
 
 
 def _strip_edge_punct(token: str) -> str:
+    if token[0].isalnum() and token[-1].isalnum():  # letters and digits are never punctuation
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -87,7 +94,8 @@ def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
 def ngrams(tokens: list[str], n: int) -> list[str]:
     """Overlapping stride-1 n-grams, each joined with the unit separator.
 
-    Result length is max(0, len(tokens) - n + 1).
+    Result length is max(0, len(tokens) - n + 1).  These strings are the keys
+    of :attr:`DensityTable.counts`.
     """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
@@ -97,13 +105,76 @@ def ngrams(tokens: list[str], n: int) -> list[str]:
 
 
 @dataclass(frozen=True)
+class _Grams:
+    """Every n-gram occurrence in the distinct contexts of a corpus.
+
+    Distinct context r holds ``lengths[r]`` n-grams, and ``codes`` lists them
+    context after context: equal codes mean equal n-grams, and code c has
+    the string key ``keys[c]``.  ``index[t]`` is the distinct context of
+    record t of ``source``, the corpus they were computed from.
+    """
+
+    source: object
+    codes: np.ndarray
+    index: np.ndarray
+    lengths: np.ndarray
+    keys: list[str]
+
+
+def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams:
+    """Intern contexts, tokenize each distinct one once, and code its n-grams."""
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    distinct: dict[str, int] = {}
+    index = np.array([distinct.setdefault(ex.context, len(distinct)) for ex in corpus], dtype=np.int64)
+    # Token strings are dropped once each context is mapped to ids: a list
+    # of every token would outweigh the feature matrix.
+    vocab: dict[str, int] = {}
+    ids = array("q")
+    token_counts = np.zeros(len(distinct), dtype=np.int64)
+    for r, context in enumerate(distinct):
+        tokens = tokenize(context, cfg)
+        ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
+        token_counts[r] = len(tokens)
+    token_ids = np.frombuffer(ids, dtype=np.int64)
+    lengths = np.maximum(token_counts - n + 1, 0)
+    words = list(vocab)
+    if n == 1:
+        # Every token is a unigram: the codes are the token ids.
+        return _Grams(source=corpus, codes=token_ids, index=index, lengths=lengths, keys=words)
+
+    # Offset of every n-gram's first token in the concatenated contexts.
+    starts = np.arange(lengths.sum()) + np.repeat(
+        (np.cumsum(token_counts) - token_counts) - (np.cumsum(lengths) - lengths), lengths
+    )
+    # codes[g] ranks the first k tokens of the n-gram at starts[g].  Ranking
+    # again after each extension keeps codes below the n-gram count, so
+    # code * vocabulary size cannot overflow int64 at any order.
+    codes = token_ids[starts]
+    for k in range(1, n):
+        ranked, codes = np.unique(codes * len(vocab) + token_ids[starts + k], return_inverse=True)
+
+    # Any occurrence of a code spells out its key.
+    first = np.zeros(len(ranked), dtype=np.int64)
+    first[codes] = starts
+    grams = token_ids[first[:, None] + np.arange(n)].tolist()
+    keys = [NGRAM_SEP.join([words[t] for t in gram]) for gram in grams]
+    return _Grams(source=corpus, codes=codes, index=index, lengths=lengths, keys=keys)
+
+
+@dataclass(frozen=True)
 class DensityTable:
-    """Corpus-wide n-gram occurrence counts; density(g) = count(g) / total."""
+    """Corpus-wide n-gram occurrence counts; density(g) = count(g) / total.
+
+    A table from :func:`fit_density` also keeps the corpus it was fit on and
+    that corpus's n-gram codes, which :func:`build_matrix` reuses.
+    """
 
     n: int
     counts: dict[str, int]
     total: int
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
+    _grams: _Grams | None = field(default=None, compare=False, repr=False)
 
     def density(self, key: str) -> float:
         return self.counts.get(key, 0) / self.total
@@ -117,64 +188,67 @@ def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = Toke
 
     Raises FitError when the corpus yields no n-grams at order n.
     """
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    counts: dict[str, int] = {}
-    total = 0
-    for ex in corpus:
-        for g in ngrams(tokenize(ex.context, cfg), n):
-            counts[g] = counts.get(g, 0) + 1
-            total += 1
+    grams = _encode(corpus, n, cfg)
+    repeats = np.bincount(grams.index, minlength=len(grams.lengths))
+    total = int(grams.lengths @ repeats)
     if total == 0:
         raise FitError(f"corpus yields no n-grams at order {n}")
-    return DensityTable(n=n, counts=counts, total=total, tokenizer=cfg)
-
-
-class FeatureRow(NamedTuple):
-    values: np.ndarray
-    true_length: int
-    truncated: bool
-
-
-def featurize_example(tokens: list[str], table: DensityTable, L: int) -> FeatureRow:
-    """Positional-density row of length L for one tokenized context.
-
-    row[i] is the density of the i-th n-gram for i < true_length; padded
-    positions are exactly 0.  N-grams unseen at fit time map to 0.  A
-    sequence longer than L is truncated to L and flagged.
-    """
-    if L < 1:
-        raise ValueError(f"feature length must be >= 1, got {L}")
-    grams = ngrams(tokens, table.n)
-    truncated = len(grams) > L
-    true_length = min(len(grams), L)
-    row = np.zeros(L, dtype=np.float64)
-    for i in range(true_length):
-        row[i] = table.density(grams[i])
-    return FeatureRow(values=row, true_length=true_length, truncated=truncated)
+    # Weighted sums of integers below 2**53 are exact in float64.
+    counts = np.bincount(
+        grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams.keys)
+    ).astype(np.int64)
+    return DensityTable(
+        n=n,
+        counts=dict(zip(grams.keys, counts.tolist())),
+        total=total,
+        tokenizer=cfg,
+        _grams=grams,
+    )
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n_examples x L positional-density rows with per-row true lengths."""
+    """Positional-density rows of a corpus, stored once per distinct context.
 
-    values: np.ndarray
+    ``unique_values`` has one L-wide row per distinct context and
+    ``index[t]`` is the row of record t, so record t's features are
+    ``unique_values[index[t]]``.  ``true_lengths`` and ``truncated`` are per
+    record.
+    """
+
+    unique_values: np.ndarray
+    index: np.ndarray
     true_lengths: np.ndarray
     truncated: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2:
+        if self.unique_values.ndim != 2:
             raise ValueError("feature matrix must be 2-dimensional")
-        if len(self.true_lengths) != self.values.shape[0] or len(self.truncated) != self.values.shape[0]:
+        if self.index.ndim != 1:
+            raise ValueError("record index must be 1-dimensional")
+        if len(self.true_lengths) != len(self.index) or len(self.truncated) != len(self.index):
             raise ValueError("per-row metadata length does not match row count")
+        if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(self.unique_values)):
+            raise ValueError("record index points outside the unique rows")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The records x L matrix.
+
+        This is ``unique_values`` itself when every record has its own row in
+        order, and a new array otherwise.
+        """
+        if len(self.index) == len(self.unique_values) and (self.index == np.arange(len(self.index))).all():
+            return self.unique_values
+        return self.unique_values[self.index]
 
     @property
     def rows(self) -> int:
-        return self.values.shape[0]
+        return len(self.index)
 
     @property
     def cols(self) -> int:
-        return self.values.shape[1]
+        return self.unique_values.shape[1]
 
 
 def build_matrix(
@@ -189,30 +263,36 @@ def build_matrix(
     (longer rows are truncated and flagged).  ``cfg`` must match the config
     the table was fit with.  Downstream covariance is L x L, so for corpora
     with extreme length outliers capping near the 99.9th percentile length
-    keeps memory in check.
+    keeps memory in check.  When ``table`` was fit on this same corpus
+    object its n-gram codes are reused rather than recomputed.
     """
     if cfg != table.tokenizer:
         raise ValueError("tokenizer config does not match the one used to fit the density table")
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
 
-    token_lists = [tokenize(ex.context, cfg) for ex in corpus]
-    gram_counts = [max(0, len(t) - table.n + 1) for t in token_lists]
-    L = max(gram_counts, default=0)
+    grams = table._grams
+    if grams is None or grams.source is not corpus:
+        grams = _encode(corpus, table.n, cfg)
+    densities = np.array([table.density(k) for k in grams.keys], dtype=np.float64)
+
+    L = int(grams.lengths.max(initial=0))
     if l_cap is not None:
         L = min(L, l_cap)
     if L < 1:
         raise FitError(f"corpus yields no n-grams at order {table.n}")
 
-    values = np.zeros((len(token_lists), L), dtype=np.float64)
-    true_lengths = np.zeros(len(token_lists), dtype=np.int64)
-    truncated = np.zeros(len(token_lists), dtype=bool)
-    for i, tokens in enumerate(token_lists):
-        row = featurize_example(tokens, table, L)
-        values[i] = row.values
-        true_lengths[i] = row.true_length
-        truncated[i] = row.truncated
-    return FeatureMatrix(values=values, true_lengths=true_lengths, truncated=truncated)
+    rows = np.repeat(np.arange(len(grams.lengths)), grams.lengths)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(grams.lengths) - grams.lengths, grams.lengths)
+    kept = cols < L
+    unique_values = np.zeros((len(grams.lengths), L), dtype=np.float64)
+    unique_values[rows[kept], cols[kept]] = densities[grams.codes[kept]]
+    return FeatureMatrix(
+        unique_values=unique_values,
+        index=grams.index,
+        true_lengths=np.minimum(grams.lengths, L)[grams.index],
+        truncated=(grams.lengths > L)[grams.index],
+    )
 
 
 def save_density(table: DensityTable, csv_path: str | Path, header_path: str | Path) -> None:
@@ -251,30 +331,3 @@ def load_density(csv_path: str | Path, header_path: str | Path) -> DensityTable:
     if sum(counts.values()) != table.total:
         raise ValueError("density CSV counts do not sum to the header total")
     return table
-
-
-def save_matrix(matrix: FeatureMatrix, bin_path: str | Path, sidecar_path: str | Path) -> None:
-    """Flat little-endian float64 binary (row-major) plus a JSON sidecar."""
-    Path(bin_path).write_bytes(matrix.values.astype("<f8").tobytes(order="C"))
-    sidecar = {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "true_lengths": matrix.true_lengths.tolist(),
-        "truncated": [bool(t) for t in matrix.truncated],
-        "dtype": "<f8",
-        "layout": "C",
-    }
-    Path(sidecar_path).write_text(
-        json.dumps(sidecar, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-
-
-def load_matrix(bin_path: str | Path, sidecar_path: str | Path) -> FeatureMatrix:
-    sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-    rows, cols = int(sidecar["rows"]), int(sidecar["cols"])
-    values = np.frombuffer(Path(bin_path).read_bytes(), dtype="<f8").reshape(rows, cols).copy()
-    return FeatureMatrix(
-        values=values,
-        true_lengths=np.array(sidecar["true_lengths"], dtype=np.int64),
-        truncated=np.array(sidecar["truncated"], dtype=bool),
-    )

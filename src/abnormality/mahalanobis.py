@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -24,10 +23,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import FitError, SingularityError
+from .featurize import FeatureMatrix
 
 if TYPE_CHECKING:
     from .corpus import Corpus
-    from .featurize import FeatureMatrix
 
 __all__ = [
     "EpsilonPolicy",
@@ -42,11 +41,6 @@ __all__ = [
     "write_scores_csv",
     "read_scores_csv",
 ]
-
-# Rows are scored in fixed-size chunks so results never depend on the worker
-# count; only the scheduling of chunks is parallel.
-_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class EpsilonPolicy:
@@ -106,14 +100,14 @@ class ScoreVector:
         return len(self.scores)
 
 
-def _matrix_values(matrix: "FeatureMatrix | np.ndarray") -> np.ndarray:
+def _matrix_values(matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
     values = np.asarray(getattr(matrix, "values", matrix), dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("feature matrix must be 2-dimensional")
     return values
 
 
-def fit_moments(matrix: "FeatureMatrix | np.ndarray") -> MomentModel:
+def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     """Column means and 1/(n-1) covariance of the rows (unfactorized model).
 
     Two-pass: the mean is computed first, then the centered cross product;
@@ -174,34 +168,28 @@ def score(model: MomentModel, row: np.ndarray) -> float:
     return _quadform(factor, row - model.mu)
 
 
-def score_all(model: MomentModel, matrix: "FeatureMatrix | np.ndarray", threads: int = 1) -> ScoreVector:
-    """Score every row of the matrix; results are independent of ``threads``.
+def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: int = 1) -> ScoreVector:
+    """Score every row of the matrix through the same per-row kernel as :func:`score`.
 
-    Rows are processed in fixed 1024-row chunks through the same per-row
-    kernel as :func:`score`, so chunked, threaded, and one-at-a-time
-    evaluation agree bitwise.
+    A :class:`FeatureMatrix` is scored once per distinct context and the
+    scores are broadcast to every record; since each row's score depends on
+    that row alone, this agrees bitwise with scoring every record.
+    ``threads`` is accepted for compatibility and never changes the result:
+    the per-row loop holds the interpreter lock, so worker threads buy
+    nothing.
     """
     factor = model._require_factor()
-    X = _matrix_values(matrix)
+    dedup = isinstance(matrix, FeatureMatrix)
+    X = matrix.unique_values if dedup else _matrix_values(matrix)
     if X.shape[1] != model.d:
         raise ValueError(f"matrix has {X.shape[1]} columns, model dimension is {model.d}")
     if X.size and not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite values")
 
-    out = np.zeros(X.shape[0], dtype=np.float64)
     mu = model.mu
-
-    def run_chunk(start: int, stop: int) -> None:
-        for t in range(start, stop):
-            out[t] = _quadform(factor, X[t] - mu)
-
-    bounds = [(s, min(s + _CHUNK, X.shape[0])) for s in range(0, X.shape[0], _CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for b in bounds:
-            run_chunk(*b)
+    out = np.fromiter((_quadform(factor, x - mu) for x in X), dtype=np.float64, count=X.shape[0])
+    if dedup:
+        out = out[matrix.index]
     return ScoreVector(scores=out, model_epsilon=float(model.epsilon or 0.0))
 
 

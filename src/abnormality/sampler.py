@@ -13,13 +13,14 @@ underfull buckets to the next-largest bucket.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, SchemaError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -32,9 +33,11 @@ __all__ = [
     "select_bucketed",
     "label_all",
     "write_selection_csv",
+    "read_selection_csv",
 ]
 
 _CATEGORIES = ("low", "high", "mean")
+_SELECTION_HEADER = ["ordinal", "id", "category", "score", "char_length"]
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,11 @@ def _take(order: np.ndarray, k: int, blocked: set[int]) -> list[int]:
     return out
 
 
+def _mean(s: np.ndarray) -> float:
+    """Correctly rounded mean of ``s``: the same float for every order of the scores."""
+    return math.fsum(s.tolist()) / len(s)
+
+
 def _orders(s: np.ndarray, members: np.ndarray, mean: float):
     """Per-category candidate orders over ``members`` (ties keep ordinal order)."""
     low = members[np.argsort(s[members], kind="stable")]
@@ -145,7 +153,7 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     s = _score_array(scores)
     n = len(s)
     _check_capacity(n, spec)
-    score_mean = float(s.mean()) if n else None
+    score_mean = _mean(s) if n else None
 
     members = np.arange(n)
     orders = _orders(s, members, score_mean if score_mean is not None else 0.0)
@@ -214,7 +222,7 @@ def select_bucketed(
     bucket_ids = sorted(int(b) for b in np.unique(bucket_of)) if n else []
     members = {b: np.nonzero(bucket_of == b)[0] for b in bucket_ids}
     pops = {b: len(members[b]) for b in bucket_ids}
-    bucket_means = {b: float(s[members[b]].mean()) for b in bucket_ids}
+    bucket_means = {b: _mean(s[members[b]]) for b in bucket_ids}
     orders = {b: _orders(s, members[b], bucket_means[b]) for b in bucket_ids}
 
     quota = {
@@ -258,7 +266,7 @@ def select_bucketed(
     echo = {
         "spec": spec.to_dict(),
         "strategy": "bucketed",
-        "score_mean": float(s.mean()) if n else None,
+        "score_mean": _mean(s) if n else None,
         "bucket_width": width,
         "buckets": [
             {
@@ -305,9 +313,37 @@ def write_selection_csv(
     labels = label_all(s, selection)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["ordinal", "id", "category", "score", "char_length"])
+        w.writerow(_SELECTION_HEADER)
         for i, label in enumerate(labels):
             if label == "unselected":
                 continue
             ex = corpus[i]
             w.writerow([i, ex.id, label, repr(float(s[i])), ex.char_length])
+
+
+def read_selection_csv(path: str | Path, corpus: "Corpus", policy_echo: dict | None = None) -> Selection:
+    """The selection a selection CSV records; each row must name an example of ``corpus``.
+
+    Raises SchemaError on a wrong header, a malformed row, an unknown
+    category, or an ordinal/id pair that is not in the corpus.
+    """
+    picked: dict[str, list[int]] = {"low": [], "high": [], "mutual": []}
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        r = csv.reader(f)
+        head = next(r, None)
+        if head != _SELECTION_HEADER:
+            raise SchemaError(f"unexpected selection CSV header: {head}")
+        for line, row in enumerate(r, start=2):
+            try:
+                ordinal, ex_id, category = int(row[0]), row[1], row[2]
+            except (IndexError, ValueError):
+                raise SchemaError(f"{Path(path).name} line {line} is malformed: {row}") from None
+            if category not in picked or not 0 <= ordinal < len(corpus) or corpus[ordinal].id != ex_id:
+                raise SchemaError(f"{Path(path).name} line {line} names no selectable example: {row}")
+            picked[category].append(ordinal)
+    return Selection(
+        low=tuple(sorted(picked["low"])),
+        high=tuple(sorted(picked["high"])),
+        mean_proximal=tuple(sorted(picked["mutual"])),
+        policy_echo=policy_echo or {},
+    )

@@ -6,7 +6,45 @@ formulas.  Nothing here shares code with the package under test.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple
+
 import numpy as np
+
+# N-gram keys join their tokens with the unit separator, as DensityTable.counts does.
+SEP = "\x1f"
+
+
+def reference_ngram_counts(token_lists, n: int) -> Counter:
+    """N-gram key -> occurrences over every token list (one list per record)."""
+    counts: Counter = Counter()
+    for tokens in token_lists:
+        for i in range(len(tokens) - n + 1):
+            counts[SEP.join(tokens[i : i + n])] += 1
+    return counts
+
+
+class FeatureRow(NamedTuple):
+    values: np.ndarray
+    true_length: int
+    truncated: bool
+
+
+def featurize_example(tokens: list[str], table, L: int) -> FeatureRow:
+    """Positional-density row of length L for one tokenized context.
+
+    row[i] = count(i-th n-gram) / total from the table's string-keyed
+    counts for i < true_length; padded positions are exactly 0, unseen
+    n-grams map to 0, and a sequence longer than L is truncated and flagged.
+    """
+    if L < 1:
+        raise ValueError(f"feature length must be >= 1, got {L}")
+    grams = [SEP.join(tokens[i : i + table.n]) for i in range(len(tokens) - table.n + 1)]
+    true_length = min(len(grams), L)
+    row = np.zeros(L, dtype=np.float64)
+    for i in range(true_length):
+        row[i] = table.counts.get(grams[i], 0) / table.total
+    return FeatureRow(values=row, true_length=true_length, truncated=len(grams) > L)
 
 
 def reference_scores(X: np.ndarray) -> np.ndarray:

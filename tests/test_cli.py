@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -164,6 +165,34 @@ class TestSampleCommand:
                      "--k-low", "1", "--k-high", "1", "--k-mean", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        "truncated", "artifacts", "input.hash", "input.path", "pipeline", "pipeline.format",
+        "pipeline.ngram", "pipeline.l_cap", "n", "n:ill-typed",
+    ])
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_corrupt_meta_exits_2(self, tmp_path, capsys, command, corrupt):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        if corrupt == "truncated":
+            text = meta_path.read_text()
+            meta_path.write_text(text[: len(text) // 2])
+        else:
+            meta = json.loads(meta_path.read_text())
+            *parents, key = corrupt.split(":")[0].split(".")
+            holder = meta
+            for p in parents:
+                holder = holder[p]
+            if corrupt.endswith(":ill-typed"):
+                holder[key] = str(holder[key])
+            else:
+                del holder[key]
+            meta_path.write_text(json.dumps(meta))
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
+        assert main(args) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_squad_subset_format(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         out = run_score(tmp_path, corpus_path)
@@ -195,6 +224,49 @@ class TestAnalyzeCommand:
         assert code == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert set(summary["pearson_by_order"]) == {"1", "3"}
+
+    def test_labels_rows_from_selection(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
+                     "--k-low", "2", "--k-high", "3", "--k-mean", "1"]) == 0
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+        counts = json.loads((out / "selection_manifest.json").read_text())["counts"]
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert summary["selection_counts"] == {
+            "low": counts["low"], "mutual": counts["mean_proximal"], "high": counts["high"],
+            "unselected": 12 - counts["written"],
+        }
+        with open(out / "selection.csv", newline="") as f:
+            selected = {r["ordinal"]: r["category"] for r in csv.DictReader(f)}
+        with open(out / "report" / "scores.csv", newline="") as f:
+            labels = {r["ordinal"]: r["category"] for r in csv.DictReader(f)}
+        assert {o: c for o, c in labels.items() if c != "unselected"} == selected
+
+    def test_without_selection_rows_unselected(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert summary["selection_counts"]["unselected"] == 12
+
+    @pytest.mark.parametrize("tamper", ["selection.csv", "manifest-inputs", "manifest-json"])
+    def test_stale_selection_exits_2(self, tmp_path, capsys, tamper):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
+                     "--k-low", "1", "--k-high", "1", "--k-mean", "1"]) == 0
+        manifest_path = out / "selection_manifest.json"
+        if tamper == "selection.csv":
+            lines = (out / "selection.csv").read_text().splitlines(keepends=True)
+            (out / "selection.csv").write_text("".join(lines[:-1]))
+        elif tamper == "manifest-inputs":
+            manifest = json.loads(manifest_path.read_text())
+            manifest["inputs"]["scores.csv"] = "sha256:" + "0" * 64
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            manifest_path.write_text(manifest_path.read_text()[:-10])
+        code = main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "report" / "summary.json").exists()
 
     def test_degenerate_lengths_pearson_null_exit_0(self, tmp_path):
         # equal char lengths (pearson degenerate) but distinct word densities

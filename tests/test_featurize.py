@@ -11,17 +11,52 @@ from abnormality.featurize import (
     NGRAM_SEP,
     TokenizerConfig,
     build_matrix,
-    featurize_example,
     fit_density,
     load_density,
-    load_matrix,
     ngrams,
     save_density,
-    save_matrix,
     tokenize,
 )
 
 from conftest import corpus_of
+from oracles import featurize_example, reference_ngram_counts
+
+# Mixed case, edge and interior punctuation, a punctuation-only token.
+WORDS = ["The", "the", "brain,", "Brain.", "«word»", "(x)", "it's", "--", "e.g.", "STATE-of-the-art", "a", "b!"]
+
+
+def duplicate_heavy_corpus(seed: int = 0):
+    """Distinct contexts (one empty, one all punctuation) each repeated 1-4 times, shuffled."""
+    rng = np.random.default_rng(seed)
+    distinct = ["", "-- --"] + [
+        " ".join(WORDS[j] for j in rng.integers(0, len(WORDS), size=int(rng.integers(1, 26))))
+        for _ in range(30)
+    ]
+    records = [c for c in distinct for _ in range(int(rng.integers(1, 5)))]
+    return corpus_of(*[records[i] for i in rng.permutation(len(records))])
+
+
+def oracle_matrix(corpus, table, cfg=TokenizerConfig(), l_cap=None):
+    """Rows built one record at a time with the per-example reference featurizer."""
+    token_lists = [tokenize(ex.context, cfg) for ex in corpus]
+    L = max(len(t) - table.n + 1 for t in token_lists)
+    if l_cap is not None:
+        L = min(L, l_cap)
+    rows = [featurize_example(t, table, L) for t in token_lists]
+    return (
+        np.array([r.values for r in rows]),
+        [r.true_length for r in rows],
+        [r.truncated for r in rows],
+    )
+
+
+def assert_matches_oracle(corpus, table, cfg=TokenizerConfig(), l_cap=None):
+    m = build_matrix(corpus, table, cfg, l_cap=l_cap)
+    values, true_lengths, truncated = oracle_matrix(corpus, table, cfg, l_cap)
+    assert m.values.tobytes() == values.tobytes()
+    assert m.true_lengths.tolist() == true_lengths
+    assert m.truncated.tolist() == truncated
+    return m
 
 
 class TestTokenize:
@@ -128,6 +163,15 @@ class TestFitDensity:
             total = sum(table.density(k) for k in table.counts)
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("cfg", [TokenizerConfig(), TokenizerConfig(lowercase=False, strip_edge_punctuation=False)])
+    def test_matches_reference_counts(self, n, cfg):
+        corpus = duplicate_heavy_corpus()
+        table = fit_density(corpus, n, cfg)
+        want = reference_ngram_counts([tokenize(ex.context, cfg) for ex in corpus], n)
+        assert table.counts == dict(want)
+        assert table.total == sum(want.values())
+
     def test_order_independent(self):
         a, b, c = "a b c", "c d", "e"
         t1 = fit_density(corpus_of(a, b, c), 1)
@@ -136,6 +180,8 @@ class TestFitDensity:
 
 
 class TestFeaturizeExample:
+    """The per-example reference featurizer that build_matrix is checked against."""
+
     def test_all_padding(self):
         table = fit_density(corpus_of("a b a"), 1)
         row = featurize_example([], table, 4)
@@ -169,6 +215,59 @@ class TestFeaturizeExample:
 
 
 class TestBuildMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("cfg", [TokenizerConfig(), TokenizerConfig(lowercase=False, strip_edge_punctuation=False)])
+    @pytest.mark.parametrize("l_cap", [None, 7])
+    def test_matches_row_by_row_oracle(self, n, cfg, l_cap):
+        corpus = duplicate_heavy_corpus()
+        m = assert_matches_oracle(corpus, fit_density(corpus, n, cfg), cfg, l_cap)
+        assert len(m.unique_values) < m.rows
+        if l_cap is not None:
+            assert m.truncated.any() and m.cols == l_cap
+
+    def test_order5_beyond_int64_vocab_codes(self):
+        # 8,192 distinct tokens, first seen in the order t0, t1, ...  Naive
+        # codes id1 * 8192**4 + ... + id5 need 65 bits; wrapped to 64 bits,
+        # the 5-grams "t0 t1 t2 t3 t4" and "t4096 t1 t2 t3 t4" would collide.
+        rng = np.random.default_rng(4)
+        words = [f"t{i}" for i in range(8192)]
+        contexts = [" ".join(words), "t0 t1 t2 t3 t4", "t4096 t1 t2 t3 t4"] + [
+            " ".join(words[j] for j in rng.integers(0, 8192, size=300)) for _ in range(20)
+        ]
+        corpus = corpus_of(*contexts, *contexts[1:8])
+        assert 8192**5 > np.iinfo(np.int64).max
+        table = fit_density(corpus, 5)
+        want = reference_ngram_counts([tokenize(ex.context) for ex in corpus], 5)
+        assert table.counts == dict(want)
+        assert table.density(NGRAM_SEP.join(["t4096", "t1", "t2", "t3", "t4"])) == 2 / table.total
+        assert_matches_oracle(corpus, table)
+
+    def test_table_from_another_corpus(self):
+        # Lookup by string key: unseen n-grams map to 0.
+        table = fit_density(duplicate_heavy_corpus(1), 2)
+        assert_matches_oracle(duplicate_heavy_corpus(2), table)
+
+    def test_loaded_table_bitwise_equal(self, tmp_path):
+        corpus = duplicate_heavy_corpus()
+        table = fit_density(corpus, 2)
+        save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
+        loaded = load_density(tmp_path / "d.csv", tmp_path / "d.json")
+        a, b = build_matrix(corpus, table), build_matrix(corpus, loaded)
+        assert a.unique_values.tobytes() == b.unique_values.tobytes()
+        assert a.index.tolist() == b.index.tolist()
+
+    def test_one_row_per_distinct_context(self):
+        corpus = corpus_of("a b", "c", "a b", "c", "a b")
+        m = build_matrix(corpus, fit_density(corpus, 1))
+        assert m.unique_values.shape == (2, 2)
+        assert m.index.tolist() == [0, 1, 0, 1, 0]
+        assert m.values.shape == (5, 2)
+
+    def test_values_is_not_copied_when_contexts_are_distinct(self):
+        corpus = corpus_of("a b", "c", "d e f")
+        m = build_matrix(corpus, fit_density(corpus, 1))
+        assert m.values is m.unique_values
+
     def test_single_context_no_padding(self):
         corpus = corpus_of("a b c d")
         table = fit_density(corpus, 1)
@@ -239,13 +338,3 @@ class TestPersistence:
         save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
         back = load_density(tmp_path / "d.csv", tmp_path / "d.json")
         assert back.counts == {f"a,b{NGRAM_SEP}c": 1}
-
-    def test_matrix_round_trip(self, tmp_path):
-        corpus = make_synthetic_corpus(10, vocab_size=8, min_tokens=2, max_tokens=12, seed=4)
-        table = fit_density(corpus, 1)
-        m = build_matrix(corpus, table, l_cap=8)
-        save_matrix(m, tmp_path / "m.bin", tmp_path / "m.json")
-        back = load_matrix(tmp_path / "m.bin", tmp_path / "m.json")
-        assert back.values.tobytes() == m.values.tobytes()
-        assert back.true_lengths.tolist() == m.true_lengths.tolist()
-        assert back.truncated.tolist() == m.truncated.tolist()

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError, SingularityError
+from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import (
     EpsilonPolicy,
     MomentModel,
@@ -150,6 +152,22 @@ class TestScoreAll:
         a = score_all(model, X, threads=1)
         b = score_all(model, X, threads=4)
         assert a.scores.tobytes() == b.scores.tobytes()
+
+    def test_deduplicated_matrix_matches_expanded(self):
+        # 40 distinct contexts, each repeated 1-5 times in shuffled order.
+        rng = np.random.default_rng(9)
+        distinct = [ex.context for ex in make_synthetic_corpus(40, vocab_size=25, min_tokens=3, max_tokens=30, seed=9)]
+        records = [c for c in distinct for _ in range(int(rng.integers(1, 6)))]
+        records = [records[i] for i in rng.permutation(len(records))]
+        corpus = corpus_of(*records)
+        matrix = build_matrix(corpus, fit_density(corpus, 2))
+        assert len(matrix.unique_values) == 40 < matrix.rows
+        model = regularized_factorize(fit_moments(matrix))
+        dedup = score_all(model, matrix).scores
+        assert dedup.tobytes() == score_all(model, matrix.values).scores.tobytes()
+        for context in distinct:
+            shared = dedup[[i for i, c in enumerate(records) if c == context]]
+            assert (shared == shared[0]).all()
 
     def test_column_mismatch(self):
         rng = np.random.default_rng(8)

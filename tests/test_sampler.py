@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from abnormality.errors import CapacityError
+from abnormality.errors import CapacityError, SchemaError
 from abnormality.sampler import (
     SelectionSpec,
     _largest_remainder,
     label_all,
+    read_selection_csv,
     select_bucketed,
     select_global,
     write_selection_csv,
@@ -195,6 +196,23 @@ class TestSelectionCsv:
         assert len(lines) == 4
         ordinals = [int(line.split(",")[0]) for line in lines[1:]]
         assert ordinals == sorted(ordinals)
+
+    def test_read_back_gives_same_labels(self, tmp_path):
+        corpus = corpus_of("aa", "bbb", "c", "dddd", "ee", "f", "g")
+        s = [5, 1, 2, 3, 4, 0, 9]
+        sel = select_global(s, K2)
+        write_selection_csv(sel, corpus, s, tmp_path / "sel.csv")
+        back = read_selection_csv(tmp_path / "sel.csv", corpus, sel.policy_echo)
+        assert back == sel
+        assert label_all(s, back) == label_all(s, sel)
+
+    @pytest.mark.parametrize("row", ["1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1"])
+    def test_rows_outside_the_corpus_rejected(self, tmp_path, row):
+        corpus = corpus_of("aa", "bbb", "c")
+        path = tmp_path / "sel.csv"
+        path.write_text(f"ordinal,id,category,score,char_length\n{row}\n")
+        with pytest.raises(SchemaError):
+            read_selection_csv(path, corpus)
 
 
 class TestProperties:
