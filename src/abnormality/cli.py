@@ -372,6 +372,11 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
             f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
         )
     columns = maha_mod.read_scores_csv(scores_path)
+    if len(columns["score"]) != len(corpus):
+        raise SchemaError(
+            f"{scores_path.name} has {len(columns['score'])} rows, but scores were computed over {len(corpus)}",
+            path=scores_path.name,
+        )
     scores = maha_mod.ScoreVector(scores=columns["score"], model_epsilon=float(meta["epsilon"] or 0.0))
     return corpus, scores, meta
 

@@ -9,8 +9,8 @@ is featurized once per distinct context: each distinct context is tokenized
 once, its tokens are mapped to integer ids, and every n-gram occurrence gets
 an integer code.  Densities are counted with ``np.bincount`` weighted by how
 often each context repeats, and the feature matrix keeps one row per
-distinct context plus the row of every record.  String n-gram keys are built
-once per distinct n-gram, for the density table's ``counts``.
+distinct context plus the row of every record.  String n-gram keys are
+spelled out only when something reads the density table's ``counts``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import json
 import unicodedata
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -109,16 +109,29 @@ class _Grams:
     """Every n-gram occurrence in the distinct contexts of a corpus.
 
     Distinct context r holds ``lengths[r]`` n-grams, and ``codes`` lists them
-    context after context: equal codes mean equal n-grams, and code c has
-    the string key ``keys[c]``.  ``index[t]`` is the distinct context of
-    record t of ``source``, the corpus they were computed from.
+    context after context: equal codes mean equal n-grams, and code c is the
+    n-gram of the words ``words[t]`` for t in ``token_ids[c]`` (at order 1
+    the codes are the token ids themselves and ``token_ids`` is None).
+    ``index[t]`` is the distinct context of record t of ``source``, the
+    corpus they were computed from.
     """
 
     source: object
     codes: np.ndarray
     index: np.ndarray
     lengths: np.ndarray
-    keys: list[str]
+    words: list[str]
+    token_ids: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.words) if self.token_ids is None else len(self.token_ids)
+
+    def keys(self) -> list[str]:
+        """The string key of every code, in code order."""
+        if self.token_ids is None:
+            return self.words
+        words = self.words
+        return [NGRAM_SEP.join([words[t] for t in gram]) for gram in self.token_ids.tolist()]
 
 
 def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams:
@@ -141,7 +154,7 @@ def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams
     words = list(vocab)
     if n == 1:
         # Every token is a unigram: the codes are the token ids.
-        return _Grams(source=corpus, codes=token_ids, index=index, lengths=lengths, keys=words)
+        return _Grams(source=corpus, codes=token_ids, index=index, lengths=lengths, words=words, token_ids=None)
 
     # Offset of every n-gram's first token in the concatenated contexts.
     starts = np.arange(lengths.sum()) + np.repeat(
@@ -154,33 +167,74 @@ def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams
     for k in range(1, n):
         ranked, codes = np.unique(codes * len(vocab) + token_ids[starts + k], return_inverse=True)
 
-    # Any occurrence of a code spells out its key.
+    # Any occurrence of a code spells out its tokens.
     first = np.zeros(len(ranked), dtype=np.int64)
     first[codes] = starts
-    grams = token_ids[first[:, None] + np.arange(n)].tolist()
-    keys = [NGRAM_SEP.join([words[t] for t in gram]) for gram in grams]
-    return _Grams(source=corpus, codes=codes, index=index, lengths=lengths, keys=keys)
+    gram_ids = token_ids[first[:, None] + np.arange(n)]
+    return _Grams(source=corpus, codes=codes, index=index, lengths=lengths, words=words, token_ids=gram_ids)
 
 
-@dataclass(frozen=True)
 class DensityTable:
     """Corpus-wide n-gram occurrence counts; density(g) = count(g) / total.
 
-    A table from :func:`fit_density` also keeps the corpus it was fit on and
-    that corpus's n-gram codes, which :func:`build_matrix` reuses.
+    ``counts`` maps each n-gram key to its count.  A table from
+    :func:`fit_density` holds its counts per n-gram code of the corpus it
+    was fit on, which :func:`build_matrix` on that corpus reuses, and spells
+    the string keys out only when ``counts`` is first read.  Tables are
+    immutable and compare equal when their order, counts, total and
+    tokenizer are equal.
     """
 
-    n: int
-    counts: dict[str, int]
-    total: int
-    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    _grams: _Grams | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("n", "total", "tokenizer", "_counts", "_grams", "_code_counts")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        n: int,
+        counts: dict[str, int] | None,
+        total: int,
+        tokenizer: TokenizerConfig = TokenizerConfig(),
+        *,
+        grams: _Grams | None = None,
+        code_counts: np.ndarray | None = None,
+    ) -> None:
+        if counts is None and (grams is None or code_counts is None):
+            raise ValueError("DensityTable needs counts, or both grams and code_counts")
+        for name, value in (
+            ("n", n),
+            ("total", total),
+            ("tokenizer", tokenizer),
+            ("_counts", counts),
+            ("_grams", grams),
+            ("_code_counts", code_counts),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def counts(self) -> dict[str, int]:
+        if self._counts is None:
+            object.__setattr__(self, "_counts", dict(zip(self._grams.keys(), self._code_counts.tolist())))
+        return self._counts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensityTable):
+            return NotImplemented
+        return (self.n, self.total, self.tokenizer, self.counts) == (other.n, other.total, other.tokenizer, other.counts)
+
+    def __repr__(self) -> str:
+        return f"DensityTable(n={self.n!r}, counts={self.counts!r}, total={self.total!r}, tokenizer={self.tokenizer!r})"
 
     def density(self, key: str) -> float:
         return self.counts.get(key, 0) / self.total
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self._code_counts) if self._counts is None else len(self._counts)
 
 
 def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
@@ -194,16 +248,10 @@ def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = Toke
     if total == 0:
         raise FitError(f"corpus yields no n-grams at order {n}")
     # Weighted sums of integers below 2**53 are exact in float64.
-    counts = np.bincount(
-        grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams.keys)
+    code_counts = np.bincount(
+        grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams)
     ).astype(np.int64)
-    return DensityTable(
-        n=n,
-        counts=dict(zip(grams.keys, counts.tolist())),
-        total=total,
-        tokenizer=cfg,
-        _grams=grams,
-    )
+    return DensityTable(n=n, counts=None, total=total, tokenizer=cfg, grams=grams, code_counts=code_counts)
 
 
 @dataclass(frozen=True)
@@ -264,7 +312,8 @@ def build_matrix(
     the table was fit with.  Downstream covariance is L x L, so for corpora
     with extreme length outliers capping near the 99.9th percentile length
     keeps memory in check.  When ``table`` was fit on this same corpus
-    object its n-gram codes are reused rather than recomputed.
+    object its n-gram codes and their counts are reused: each density is
+    the code's count / total, the same float as a lookup by key.
     """
     if cfg != table.tokenizer:
         raise ValueError("tokenizer config does not match the one used to fit the density table")
@@ -272,9 +321,12 @@ def build_matrix(
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
 
     grams = table._grams
-    if grams is None or grams.source is not corpus:
+    if grams is not None and grams.source is corpus:
+        # Counts and total are exact in float64, so the division rounds as int / int does.
+        densities = table._code_counts / table.total
+    else:
         grams = _encode(corpus, table.n, cfg)
-    densities = np.array([table.density(k) for k in grams.keys], dtype=np.float64)
+        densities = np.array([table.density(k) for k in grams.keys()], dtype=np.float64)
 
     L = int(grams.lengths.max(initial=0))
     if l_cap is not None:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import FitError, SingularityError
+from .errors import FitError, SchemaError, SingularityError
 from .featurize import FeatureMatrix
 
 if TYPE_CHECKING:
@@ -111,14 +111,27 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     """Column means and 1/(n-1) covariance of the rows (unfactorized model).
 
     Two-pass: the mean is computed first, then the centered cross product;
-    exact symmetry is enforced by averaging with the transpose.
+    exact symmetry is enforced by averaging with the transpose.  A
+    :class:`FeatureMatrix` is fit over its distinct rows, each weighted by
+    how many records share it (a plain array weights every row by one): the
+    centered rows are scaled in place by the square root of their weight, so
+    no records x L array is ever built.  This equals the fit over every
+    record up to rounding, and bitwise when every record has its own row.
     """
-    X = _matrix_values(matrix)
-    n = X.shape[0]
+    if isinstance(matrix, FeatureMatrix):
+        X, n = matrix.unique_values, matrix.rows
+        weights = np.bincount(matrix.index, minlength=len(X)).astype(np.float64)
+    else:
+        X = _matrix_values(matrix)
+        n, weights = X.shape[0], np.ones(X.shape[0])
     if n < 2:
         raise FitError(f"need at least 2 rows to fit moments, got {n}")
-    mu = X.mean(axis=0)
-    centered = X - mu
+    # The weighted rows and then the centered ones share one buffer, so at
+    # most one array the size of the distinct rows is allocated.
+    centered = X * weights[:, None]
+    mu = centered.sum(axis=0) / n
+    np.subtract(X, mu, out=centered)
+    centered *= np.sqrt(weights)[:, None]
     sigma = centered.T @ centered / (n - 1)
     sigma = (sigma + sigma.T) / 2.0
     return MomentModel(mu=mu, sigma=sigma, n=n)
@@ -199,11 +212,15 @@ def save_model(
     sidecar_path: str | Path,
     feature_config_hash: str | None = None,
 ) -> None:
-    """Little-endian float64 binary (mu, then sigma, then factor) + JSON sidecar."""
-    parts = [model.mu.astype("<f8").tobytes(), model.sigma.astype("<f8").tobytes(order="C")]
-    if model.factor is not None:
-        parts.append(model.factor.astype("<f8").tobytes(order="C"))
-    Path(bin_path).write_bytes(b"".join(parts))
+    """Little-endian float64 binary (mu, then sigma, then factor) + JSON sidecar.
+
+    Each array is written straight from its buffer, so saving holds no
+    second copy of the model.
+    """
+    with open(bin_path, "wb") as f:
+        for part in (model.mu, model.sigma, model.factor):
+            if part is not None:
+                f.write(np.ascontiguousarray(part, dtype="<f8").data)
     sidecar = {
         "n": model.n,
         "d": model.d,
@@ -217,14 +234,36 @@ def save_model(
 
 
 def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
-    sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-    d, n = int(sidecar["d"]), int(sidecar["n"])
-    buf = np.frombuffer(Path(bin_path).read_bytes(), dtype="<f8")
-    mu = buf[:d].copy()
-    sigma = buf[d : d + d * d].reshape(d, d).copy()
-    factor = None
-    if sidecar.get("has_factor"):
-        factor = buf[d + d * d : d + 2 * d * d].reshape(d, d).copy()
+    """Read a model written by :func:`save_model`.
+
+    Raises SchemaError when the sidecar is not valid JSON, lacks an integer
+    ``n`` or ``d``, or when the binary's size is not the
+    8 * (d + d*d + d*d*has_factor) bytes the sidecar implies.
+    """
+    name = Path(sidecar_path).name
+    try:
+        sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
+    if not isinstance(sidecar, dict):
+        raise SchemaError(f"{name} is not a JSON object", path=name)
+    for key in ("d", "n"):
+        if type(sidecar.get(key)) is not int or sidecar[key] < 0:
+            raise SchemaError(f"{name}: key {key!r} is missing or not a non-negative integer", path=key)
+    d, n = sidecar["d"], sidecar["n"]
+    has_factor = sidecar.get("has_factor") is True
+    data = Path(bin_path).read_bytes()
+    expected = 8 * (d + d * d * (2 if has_factor else 1))
+    if len(data) != expected:
+        raise SchemaError(
+            f"{Path(bin_path).name} holds {len(data)} bytes, but d = {d} with has_factor = {has_factor} "
+            f"needs {expected}",
+            path=Path(bin_path).name,
+        )
+    values = np.frombuffer(data, dtype="<f8")
+    mu = values[:d].copy()
+    sigma = values[d : d + d * d].reshape(d, d).copy()
+    factor = values[d + d * d :].reshape(d, d).copy() if has_factor else None
     eps = sidecar.get("epsilon")
     return MomentModel(mu=mu, sigma=sigma, n=n, epsilon=eps if eps is None else float(eps), factor=factor)
 
@@ -241,7 +280,13 @@ def write_scores_csv(scores: ScoreVector, corpus: "Corpus", path: str | Path) ->
 
 
 def read_scores_csv(path: str | Path) -> dict[str, Any]:
-    """Read a scores CSV back into arrays keyed by column name."""
+    """Read a scores CSV back into arrays keyed by column name.
+
+    Raises SchemaError on a wrong header, a row without exactly four
+    columns, a non-integer ``ordinal`` or ``char_length``, a score that is
+    not a float, or ordinals that are not 0, 1, 2, ... in order.
+    """
+    name = Path(path).name
     ordinals: list[int] = []
     ids: list[str] = []
     char_lengths: list[int] = []
@@ -250,14 +295,24 @@ def read_scores_csv(path: str | Path) -> dict[str, Any]:
         r = csv.reader(f)
         head = next(r, None)
         if head != ["ordinal", "id", "char_length", "score"]:
-            raise ValueError(f"unexpected scores CSV header: {head}")
+            raise SchemaError(f"unexpected scores CSV header: {head}", path=name)
         for row in r:
-            ordinals.append(int(row[0]))
-            ids.append(row[1])
-            char_lengths.append(int(row[2]))
-            values.append(float(row[3]))
+            # A row of the wrong length fails to unpack with ValueError too.
+            try:
+                ordinal, ex_id, char_length, value = row
+                ordinals.append(int(ordinal))
+                char_lengths.append(int(char_length))
+                values.append(float(value))
+            except ValueError:
+                raise SchemaError(f"{name} line {len(ids) + 2} is malformed: {row}", path=name) from None
+            ids.append(ex_id)
+    ordinal = np.array(ordinals, dtype=np.int64)
+    misplaced = np.flatnonzero(ordinal != np.arange(len(ordinal)))
+    if len(misplaced):
+        t = int(misplaced[0])
+        raise SchemaError(f"{name} line {t + 2} has ordinal {ordinal[t]}, expected {t}", path=name)
     return {
-        "ordinal": np.array(ordinals, dtype=np.int64),
+        "ordinal": ordinal,
         "id": ids,
         "char_length": np.array(char_lengths, dtype=np.int64),
         "score": np.array(values, dtype=np.float64),

@@ -47,8 +47,8 @@ def featurize_example(tokens: list[str], table, L: int) -> FeatureRow:
     return FeatureRow(values=row, true_length=true_length, truncated=len(grams) > L)
 
 
-def reference_scores(X: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances via the explicit covariance inverse."""
+def reference_scores(X: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
+    """Squared Mahalanobis distances via the explicit inverse of sigma + epsilon * I."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     mu = X.sum(axis=0) / n
@@ -57,7 +57,7 @@ def reference_scores(X: np.ndarray) -> np.ndarray:
         dev = X[t] - mu
         sigma += np.outer(dev, dev)
     sigma /= n - 1
-    inv = np.linalg.inv(sigma)
+    inv = np.linalg.inv(sigma + epsilon * np.eye(d))
     out = np.zeros(n)
     for t in range(n):
         dev = X[t] - mu

@@ -10,6 +10,7 @@ import pytest
 from abnormality.cli import RunConfig, main
 from abnormality.corpus import ingest_file
 from abnormality.featurize import build_matrix, fit_density
+from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, read_scores_csv, regularized_factorize, score_all
 
 
@@ -188,6 +189,37 @@ class TestSampleCommand:
                 del holder[key]
             meta_path.write_text(json.dumps(meta))
         args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
+        assert main(args) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["columns", "ordinal", "char_length", "score", "order", "rows"])
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_malformed_scores_csv_exits_2(self, tmp_path, capsys, command, damage):
+        # The recorded hash is updated to match, so only the row checks can catch it.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        scores_path = out / "scores.csv"
+        lines = scores_path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        if damage == "columns":
+            lines[2] = ",".join(fields[:2])
+        elif damage == "ordinal":
+            lines[2] = ",".join(["1.0", *fields[1:]])
+        elif damage == "char_length":
+            lines[2] = ",".join([*fields[:2], "many", fields[3]])
+        elif damage == "score":
+            lines[2] = ",".join([*fields[:3], "0.5.1"])
+        elif damage == "order":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            del lines[-1]
+        scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        meta_path = out / "scores.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["artifacts"]["scores.csv"] = sha256_file(scores_path)
+        meta_path.write_text(json.dumps(meta))
+        args = [command, "--scores", str(scores_path), "--out-dir", str(out)]
         if command == "sample":
             args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
         assert main(args) == 2

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError
 from abnormality.featurize import (
     NGRAM_SEP,
+    DensityTable,
     TokenizerConfig,
     build_matrix,
     fit_density,
@@ -331,6 +335,33 @@ class TestPersistence:
         assert back.total == table.total
         assert back.n == table.n
         assert back.tokenizer == table.tokenizer
+
+    @pytest.mark.parametrize("cfg", [TokenizerConfig(), TokenizerConfig(lowercase=False, strip_edge_punctuation=False)])
+    def test_order2_csv_equals_naive_count(self, tmp_path, cfg):
+        corpus = duplicate_heavy_corpus(3)
+        table = fit_density(corpus, 2, cfg)
+        build_matrix(corpus, table, cfg)
+        assert table._counts is None  # fitting and featurizing its own corpus spell no keys
+        save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
+        want = reference_ngram_counts([tokenize(ex.context, cfg) for ex in corpus], 2)
+        with open(tmp_path / "d.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["ngram_key", "count"]] + [[k, str(want[k])] for k in sorted(want)]
+        assert len(table) == len(want)
+
+    def test_lazily_keyed_table_compares_by_value(self, tmp_path):
+        corpus = duplicate_heavy_corpus(4)
+        table = fit_density(corpus, 2)
+        save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
+        back = load_density(tmp_path / "d.csv", tmp_path / "d.json")
+        assert fit_density(corpus, 2) == table == back
+        assert repr(table).startswith("DensityTable(n=2, counts={")
+        assert table != fit_density(corpus, 1)
+        assert table != DensityTable(n=2, counts=back.counts, total=back.total + 1)
+        with pytest.raises(FrozenInstanceError):
+            table.total = 0
+        with pytest.raises(ValueError, match="counts"):
+            DensityTable(n=1, counts=None, total=1)
 
     def test_density_keys_with_commas_and_separator(self, tmp_path):
         corpus = corpus_of("a,b c", titles=None)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from abnormality.corpus import make_synthetic_corpus
-from abnormality.errors import FitError, SingularityError
+from abnormality.errors import FitError, SchemaError, SingularityError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import (
     EpsilonPolicy,
@@ -22,6 +25,14 @@ from abnormality.mahalanobis import (
 
 from conftest import corpus_of
 from oracles import reference_covariance, reference_scores
+
+
+def repeated_corpus(distinct: int, max_repeats: int, seed: int):
+    """``distinct`` short contexts, each repeated 1..max_repeats times, shuffled."""
+    rng = np.random.default_rng(seed)
+    contexts = [ex.context for ex in make_synthetic_corpus(distinct, vocab_size=25, min_tokens=3, max_tokens=8, seed=seed)]
+    records = [c for c in contexts for _ in range(int(rng.integers(1, max_repeats + 1)))]
+    return corpus_of(*(records[i] for i in rng.permutation(len(records))))
 
 
 def random_model(rng, n, d):
@@ -60,6 +71,51 @@ class TestFitMoments:
     def test_too_few_rows(self):
         with pytest.raises(FitError):
             fit_moments(np.ones((1, 3)))
+
+    def test_weighted_unique_rows_match_every_record(self):
+        # 12 distinct contexts, repeated 1-8 times: the weighted fit over the
+        # distinct rows must equal the direct fit over every record.
+        corpus = repeated_corpus(12, max_repeats=8, seed=13)
+        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        assert len(matrix.unique_values) == 12 < matrix.rows
+        model = fit_moments(matrix)
+        X = matrix.values
+        assert model.n == len(X)
+        np.testing.assert_allclose(model.mu, X.mean(axis=0), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(model.sigma, reference_covariance(X), rtol=1e-10, atol=1e-16)
+        assert (model.sigma == model.sigma.T).all()
+
+    def test_distinct_rows_bitwise_equal_unweighted_two_pass(self):
+        # When every record has its own context, every weight is one and the
+        # fit performs exactly the additions of the unweighted two-pass form.
+        corpus = make_synthetic_corpus(30, vocab_size=25, min_tokens=3, max_tokens=20, seed=14)
+        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        assert len(matrix.unique_values) == matrix.rows
+        X = matrix.values
+        mu = X.mean(axis=0)
+        centered = X - mu
+        sigma = centered.T @ centered / (len(X) - 1)
+        sigma = (sigma + sigma.T) / 2.0
+        for model in (fit_moments(matrix), fit_moments(X)):
+            assert model.mu.tobytes() == mu.tobytes()
+            assert model.sigma.tobytes() == sigma.tobytes()
+
+    def test_peak_memory_below_one_records_matrix(self):
+        # 150 distinct contexts of up to 200 tokens, each repeated 8 times:
+        # density fit, featurization and moments together must never hold a
+        # records x L float64 array.
+        contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
+        corpus = corpus_of(*(c for c in contexts for _ in range(8)))
+        tracemalloc.start()
+        try:
+            matrix = build_matrix(corpus, fit_density(corpus, 1))
+            fit_moments(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        records_matrix = matrix.rows * matrix.cols * 8
+        assert matrix.rows == 1200 and matrix.cols > 150
+        assert peak < records_matrix, f"peak {peak} bytes >= records x L matrix {records_matrix} bytes"
 
 
 class TestRegularizedFactorize:
@@ -214,6 +270,37 @@ class TestProperties:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("factorized", [True, False])
+    def test_model_bytes_are_mu_sigma_factor(self, tmp_path, factorized):
+        model = fit_moments(np.random.default_rng(33).normal(size=(12, 4)))
+        if factorized:
+            model = regularized_factorize(model)
+        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
+        parts = [model.mu, model.sigma] + ([model.factor] if factorized else [])
+        want = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts)
+        assert (tmp_path / "m.bin").read_bytes() == want
+
+    @pytest.mark.parametrize("damage", ["truncated", "oversized", "no-d", "no-n", "d-not-int", "not-json"])
+    def test_damaged_model_raises_schema_error(self, tmp_path, damage):
+        _, model = random_model(np.random.default_rng(34), 20, 3)
+        bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+        save_model(model, bin_path, json_path)
+        sidecar = json.loads(json_path.read_text())
+        if damage == "truncated":
+            bin_path.write_bytes(bin_path.read_bytes()[:-8])
+        elif damage == "oversized":
+            bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
+        elif damage == "not-json":
+            json_path.write_text(json_path.read_text()[:-5])
+        else:
+            if damage == "d-not-int":
+                sidecar["d"] = "3"
+            else:
+                del sidecar[damage.removeprefix("no-")]
+            json_path.write_text(json.dumps(sidecar))
+        with pytest.raises(SchemaError):
+            load_model(bin_path, json_path)
+
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         _, model = random_model(rng, 20, 3)
@@ -240,3 +327,17 @@ class TestPersistence:
         assert back["score"].tobytes() == sv.scores.tobytes()
         assert back["id"] == ["ex-0", "ex-1", "ex-2"]
         assert back["char_length"].tolist() == [3, 5, 1]
+
+    @pytest.mark.parametrize("row", [
+        "1,ex-1,5",              # three columns
+        "1,ex-1,5,0.5,extra",    # five columns
+        "one,ex-1,5,0.5",        # non-integer ordinal
+        "1,ex-1,5.0,0.5",        # non-integer char_length
+        "1,ex-1,5,high",         # non-float score
+        "2,ex-1,5,0.5",          # ordinal out of order
+    ])
+    def test_malformed_scores_csv_raises_schema_error(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"ordinal,id,char_length,score\n0,ex-0,3,0.1\n{row}\n", encoding="utf-8")
+        with pytest.raises(SchemaError):
+            read_scores_csv(path)
