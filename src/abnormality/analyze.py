@@ -65,12 +65,10 @@ class DistributionStats:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Uniform-width histogram; edges span the data so under/overflow are 0."""
+    """Uniform-width histogram; the edges span the data, so every value is in a bin."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    underflow: int = 0
-    overflow: int = 0
 
 
 def _values(scores) -> np.ndarray:

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import FitError, SchemaError, SingularityError
 from .featurize import FeatureMatrix
@@ -162,6 +161,10 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
 
 
 def _quadform(factor: np.ndarray, deviation: np.ndarray) -> float:
+    # Imported here, not at module level: scipy.linalg is most of the
+    # package's import time, and only scoring ever solves.
+    from scipy.linalg import solve_triangular
+
     y = solve_triangular(factor, deviation, lower=True, check_finite=False)
     return float(y @ y)
 
@@ -282,30 +285,34 @@ def write_scores_csv(scores: ScoreVector, corpus: "Corpus", path: str | Path) ->
 def read_scores_csv(path: str | Path) -> dict[str, Any]:
     """Read a scores CSV back into arrays keyed by column name.
 
-    Raises SchemaError on a wrong header, a row without exactly four
-    columns, a non-integer ``ordinal`` or ``char_length``, a score that is
-    not a float, or ordinals that are not 0, 1, 2, ... in order.
+    Raises SchemaError on bytes that are not UTF-8, a wrong header, a row
+    without exactly four columns, a non-integer ``ordinal`` or
+    ``char_length``, a score that is not a float, or ordinals that are not
+    0, 1, 2, ... in order.
     """
     name = Path(path).name
     ordinals: list[int] = []
     ids: list[str] = []
     char_lengths: list[int] = []
     values: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        r = csv.reader(f)
-        head = next(r, None)
-        if head != ["ordinal", "id", "char_length", "score"]:
-            raise SchemaError(f"unexpected scores CSV header: {head}", path=name)
-        for row in r:
-            # A row of the wrong length fails to unpack with ValueError too.
-            try:
-                ordinal, ex_id, char_length, value = row
-                ordinals.append(int(ordinal))
-                char_lengths.append(int(char_length))
-                values.append(float(value))
-            except ValueError:
-                raise SchemaError(f"{name} line {len(ids) + 2} is malformed: {row}", path=name) from None
-            ids.append(ex_id)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            r = csv.reader(f)
+            head = next(r, None)
+            if head != ["ordinal", "id", "char_length", "score"]:
+                raise SchemaError(f"unexpected scores CSV header: {head}", path=name)
+            for row in r:
+                # A row of the wrong length fails to unpack with ValueError too.
+                try:
+                    ordinal, ex_id, char_length, value = row
+                    ordinals.append(int(ordinal))
+                    char_lengths.append(int(char_length))
+                    values.append(float(value))
+                except ValueError:
+                    raise SchemaError(f"{name} line {len(ids) + 2} is malformed: {row}", path=name) from None
+                ids.append(ex_id)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{name} is not valid UTF-8: {e}", path=name) from e
     ordinal = np.array(ordinals, dtype=np.int64)
     misplaced = np.flatnonzero(ordinal != np.arange(len(ordinal)))
     if len(misplaced):

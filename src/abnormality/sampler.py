@@ -324,23 +324,28 @@ def write_selection_csv(
 def read_selection_csv(path: str | Path, corpus: "Corpus", policy_echo: dict | None = None) -> Selection:
     """The selection a selection CSV records; each row must name an example of ``corpus``.
 
-    Raises SchemaError on a wrong header, a malformed row, an unknown
-    category, or an ordinal/id pair that is not in the corpus.
+    Raises SchemaError on bytes that are not UTF-8, a wrong header, a
+    malformed row, an unknown category, or an ordinal/id pair that is not in
+    the corpus.
     """
+    name = Path(path).name
     picked: dict[str, list[int]] = {"low": [], "high": [], "mutual": []}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        r = csv.reader(f)
-        head = next(r, None)
-        if head != _SELECTION_HEADER:
-            raise SchemaError(f"unexpected selection CSV header: {head}")
-        for line, row in enumerate(r, start=2):
-            try:
-                ordinal, ex_id, category = int(row[0]), row[1], row[2]
-            except (IndexError, ValueError):
-                raise SchemaError(f"{Path(path).name} line {line} is malformed: {row}") from None
-            if category not in picked or not 0 <= ordinal < len(corpus) or corpus[ordinal].id != ex_id:
-                raise SchemaError(f"{Path(path).name} line {line} names no selectable example: {row}")
-            picked[category].append(ordinal)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            r = csv.reader(f)
+            head = next(r, None)
+            if head != _SELECTION_HEADER:
+                raise SchemaError(f"unexpected selection CSV header: {head}")
+            for line, row in enumerate(r, start=2):
+                try:
+                    ordinal, ex_id, category = int(row[0]), row[1], row[2]
+                except (IndexError, ValueError):
+                    raise SchemaError(f"{name} line {line} is malformed: {row}") from None
+                if category not in picked or not 0 <= ordinal < len(corpus) or corpus[ordinal].id != ex_id:
+                    raise SchemaError(f"{name} line {line} names no selectable example: {row}")
+                picked[category].append(ordinal)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{name} is not valid UTF-8: {e}", path=name) from e
     return Selection(
         low=tuple(sorted(picked["low"])),
         high=tuple(sorted(picked["high"])),

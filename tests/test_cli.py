@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +197,7 @@ class TestSampleCommand:
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["columns", "ordinal", "char_length", "score", "order", "rows"])
+    @pytest.mark.parametrize("damage", ["columns", "ordinal", "char_length", "score", "order", "rows", "utf8"])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_malformed_scores_csv_exits_2(self, tmp_path, capsys, command, damage):
         # The recorded hash is updated to match, so only the row checks can catch it.
@@ -212,9 +215,12 @@ class TestSampleCommand:
             lines[2] = ",".join([*fields[:3], "0.5.1"])
         elif damage == "order":
             lines[2], lines[3] = lines[3], lines[2]
-        else:
+        elif damage == "rows":
             del lines[-1]
-        scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            # Written as the bytes 0xff 0xfe, which no UTF-8 text contains.
+            lines[2] = "\udcff\udcfe" + lines[2]
+        scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         meta_path = out / "scores.meta.json"
         meta = json.loads(meta_path.read_text())
         meta["artifacts"]["scores.csv"] = sha256_file(scores_path)
@@ -300,6 +306,21 @@ class TestAnalyzeCommand:
         assert "data error" in capsys.readouterr().err
         assert not (out / "report" / "summary.json").exists()
 
+    def test_selection_csv_not_utf8_exits_2(self, tmp_path, capsys):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
+                     "--k-low", "1", "--k-high", "1", "--k-mean", "1"]) == 0
+        data = (out / "selection.csv").read_bytes()
+        (out / "selection.csv").write_bytes(data.replace(b"\n", b"\n\xff\xfe", 1))
+        manifest_path = out / "selection_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"]["selection.csv"] = sha256_file(out / "selection.csv")
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "selection.csv is not valid UTF-8" in err
+        assert not (out / "report" / "summary.json").exists()
+
     def test_degenerate_lengths_pearson_null_exit_0(self, tmp_path):
         # equal char lengths (pearson degenerate) but distinct word densities
         corpus_path = tmp_path / "same.jsonl"
@@ -312,6 +333,48 @@ class TestAnalyzeCommand:
         assert code == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert summary["pearson_by_order"]["1"] is None
+
+
+# Runs the CLI commands given as JSON in argv[1], then prints, as its last
+# line, whether SciPy was imported.  It needs a fresh interpreter: the test
+# process has already imported scipy.stats.
+_SCIPY_PROBE = """
+import json, sys
+from abnormality.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0, args
+print("scipy" in sys.modules)
+"""
+
+
+def scipy_loaded_after(*commands: list[str]) -> bool:
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(list(commands))],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
+
+
+class TestScipyLoadedOnlyToSolve:
+    def test_import_sample_and_scored_order_analyze_leave_scipy_unloaded(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        scores = str(out / "scores.csv")
+        assert not scipy_loaded_after()
+        assert not scipy_loaded_after(
+            ["sample", "--scores", scores, "--out-dir", str(out), "--k-low", "1", "--k-high", "1", "--k-mean", "1"],
+            ["analyze", "--scores", scores, "--out-dir", str(out), "--orders", "1"],
+        )
+
+    def test_score_and_rescoring_load_scipy(self, tmp_path):
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        out = tmp_path / "out"
+        assert scipy_loaded_after(
+            ["score", "--input", str(corpus_path), "--format", "jsonl", "--out-dir", str(out)],
+        )
+        assert scipy_loaded_after(
+            ["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--orders", "1,2"],
+        )
 
 
 class TestRunConfig:
