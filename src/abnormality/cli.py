@@ -30,8 +30,6 @@ from . import sampler as sampler_mod
 from .errors import (
     AbnormalityError,
     CapacityError,
-    FitError,
-    ParseError,
     SchemaError,
     SingularityError,
     StaleScoresError,
@@ -42,34 +40,6 @@ from .hashing import sha256_file
 __all__ = ["RunConfig", "cmd_score", "cmd_sample", "cmd_analyze", "main"]
 
 META_SUFFIX = ".meta.json"
-
-# Fields that shape pipeline outputs; out_dir and threads are runtime knobs
-# and are excluded from persisted config echoes so artifacts stay
-# byte-identical across directories and worker counts.
-_PIPELINE_FIELDS = (
-    "format",
-    "context_field",
-    "title_field",
-    "id_field",
-    "ngram",
-    "lowercase",
-    "strip_edge_punctuation",
-    "l_cap",
-    "epsilon_base_scale",
-    "epsilon_max_exponent",
-    "epsilon_fixed",
-    "k_low",
-    "k_high",
-    "k_mean",
-    "strategy",
-    "bucket_width",
-    "disjoint",
-    "subset_format",
-    "orders",
-    "bins",
-    "seed",
-)
-
 
 @dataclass
 class RunConfig:
@@ -98,7 +68,6 @@ class RunConfig:
     bins: int = 100
     out_dir: str = "out"
     threads: int = 0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.format not in ("squad", "jsonl"):
@@ -175,6 +144,14 @@ class RunConfig:
         return corpus_mod.JsonlFields(
             context=self.context_field, title=self.title_field, id=self.id_field
         )
+
+
+# The fields echoed as the pipeline config.  The input is recorded on its own
+# (path and hash); out_dir and threads are runtime knobs, left out so that
+# artifacts stay byte-identical across directories and worker counts.
+_PIPELINE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RunConfig) if f.name not in ("input", "out_dir", "threads")
+)
 
 
 class _Artifacts:
@@ -281,6 +258,10 @@ def _feature_config_hash(cfg: RunConfig) -> str:
     )
 
 
+# The settings that parse the corpus; `sample` and `analyze` take them from
+# the scores' metadata.
+_PARSE_FIELDS = ("format", "context_field", "title_field", "id_field")
+
 # Keys that `sample` and `analyze` read, with the types they must have.
 _META_KEYS = (
     (("artifacts", "scores.csv"), str),
@@ -290,7 +271,7 @@ _META_KEYS = (
     (("d",), int),
     (("epsilon",), (int, float, type(None))),
     (("pipeline",), dict),
-    *((("pipeline", k), str) for k in ("format", "context_field", "title_field", "id_field")),
+    *((("pipeline", k), str) for k in _PARSE_FIELDS),
     (("pipeline", "ngram"), int),
 )
 _MANIFEST_KEYS = (
@@ -352,10 +333,8 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     # the input path may be overridden (e.g. a moved file with equal bytes).
     if not cfg.input:
         cfg.input = meta["input"]["path"]
-    cfg.format = meta["pipeline"]["format"]
-    cfg.context_field = meta["pipeline"]["context_field"]
-    cfg.title_field = meta["pipeline"]["title_field"]
-    cfg.id_field = meta["pipeline"]["id_field"]
+    for key in _PARSE_FIELDS:
+        setattr(cfg, key, meta["pipeline"][key])
     input_path = Path(cfg.input)
     if not input_path.is_file():
         raise FileNotFoundError(f"input corpus not found: {input_path}")
@@ -517,7 +496,16 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     return 0
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """``--orders 1,3`` as ``(1, 3)``."""
+    try:
+        return tuple(int(o) for o in text.split(",") if o.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the RunConfig field it sets."""
     parser = argparse.ArgumentParser(
         prog="abnormality",
         description="Score corpus examples by Mahalanobis abnormality of their "
@@ -540,14 +528,14 @@ def _build_parser() -> argparse.ArgumentParser:
     score_p.add_argument("--ngram", type=int, help="n-gram order (default 1)")
     score_p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
     score_p.add_argument(
-        "--strip-edge-punct", action=argparse.BooleanOptionalAction, default=None,
+        "--strip-edge-punct", dest="strip_edge_punctuation",
+        action=argparse.BooleanOptionalAction, default=None,
         help="strip leading/trailing punctuation from tokens",
     )
     score_p.add_argument("--l-cap", type=int, help="cap feature length (covariance is LxL)")
     score_p.add_argument("--epsilon-fixed", type=float, help="use exactly this shrinkage epsilon")
     score_p.add_argument("--epsilon-base-scale", type=float, help="shrinkage schedule base scale")
     score_p.add_argument("--epsilon-max-exponent", type=int, help="shrinkage schedule max exponent")
-    score_p.add_argument("--seed", type=int, help="seed echoed into config (pipeline itself is deterministic)")
 
     sample_p = sub.add_parser("sample", help="select low/mutual/high subsets from scores")
     add_common(sample_p)
@@ -566,51 +554,19 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p = sub.add_parser("analyze", help="distribution stats and report bundle")
     add_common(analyze_p)
     analyze_p.add_argument("--scores", required=True, help="scores.csv produced by `score`")
-    analyze_p.add_argument("--orders", help="comma-separated n-gram orders for length correlation, e.g. 1,3")
+    analyze_p.add_argument("--orders", type=_orders,
+                           help="comma-separated n-gram orders for length correlation, e.g. 1,3")
     analyze_p.add_argument("--bins", type=int, help="histogram bin count (default 100)")
 
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "input": "input",
-    "format": "format",
-    "context_field": "context_field",
-    "title_field": "title_field",
-    "id_field": "id_field",
-    "out_dir": "out_dir",
-    "threads": "threads",
-    "ngram": "ngram",
-    "lowercase": "lowercase",
-    "strip_edge_punct": "strip_edge_punctuation",
-    "l_cap": "l_cap",
-    "epsilon_fixed": "epsilon_fixed",
-    "epsilon_base_scale": "epsilon_base_scale",
-    "epsilon_max_exponent": "epsilon_max_exponent",
-    "seed": "seed",
-    "k_low": "k_low",
-    "k_high": "k_high",
-    "k_mean": "k_mean",
-    "strategy": "strategy",
-    "bucket_width": "bucket_width",
-    "disjoint": "disjoint",
-    "subset_format": "subset_format",
-    "bins": "bins",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, field, value)
-    orders = getattr(args, "orders", None)
-    if orders is not None:
-        try:
-            cfg.orders = tuple(int(o) for o in str(orders).split(",") if o.strip())
-        except ValueError as e:
-            raise ValueError(f"cannot parse --orders {orders!r}: {e}") from e
+            setattr(cfg, field.name, value)
     return cfg
 
 
@@ -633,21 +589,12 @@ def main(argv: list[str] | None = None) -> int:
     except SingularityError as e:
         print(f"abnormality: numerical error: {e}", file=sys.stderr)
         return 3
-    except (ParseError, SchemaError, StaleScoresError, FitError) as e:
-        print(f"abnormality: data error: {e}", file=sys.stderr)
-        return 2
-    except (CapacityError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (CapacityError, ValueError, OSError) as e:
         print(f"abnormality: {e}", file=sys.stderr)
         return 1
-    except StatError as e:
-        print(f"abnormality: data error: {e}", file=sys.stderr)
-        return 2
     except AbnormalityError as e:
-        print(f"abnormality: {e}", file=sys.stderr)
+        print(f"abnormality: data error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"abnormality: io error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, SchemaError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -365,21 +365,42 @@ def save_density(table: DensityTable, csv_path: str | Path, header_path: str | P
 
 
 def load_density(csv_path: str | Path, header_path: str | Path) -> DensityTable:
-    header = json.loads(Path(header_path).read_text(encoding="utf-8"))
+    """Read a table written by :func:`save_density`.
+
+    Raises SchemaError when either file is not UTF-8, the header is not a
+    JSON object with an integer ``ngram_order`` and ``total``, the CSV header
+    or a row is malformed, or the counts do not sum to the header's total.
+    """
+    name, csv_name = Path(header_path).name, Path(csv_path).name
+    try:
+        header = json.loads(Path(header_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
+    if not isinstance(header, dict) or not isinstance(header.get("tokenizer", {}), dict):
+        raise SchemaError(f"{name} is not a JSON object with a tokenizer object", path=name)
+    for key in ("ngram_order", "total"):
+        if type(header.get(key)) is not int:
+            raise SchemaError(f"{name}: key {key!r} is missing or not an integer", path=key)
     counts: dict[str, int] = {}
-    with open(csv_path, "r", encoding="utf-8", newline="") as f:
-        r = csv.reader(f)
-        head = next(r, None)
-        if head != ["ngram_key", "count"]:
-            raise ValueError(f"unexpected density CSV header: {head}")
-        for row in r:
-            counts[row[0]] = int(row[1])
-    table = DensityTable(
-        n=int(header["ngram_order"]),
+    try:
+        with open(csv_path, "r", encoding="utf-8", newline="") as f:
+            r = csv.reader(f)
+            head = next(r, None)
+            if head != ["ngram_key", "count"]:
+                raise SchemaError(f"unexpected density CSV header: {head}", path=csv_name)
+            for line, row in enumerate(r, start=2):
+                try:
+                    key, count = row
+                    counts[key] = int(count)
+                except ValueError:
+                    raise SchemaError(f"{csv_name} line {line} is malformed: {row}", path=csv_name) from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{csv_name} is not valid UTF-8: {e}", path=csv_name) from e
+    if sum(counts.values()) != header["total"]:
+        raise SchemaError(f"{csv_name} counts do not sum to the header total", path=csv_name)
+    return DensityTable(
+        n=header["ngram_order"],
         counts=counts,
-        total=int(header["total"]),
+        total=header["total"],
         tokenizer=TokenizerConfig.from_dict(header.get("tokenizer", {})),
     )
-    if sum(counts.values()) != table.total:
-        raise ValueError("density CSV counts do not sum to the header total")
-    return table

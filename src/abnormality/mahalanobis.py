@@ -147,7 +147,10 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
     trace = float(np.trace(model.sigma))
     eps = 0.0
     for eps in policy.schedule(trace, d):
-        shifted = model.sigma if eps == 0.0 else model.sigma + eps * np.eye(d)
+        shifted = model.sigma
+        if eps != 0.0:
+            shifted = model.sigma.copy()
+            shifted.flat[:: d + 1] += eps
         try:
             factor = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

@@ -144,37 +144,6 @@ def _orders(s: np.ndarray, members: np.ndarray, mean: float):
     return {"low": low, "high": high, "mean": mean_prox}
 
 
-def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
-    """Select the k_low smallest, k_high largest, and k_mean mean-nearest scores.
-
-    With ``disjoint`` on, low claims first, then high, then mean-proximal
-    from whatever remains; the mean is always the mean of all scores.
-    """
-    s = _score_array(scores)
-    n = len(s)
-    _check_capacity(n, spec)
-    score_mean = _mean(s) if n else None
-
-    members = np.arange(n)
-    orders = _orders(s, members, score_mean if score_mean is not None else 0.0)
-    taken: set[int] = set()
-    picked: dict[str, list[int]] = {}
-    for cat, k in (("low", spec.k_low), ("high", spec.k_high), ("mean", spec.k_mean)):
-        blocked = taken if spec.disjoint else set()
-        got = _take(orders[cat], k, blocked)
-        if spec.disjoint:
-            taken.update(got)
-        picked[cat] = got
-
-    echo = {"spec": spec.to_dict(), "strategy": "global", "score_mean": score_mean}
-    return Selection(
-        low=tuple(sorted(picked["low"])),
-        high=tuple(sorted(picked["high"])),
-        mean_proximal=tuple(sorted(picked["mean"])),
-        policy_echo=echo,
-    )
-
-
 def _largest_remainder(k: int, pops: list[int]) -> list[int]:
     """Apportion k units across buckets proportionally to population.
 
@@ -193,6 +162,82 @@ def _largest_remainder(k: int, pops: list[int]) -> list[int]:
     for b in order[:leftover]:
         floors[b] += 1
     return floors
+
+
+def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec):
+    """The selection rule over ``groups`` of example indices.
+
+    Each quota is split across the groups by largest-remainder
+    apportionment.  Groups claim in descending-population order (ties:
+    lower list position), each category in low, high, mean order against
+    the group's own score mean; a group's shortfall spills to the next
+    group, pass after pass, until every quota is placed.  Returns the picks
+    per category, each group's score mean, and each category's quotas.
+    """
+    pops = [len(m) for m in groups]
+    means = [_mean(s[m]) for m in groups]
+    orders = [_orders(s, m, mean) for m, mean in zip(groups, means)]
+    quota = {
+        cat: _largest_remainder(k, pops)
+        for cat, k in (("low", spec.k_low), ("high", spec.k_high), ("mean", spec.k_mean))
+    }
+    process_order = sorted(range(len(groups)), key=lambda g: (-pops[g], g))
+
+    taken: set[int] = set()
+    picked: dict[str, list[int]] = {cat: [] for cat in _CATEGORIES}
+    picked_sets: dict[str, set[int]] = {cat: set() for cat in _CATEGORIES}
+    carry = {cat: 0 for cat in _CATEGORIES}
+    first_pass = True
+    while True:
+        placed_any = False
+        for g in process_order:
+            for cat in _CATEGORIES:
+                want = carry[cat] + (quota[cat][g] if first_pass else 0)
+                if want == 0:
+                    continue
+                blocked = taken if spec.disjoint else picked_sets[cat]
+                got = _take(orders[g][cat], want, blocked)
+                if got:
+                    placed_any = True
+                    picked[cat].extend(got)
+                    picked_sets[cat].update(got)
+                    if spec.disjoint:
+                        taken.update(got)
+                carry[cat] = want - len(got)
+        first_pass = False
+        if all(c == 0 for c in carry.values()):
+            break
+        if not placed_any:
+            raise CapacityError(
+                f"could not place {sum(carry.values())} selections after spillover "
+                f"(n={len(s)}, requested={spec.total})"
+            )
+    return picked, means, quota
+
+
+def _selection(picked: dict[str, list[int]], echo: dict) -> Selection:
+    return Selection(
+        low=tuple(sorted(picked["low"])),
+        high=tuple(sorted(picked["high"])),
+        mean_proximal=tuple(sorted(picked["mean"])),
+        policy_echo=echo,
+    )
+
+
+def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
+    """Select the k_low smallest, k_high largest, and k_mean mean-nearest scores.
+
+    With ``disjoint`` on, low claims first, then high, then mean-proximal
+    from whatever remains; the mean is always the mean of all scores.  This
+    is the bucketed rule with every example in one bucket.
+    """
+    s = _score_array(scores)
+    n = len(s)
+    _check_capacity(n, spec)
+    # An empty corpus has no group: a group must have a mean.
+    picked, means, _ = _claim(s, [np.arange(n)] if n else [], spec)
+    echo = {"spec": spec.to_dict(), "strategy": "global", "score_mean": means[0] if n else None}
+    return _selection(picked, echo)
 
 
 def select_bucketed(
@@ -220,48 +265,8 @@ def select_bucketed(
 
     bucket_of = lengths // width
     bucket_ids = sorted(int(b) for b in np.unique(bucket_of)) if n else []
-    members = {b: np.nonzero(bucket_of == b)[0] for b in bucket_ids}
-    pops = {b: len(members[b]) for b in bucket_ids}
-    bucket_means = {b: _mean(s[members[b]]) for b in bucket_ids}
-    orders = {b: _orders(s, members[b], bucket_means[b]) for b in bucket_ids}
-
-    quota = {
-        cat: dict(zip(bucket_ids, _largest_remainder(k, [pops[b] for b in bucket_ids])))
-        for cat, k in (("low", spec.k_low), ("high", spec.k_high), ("mean", spec.k_mean))
-    }
-
-    # Descending population, ties by lower bucket index.
-    process_order = sorted(bucket_ids, key=lambda b: (-pops[b], b))
-
-    taken: set[int] = set()
-    picked: dict[str, list[int]] = {cat: [] for cat in _CATEGORIES}
-    picked_sets: dict[str, set[int]] = {cat: set() for cat in _CATEGORIES}
-    carry = {cat: 0 for cat in _CATEGORIES}
-    first_pass = True
-    while True:
-        placed_any = False
-        for b in process_order:
-            for cat in _CATEGORIES:
-                want = carry[cat] + (quota[cat][b] if first_pass else 0)
-                if want == 0:
-                    continue
-                blocked = taken if spec.disjoint else picked_sets[cat]
-                got = _take(orders[b][cat], want, blocked)
-                if got:
-                    placed_any = True
-                    picked[cat].extend(got)
-                    picked_sets[cat].update(got)
-                    if spec.disjoint:
-                        taken.update(got)
-                carry[cat] = want - len(got)
-        first_pass = False
-        if all(c == 0 for c in carry.values()):
-            break
-        if not placed_any:
-            raise CapacityError(
-                f"could not place {sum(carry.values())} selections after spillover "
-                f"(n={n}, requested={spec.total})"
-            )
+    groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
+    picked, means, quota = _claim(s, groups, spec)
 
     echo = {
         "spec": spec.to_dict(),
@@ -271,21 +276,16 @@ def select_bucketed(
         "buckets": [
             {
                 "bucket": b,
-                "population": pops[b],
-                "score_mean": bucket_means[b],
-                "quota_low": quota["low"][b],
-                "quota_high": quota["high"][b],
-                "quota_mean": quota["mean"][b],
+                "population": len(groups[g]),
+                "score_mean": means[g],
+                "quota_low": quota["low"][g],
+                "quota_high": quota["high"][g],
+                "quota_mean": quota["mean"][g],
             }
-            for b in bucket_ids
+            for g, b in enumerate(bucket_ids)
         ],
     }
-    return Selection(
-        low=tuple(sorted(picked["low"])),
-        high=tuple(sorted(picked["high"])),
-        mean_proximal=tuple(sorted(picked["mean"])),
-        policy_echo=echo,
-    )
+    return _selection(picked, echo)
 
 
 def label_all(scores, selection: Selection) -> list[str]:

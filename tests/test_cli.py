@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abnormality.cli import RunConfig, main
+from abnormality.cli import RunConfig, _build_parser, main
 from abnormality.corpus import ingest_file
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.hashing import sha256_file
@@ -410,6 +412,74 @@ class TestRunConfig:
         cfg = RunConfig(orders=())
         with pytest.raises(ValueError):
             cfg.validate()
+
+    def test_every_option_sets_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {"score", "sample", "analyze"}
+        for name, sub in commands.choices.items():
+            dests = {a.dest for a in sub._actions if a.dest != "help"}
+            assert dests <= fields | {"config", "scores"}, name
+        assert {a.dest for a in parser._actions} == {"help", "command"}
+
+    def test_negated_tokenizer_flags_reach_pipeline_echo(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"), "--no-strip-edge-punct", "--no-lowercase")
+        pipeline = json.loads((out / "scores.meta.json").read_text())["pipeline"]
+        assert pipeline["strip_edge_punctuation"] is False
+        assert pipeline["lowercase"] is False
+        assert json.loads((out / "density.json").read_text())["tokenizer"] == {
+            "lowercase": False, "strip_edge_punctuation": False,
+        }
+
+    def test_pipeline_echo_is_every_field_but_input_and_runtime_knobs(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        pipeline = json.loads((out / "scores.meta.json").read_text())["pipeline"]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(pipeline) == fields - {"input", "out_dir", "threads"}
+
+    def test_config_file_key_strip_edge_punctuation(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strip_edge_punctuation": False}), encoding="utf-8")
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"), "--config", str(cfg_path))
+        assert json.loads((out / "scores.meta.json").read_text())["pipeline"]["strip_edge_punctuation"] is False
+
+    @pytest.mark.parametrize("key", ["strip_edge_punct", "seed"])
+    def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: 0}), encoding="utf-8")
+        code = main(["score", "--config", str(cfg_path), "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
+                     "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    def test_seed_flag_exits_1(self, tmp_path):
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        assert main(["score", "--input", str(corpus_path), "--format", "jsonl",
+                     "--out-dir", str(tmp_path / "o"), "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_metadata_with_seed_exits_2(self, tmp_path, capsys, command):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["pipeline"]["seed"] = 0
+        meta_path.write_text(json.dumps(meta))
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "seed" in err
+
+    @pytest.mark.parametrize("orders", ["1,x", "1.5", ""])
+    def test_bad_orders_exit_1(self, tmp_path, orders):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--orders", orders]) == 1
+
+    def test_orders_parsed_to_tuple(self, tmp_path):
+        args = _build_parser().parse_args(["analyze", "--scores", "s.csv", "--orders", "1, 3,"])
+        assert args.orders == (1, 3)
 
     def test_usage_error_exit_code(self):
         assert main([]) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abnormality.corpus import make_synthetic_corpus
-from abnormality.errors import FitError
+from abnormality.errors import FitError, SchemaError
 from abnormality.featurize import (
     NGRAM_SEP,
     DensityTable,
@@ -369,3 +370,36 @@ class TestPersistence:
         save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
         back = load_density(tmp_path / "d.csv", tmp_path / "d.json")
         assert back.counts == {f"a,b{NGRAM_SEP}c": 1}
+
+    @pytest.mark.parametrize("damage", [
+        "count", "columns", "csv-header", "sum", "csv-utf8", "truncated", "no-ngram_order", "total-type", "tokenizer",
+    ])
+    def test_malformed_density_raises_schema_error(self, tmp_path, damage):
+        save_density(fit_density(corpus_of("a b a", "x, y!"), 1), tmp_path / "d.csv", tmp_path / "d.json")
+        csv_path, header_path = tmp_path / "d.csv", tmp_path / "d.json"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+        if damage == "count":
+            lines[1] = lines[1].split(",")[0] + ",1.5"
+        elif damage == "columns":
+            lines[1] += ",1"
+        elif damage == "csv-header":
+            lines[0] = "key,count"
+        elif damage == "sum":
+            del lines[-1]
+        elif damage == "csv-utf8":
+            lines[1] = "\udcff" + lines[1]
+        elif damage == "truncated":
+            text = header_path.read_text(encoding="utf-8")
+            header_path.write_text(text[: len(text) // 2], encoding="utf-8")
+        elif damage == "no-ngram_order":
+            del header["ngram_order"]
+        elif damage == "total-type":
+            header["total"] = str(header["total"])
+        else:
+            header["tokenizer"] = ["lowercase"]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        if damage != "truncated":
+            header_path.write_text(json.dumps(header), encoding="utf-8")
+        with pytest.raises(SchemaError):
+            load_density(csv_path, header_path)
