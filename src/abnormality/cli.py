@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,12 +107,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(annotations)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in d.items():
+            if not _fits(value, hints[key]):
+                raise ValueError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
         cfg = cls(**d)
-        cfg.orders = tuple(int(o) for o in cfg.orders)
+        cfg.orders = tuple(cfg.orders)
         return cfg
 
     @classmethod
@@ -144,6 +151,15 @@ class RunConfig:
         return corpus_mod.JsonlFields(
             context=self.context_field, title=self.title_field, id=self.id_field
         )
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig annotation: a bool is no int, an int is a float."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(type(o) is int for o in value)
+    if typing.get_args(hint):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 # The fields echoed as the pipeline config.  The input is recorded on its own
@@ -262,7 +278,8 @@ def _feature_config_hash(cfg: RunConfig) -> str:
 # the scores' metadata.
 _PARSE_FIELDS = ("format", "context_field", "title_field", "id_field")
 
-# Keys that `sample` and `analyze` read, with the types they must have.
+# Keys that `sample` and `analyze` read, with the types they must have; the
+# pipeline block's values are checked by RunConfig.from_dict.
 _META_KEYS = (
     (("artifacts", "scores.csv"), str),
     (("input", "hash"), str),
@@ -271,8 +288,6 @@ _META_KEYS = (
     (("d",), int),
     (("epsilon",), (int, float, type(None))),
     (("pipeline",), dict),
-    *((("pipeline", k), str) for k in _PARSE_FIELDS),
-    (("pipeline", "ngram"), int),
 )
 _MANIFEST_KEYS = (
     (("inputs", "scores.csv"), str),
@@ -306,7 +321,7 @@ def _read_meta(path: Path) -> dict:
         raise SchemaError(f"{path.name}: pipeline keys {missing} are missing", path="pipeline")
     try:
         RunConfig.from_dict(meta["pipeline"]).validate()
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise SchemaError(f"{path.name}: invalid pipeline config: {e}", path="pipeline") from e
     return meta
 

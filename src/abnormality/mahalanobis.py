@@ -66,10 +66,10 @@ class EpsilonPolicy:
 
 @dataclass(frozen=True)
 class MomentModel:
-    """Mean, covariance, and (after factorization) shrinkage + Cholesky factor."""
+    """Mean and covariance; once factorized, shrinkage + Cholesky factor and no covariance."""
 
     mu: np.ndarray
-    sigma: np.ndarray
+    sigma: np.ndarray | None
     n: int
     epsilon: float | None = None
     factor: np.ndarray | None = None
@@ -77,10 +77,6 @@ class MomentModel:
     @property
     def d(self) -> int:
         return len(self.mu)
-
-    @property
-    def factorized(self) -> bool:
-        return self.factor is not None
 
     def _require_factor(self) -> np.ndarray:
         if self.factor is None:
@@ -109,8 +105,8 @@ def _matrix_values(matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
 def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     """Column means and 1/(n-1) covariance of the rows (unfactorized model).
 
-    Two-pass: the mean is computed first, then the centered cross product;
-    exact symmetry is enforced by averaging with the transpose.  A
+    Two-pass: the mean is computed first, then the centered cross product,
+    a symmetric rank-k update whose result is exactly symmetric.  A
     :class:`FeatureMatrix` is fit over its distinct rows, each weighted by
     how many records share it (a plain array weights every row by one): the
     centered rows are scaled in place by the square root of their weight, so
@@ -132,30 +128,37 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     np.subtract(X, mu, out=centered)
     centered *= np.sqrt(weights)[:, None]
     sigma = centered.T @ centered / (n - 1)
-    sigma = (sigma + sigma.T) / 2.0
     return MomentModel(mu=mu, sigma=sigma, n=n)
 
 
 def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
     """Cholesky-factorize sigma + epsilon*I, escalating epsilon until it succeeds.
 
-    Returns a new model recording the first epsilon that factorized; raises
-    SingularityError naming the final epsilon tried when every attempt fails
-    (e.g. degenerate data with trace 0).
+    Returns a new model with the first epsilon that factorized, its factor
+    and sigma None; raises SingularityError naming the final epsilon tried
+    when every attempt fails (e.g. degenerate data with trace 0), and
+    FitError when the model has no sigma.  Epsilon is added to sigma's own
+    diagonal, restored exactly on return or raise, so no second d x d
+    matrix is allocated.
     """
+    if model.sigma is None:
+        raise FitError("model holds no covariance to factorize: it is already factorized")
+    # No copy for float64; any other dtype is shifted in a float64 copy.
+    sigma = np.asarray(model.sigma, dtype=np.float64)
     d = model.d
-    trace = float(np.trace(model.sigma))
+    trace = float(np.trace(sigma))
+    diag = sigma.diagonal().copy()
     eps = 0.0
-    for eps in policy.schedule(trace, d):
-        shifted = model.sigma
-        if eps != 0.0:
-            shifted = model.sigma.copy()
-            shifted.flat[:: d + 1] += eps
-        try:
-            factor = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return replace(model, epsilon=eps, factor=factor)
+    try:
+        for eps in policy.schedule(trace, d):
+            sigma.flat[:: d + 1] = diag + eps
+            try:
+                factor = np.linalg.cholesky(sigma)
+            except np.linalg.LinAlgError:
+                continue
+            return replace(model, sigma=None, epsilon=eps, factor=factor)
+    finally:
+        sigma.flat[:: d + 1] = diag
     raise SingularityError(
         f"covariance (trace={trace:g}, d={d}) is not positive definite at any "
         f"epsilon tried (last: {eps:g})",
@@ -218,15 +221,14 @@ def save_model(
     sidecar_path: str | Path,
     feature_config_hash: str | None = None,
 ) -> None:
-    """Little-endian float64 binary (mu, then sigma, then factor) + JSON sidecar.
+    """Little-endian float64 binary (mu, then the factor, or sigma if unfactorized) + JSON sidecar.
 
     Each array is written straight from its buffer, so saving holds no
     second copy of the model.
     """
     with open(bin_path, "wb") as f:
-        for part in (model.mu, model.sigma, model.factor):
-            if part is not None:
-                f.write(np.ascontiguousarray(part, dtype="<f8").data)
+        for part in (model.mu, model.sigma if model.factor is None else model.factor):
+            f.write(np.ascontiguousarray(part, dtype="<f8").data)
     sidecar = {
         "n": model.n,
         "d": model.d,
@@ -242,9 +244,9 @@ def save_model(
 def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
     """Read a model written by :func:`save_model`.
 
+    A factorized model comes back with its factor and ``sigma=None``.
     Raises SchemaError when the sidecar is not valid JSON, lacks an integer
-    ``n`` or ``d``, or when the binary's size is not the
-    8 * (d + d*d + d*d*has_factor) bytes the sidecar implies.
+    ``n`` or ``d``, or when the binary's size is not 8 * (d + d*d) bytes.
     """
     name = Path(sidecar_path).name
     try:
@@ -257,19 +259,17 @@ def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
         if type(sidecar.get(key)) is not int or sidecar[key] < 0:
             raise SchemaError(f"{name}: key {key!r} is missing or not a non-negative integer", path=key)
     d, n = sidecar["d"], sidecar["n"]
-    has_factor = sidecar.get("has_factor") is True
     data = Path(bin_path).read_bytes()
-    expected = 8 * (d + d * d * (2 if has_factor else 1))
+    expected = 8 * (d + d * d)
     if len(data) != expected:
         raise SchemaError(
-            f"{Path(bin_path).name} holds {len(data)} bytes, but d = {d} with has_factor = {has_factor} "
-            f"needs {expected}",
+            f"{Path(bin_path).name} holds {len(data)} bytes, but d = {d} needs {expected}",
             path=Path(bin_path).name,
         )
     values = np.frombuffer(data, dtype="<f8")
     mu = values[:d].copy()
-    sigma = values[d : d + d * d].reshape(d, d).copy()
-    factor = values[d + d * d :].reshape(d, d).copy() if has_factor else None
+    block = values[d:].reshape(d, d).copy()
+    sigma, factor = (None, block) if sidecar.get("has_factor") is True else (block, None)
     eps = sidecar.get("epsilon")
     return MomentModel(mu=mu, sigma=sigma, n=n, epsilon=eps if eps is None else float(eps), factor=factor)
 

@@ -65,6 +65,13 @@ def reference_scores(X: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
     return out
 
 
+def reference_shifted_cholesky(sigma: np.ndarray, epsilon: float) -> np.ndarray:
+    """Cholesky factor of a copy of sigma with epsilon added to its diagonal."""
+    shifted = np.array(sigma, dtype=np.float64)
+    shifted.flat[:: shifted.shape[0] + 1] += epsilon
+    return np.linalg.cholesky(shifted)
+
+
 def reference_covariance(X: np.ndarray) -> np.ndarray:
     """1/(n-1) covariance by the direct per-entry definition."""
     X = np.asarray(X, dtype=np.float64)

@@ -16,7 +16,7 @@ from abnormality.cli import RunConfig, _build_parser, main
 from abnormality.corpus import ingest_file
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.hashing import sha256_file
-from abnormality.mahalanobis import fit_moments, read_scores_csv, regularized_factorize, score_all
+from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
 
 
 def write_jsonl_fixture(path: Path, n: int = 12, seed: int = 3) -> Path:
@@ -61,6 +61,17 @@ class TestScoreCommand:
         model = regularized_factorize(fit_moments(matrix))
         expected = score_all(model, matrix).scores
         assert columns["score"].tobytes() == expected.tobytes()
+
+    def test_saved_model_reproduces_scores(self, tmp_path):
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        out = run_score(tmp_path, corpus_path)
+        model = load_model(out / "model.bin", out / "model.json")
+        assert model.sigma is None
+        assert (out / "model.bin").stat().st_size == 8 * (model.d + model.d * model.d)
+        corpus = ingest_file(corpus_path, "jsonl")
+        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        expected = read_scores_csv(out / "scores.csv")["score"]
+        assert score_all(model, matrix).scores.tobytes() == expected.tobytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
@@ -452,6 +463,46 @@ class TestRunConfig:
                      "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ('{"ngram": "2"}', "ngram"),
+        ('{"l_cap": "9"}', "l_cap"),
+        ('{"orders": 3}', "orders"),
+        ('{"orders": [1, "2"]}', "orders"),
+        ('{"lowercase": 1}', "lowercase"),
+        ('{"k_low": true}', "k_low"),
+        ('{"epsilon_fixed": "0.5"}', "epsilon_fixed"),
+        ('{"format": null}', "format"),
+        ("[1]", "JSON object"),
+        ('"ngram"', "JSON object"),
+    ])
+    def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config, encoding="utf-8")
+        code = main(["score", "--config", str(cfg_path), "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
+                     "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_config_values_of_field_type_accepted(self):
+        cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None, "lowercase": False})
+        assert (cfg.epsilon_fixed, cfg.l_cap, cfg.orders, cfg.lowercase) == (1, None, (1, 2), False)
+
+    @pytest.mark.parametrize("key, value", [("format", 1), ("ngram", "1"), ("orders", 3), ("l_cap", 1.5)])
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_ill_typed_pipeline_metadata_exits_2(self, tmp_path, capsys, command, key, value):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["pipeline"][key] = value
+        meta_path.write_text(json.dumps(meta))
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and repr(key) in err
 
     def test_seed_flag_exits_1(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")

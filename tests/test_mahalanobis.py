@@ -24,7 +24,7 @@ from abnormality.mahalanobis import (
 )
 
 from conftest import corpus_of
-from oracles import reference_covariance, reference_scores
+from oracles import reference_covariance, reference_scores, reference_shifted_cholesky
 
 
 def repeated_corpus(distinct: int, max_repeats: int, seed: int):
@@ -33,6 +33,13 @@ def repeated_corpus(distinct: int, max_repeats: int, seed: int):
     contexts = [ex.context for ex in make_synthetic_corpus(distinct, vocab_size=25, min_tokens=3, max_tokens=8, seed=seed)]
     records = [c for c in contexts for _ in range(int(rng.integers(1, max_repeats + 1)))]
     return corpus_of(*(records[i] for i in rng.permutation(len(records))))
+
+
+def singular_moments(rng, n, d):
+    """Moments of n normal rows whose last column is constant: sigma's last row is 0, so epsilon > 0."""
+    X = rng.normal(size=(n, d))
+    X[:, -1] = 1.0
+    return fit_moments(X)
 
 
 def random_model(rng, n, d):
@@ -146,6 +153,67 @@ class TestRegularizedFactorize:
         model = MomentModel(mu=np.zeros(2), sigma=-np.eye(2), n=5)
         with pytest.raises(SingularityError):
             regularized_factorize(model, EpsilonPolicy(fixed=0.0))
+
+    def test_sigma_unchanged_at_zero_epsilon(self):
+        model = fit_moments(np.random.default_rng(41).normal(size=(30, 6)))
+        before = model.sigma.tobytes()
+        out = regularized_factorize(model)
+        assert out.epsilon == 0.0
+        assert model.sigma.tobytes() == before
+        assert out.factor.tobytes() == np.linalg.cholesky(model.sigma).tobytes()
+
+    def test_shift_matches_copy_and_leaves_sigma_unchanged(self):
+        # Epsilon = 0 fails on the zero row, so the factor comes from a
+        # shifted diagonal that must then be restored bit for bit.
+        model = singular_moments(np.random.default_rng(42), 40, 8)
+        before = model.sigma.copy()
+        out = regularized_factorize(model)
+        assert out.epsilon > 0.0
+        assert model.sigma.tobytes() == before.tobytes()
+        assert out.factor.tobytes() == reference_shifted_cholesky(before, out.epsilon).tobytes()
+
+    def test_sigma_unchanged_after_singularity_error(self):
+        A = np.random.default_rng(43).normal(size=(5, 5))
+        sigma = A @ A.T
+        sigma[0, 0] = -1.0  # no shrinkage in the schedule makes this positive definite
+        before = sigma.tobytes()
+        with pytest.raises(SingularityError) as exc:
+            regularized_factorize(MomentModel(mu=np.zeros(5), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
+        assert exc.value.last_epsilon > 0.0
+        assert sigma.tobytes() == before
+
+    def test_integer_sigma_is_shifted_in_float64(self):
+        # Writing epsilon onto an integer diagonal would truncate it to 0.
+        sigma = np.array([[1, 1], [1, 1]])
+        out = regularized_factorize(MomentModel(mu=np.zeros(2), sigma=sigma, n=5))
+        assert out.epsilon == EpsilonPolicy().schedule(2.0, 2)[1]
+        assert sigma.tolist() == [[1, 1], [1, 1]]
+
+    def test_factorized_model_drops_sigma(self):
+        model = regularized_factorize(MomentModel(mu=np.zeros(3), sigma=np.eye(3), n=10))
+        assert model.sigma is None
+        with pytest.raises(FitError, match="already factorized"):
+            regularized_factorize(model)
+
+    def test_loaded_factorized_model_cannot_be_refactorized(self, tmp_path):
+        _, model = random_model(np.random.default_rng(44), 20, 3)
+        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
+        with pytest.raises(FitError, match="already factorized"):
+            regularized_factorize(load_model(tmp_path / "m.bin", tmp_path / "m.json"))
+
+    def test_peak_memory_one_matrix_beyond_sigma(self):
+        # With epsilon > 0 the stage allocates the factor and a few vectors;
+        # a shifted copy of sigma beside the factor would be 2 * 8 d^2 bytes.
+        d = 300
+        model = singular_moments(np.random.default_rng(45), 400, d)
+        tracemalloc.start()
+        try:
+            out = regularized_factorize(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.epsilon > 0.0
+        assert peak < 1.5 * 8 * d * d, f"peak {peak} bytes >= 1.5 d x d matrices"
 
 
 class TestScore:
@@ -276,7 +344,7 @@ class TestPersistence:
         if factorized:
             model = regularized_factorize(model)
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-        parts = [model.mu, model.sigma] + ([model.factor] if factorized else [])
+        parts = [model.mu, model.factor if factorized else model.sigma]
         want = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts)
         assert (tmp_path / "m.bin").read_bytes() == want
 
@@ -301,13 +369,25 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_model(bin_path, json_path)
 
+    def test_layout_with_sigma_and_factor_raises_schema_error(self, tmp_path):
+        # The earlier layout, mu then sigma then factor, is 8 * (d + 2 d^2) bytes.
+        unfactorized = fit_moments(np.random.default_rng(35).normal(size=(20, 3)))
+        sigma = unfactorized.sigma.copy()
+        model = regularized_factorize(unfactorized)
+        bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+        save_model(model, bin_path, json_path)
+        bin_path.write_bytes(b"".join(a.astype("<f8").tobytes() for a in (model.mu, sigma, model.factor)))
+        assert bin_path.stat().st_size == 8 * (3 + 2 * 9)
+        with pytest.raises(SchemaError, match="needs 96"):
+            load_model(bin_path, json_path)
+
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         _, model = random_model(rng, 20, 3)
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json", feature_config_hash="sha256:x")
         back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert back.mu.tobytes() == model.mu.tobytes()
-        assert back.sigma.tobytes() == model.sigma.tobytes()
+        assert model.sigma is None and back.sigma is None
         assert back.factor.tobytes() == model.factor.tobytes()
         assert back.epsilon == model.epsilon
         assert back.n == model.n
