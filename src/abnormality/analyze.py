@@ -7,14 +7,13 @@ shaped for direct use by standard plotting tools.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .errors import StatError
 from .hashing import sha256_file
 from .sampler import Selection, label_all
@@ -50,17 +49,6 @@ class DistributionStats:
     excess_kurtosis: float | None
     min: float
     max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "min": self.min,
-            "max": self.max,
-        }
 
 
 @dataclass(frozen=True)
@@ -145,13 +133,6 @@ def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) 
     return min(1.0, max(-1.0, r))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _exemplar(corpus: "Corpus", s: np.ndarray, i: int) -> dict:
     ex = corpus[int(i)]
     return {"ordinal": ex.ordinal, "id": ex.id, "title": ex.title, "score": float(s[i])}
@@ -184,7 +165,7 @@ def emit_report(
     labels = label_all(s, selection) if selection is not None else ["unselected"] * len(s)
 
     scores_path = out / "scores.csv"
-    _write_csv(
+    write_csv(
         scores_path,
         ["ordinal", "id", "title", "char_length", "score", "category"],
         (
@@ -195,7 +176,7 @@ def emit_report(
 
     hist = histogram(s, bins=bins)
     hist_path = out / "histogram.csv"
-    _write_csv(
+    write_csv(
         hist_path,
         ["bin_left", "bin_right", "count"],
         (
@@ -209,7 +190,7 @@ def emit_report(
         "n": len(s),
         "dimension": dimension,
         "epsilon": float(scores.model_epsilon) if hasattr(scores, "model_epsilon") else None,
-        "score_stats": stats.to_dict(),
+        "score_stats": asdict(stats),
         "pearson_by_order": {str(k): v for k, v in sorted(pearson_by_order.items())},
         "exemplars": {
             "lowest": _exemplar(corpus, s, np.argmin(s)),
@@ -224,16 +205,9 @@ def emit_report(
         },
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(summary_path, summary)
 
     files = {p.name: sha256_file(p) for p in (scores_path, hist_path, summary_path)}
     manifest = {"files": files, "inputs": dict(input_hashes or {})}
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "manifest.json", manifest)
     return manifest

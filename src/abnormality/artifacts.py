@@ -1,0 +1,135 @@
+"""The on-disk format of every JSON and CSV artifact: one writer and one checked reader each.
+
+JSON artifacts are UTF-8 objects with sorted keys, a two-space indent and a
+trailing newline, and never hold ``NaN`` or ``Infinity``.  CSV artifacts are
+UTF-8 with ``\\n`` line ends and a fixed header row.  The readers raise
+SchemaError naming the file, and the key or line, for anything else.
+
+One type rule covers every JSON value read, config files included: a bool
+is no int, an int is a float.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import typing
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .errors import SchemaError
+
+if typing.TYPE_CHECKING:
+    from .corpus import Example
+
+__all__ = ["fits", "write_json", "write_csv", "read_json", "read_csv", "row_ordinal"]
+
+T = TypeVar("T")
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value fits a type annotation: a bool is no int, an int is a float."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(type(o) is int for o in value)
+    if typing.get_args(hint):
+        return any(fits(value, arg) for arg in typing.get_args(hint))
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+def write_json(path: str | Path, obj: dict) -> None:
+    """``obj`` as a JSON artifact; ValueError if it holds a non-finite float."""
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row, then ``rows``, as a CSV artifact."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not JSON")
+
+
+def read_json(path: str | Path, keys: Iterable[tuple] = ()) -> dict:
+    """A JSON artifact, with the value at each of ``keys`` checked.
+
+    Each key is ``(key_path, hint)`` or ``(key_path, int, minimum)``: the
+    value reached through the tuple of object keys ``key_path`` must fit
+    ``hint`` under :func:`fits`, and be at least ``minimum`` when one is
+    given.  Raises SchemaError when the file is not UTF-8, not a JSON
+    object, holds ``NaN`` or ``Infinity``, or a key is missing or ill-typed.
+    """
+    name = Path(path).name
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+    except ValueError as e:  # undecodable bytes and malformed JSON alike
+        raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{name} is not a JSON object", path=name)
+    for key_path, hint, *minimum in keys:
+        dotted = ".".join(key_path)
+        value = obj
+        try:
+            for key in key_path:
+                value = value[key]  # TypeError when value is no object
+        except (KeyError, TypeError):
+            raise SchemaError(f"{name}: key {dotted!r} is missing", path=dotted) from None
+        if not fits(value, hint) or (minimum and value < minimum[0]):
+            want = getattr(hint, "__name__", str(hint)) + "".join(f" >= {m}" for m in minimum)
+            raise SchemaError(f"{name}: key {dotted!r} must be {want}, got {value!r}", path=dotted)
+    return obj
+
+
+def read_csv(
+    path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T]
+) -> Iterator[T]:
+    """``parse(row)`` for each row of a CSV artifact, after its header.
+
+    Raises SchemaError naming the file and line for a header other than
+    ``header``, bytes that are not UTF-8, or a row that is not CSV or that
+    ``parse`` rejects by raising ValueError.
+    """
+    name = Path(path).name
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = csv.reader(f)
+            head = next(rows, None)
+            if head != list(header):
+                raise SchemaError(f"{name} line 1: header {head} is not {list(header)}", path=name)
+            for row in rows:
+                try:
+                    value = parse(row)
+                except ValueError as e:
+                    message = f"{name} line {rows.line_num} is malformed ({e}): {row}"
+                    raise SchemaError(message, path=name) from None
+                yield value
+    except UnicodeDecodeError:
+        # The text layer decodes ahead of the rows, so find the line in the bytes.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise SchemaError(f"{name} is not valid UTF-8 (line {line}): {e}", path=name) from None
+        raise
+    except csv.Error as e:
+        raise SchemaError(f"{name} line {rows.line_num} is not CSV: {e}", path=name) from e
+
+
+def row_ordinal(examples: Sequence[Example], ordinal: str, ex_id: str, char_length: str) -> int:
+    """The ordinal of the corpus example that a scores or selection CSV row names.
+
+    Raises ValueError unless ``examples`` (a corpus's) holds an example at
+    ``ordinal`` with that id and char length.
+    """
+    i = int(ordinal)
+    if not 0 <= i < len(examples):
+        raise ValueError(f"ordinal {i} is outside the corpus of {len(examples)} examples")
+    ex = examples[i]
+    if ex.id != ex_id or ex.char_length != int(char_length):
+        raise ValueError(f"example {i} has id {ex.id!r} and char length {ex.char_length}")
+    return i

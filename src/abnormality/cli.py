@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from . import corpus as corpus_mod
 from . import featurize as feat_mod
 from . import mahalanobis as maha_mod
 from . import sampler as sampler_mod
+from .artifacts import fits, read_json, write_json
 from .errors import (
     AbnormalityError,
     CapacityError,
@@ -77,8 +79,10 @@ class RunConfig:
             raise ValueError(f"ngram order must be >= 1, got {self.ngram}")
         if self.l_cap is not None and self.l_cap < 1:
             raise ValueError(f"l_cap must be >= 1, got {self.l_cap}")
-        if self.epsilon_base_scale <= 0:
-            raise ValueError("epsilon_base_scale must be > 0")
+        if not 0 < self.epsilon_base_scale < math.inf:
+            raise ValueError("epsilon_base_scale must be finite and > 0")
+        if self.epsilon_fixed is not None and not math.isfinite(self.epsilon_fixed):
+            raise ValueError(f"epsilon_fixed must be finite, got {self.epsilon_fixed}")
         if self.epsilon_max_exponent < 0:
             raise ValueError("epsilon_max_exponent must be >= 0")
         if min(self.k_low, self.k_high, self.k_mean) < 0:
@@ -115,7 +119,7 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
         for key, value in d.items():
-            if not _fits(value, hints[key]):
+            if not fits(value, hints[key]):
                 raise ValueError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
         cfg = cls(**d)
         cfg.orders = tuple(cfg.orders)
@@ -151,15 +155,6 @@ class RunConfig:
         return corpus_mod.JsonlFields(
             context=self.context_field, title=self.title_field, id=self.id_field
         )
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a RunConfig annotation: a bool is no int, an int is a float."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(type(o) is int for o in value)
-    if typing.get_args(hint):
-        return any(_fits(value, arg) for arg in typing.get_args(hint))
-    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 # The fields echoed as the pipeline config.  The input is recorded on its own
@@ -211,12 +206,6 @@ def run_score_pipeline(
     return scores, model, table
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-
-
 def cmd_score(cfg: RunConfig) -> int:
     """ingest -> fit_density -> build_matrix -> moments -> factorize -> score_all."""
     cfg.validate()
@@ -253,7 +242,7 @@ def cmd_score(cfg: RunConfig) -> int:
             },
         }
         meta_path = art.add(out / ("scores" + META_SUFFIX))
-        _write_json(meta_path, meta)
+        write_json(meta_path, meta)
     except BaseException:
         art.cleanup()
         raise
@@ -268,7 +257,7 @@ def _feature_config_hash(cfg: RunConfig) -> str:
     return sha256_json(
         {
             "ngram": cfg.ngram,
-            "tokenizer": cfg.tokenizer_config().to_dict(),
+            "tokenizer": dataclasses.asdict(cfg.tokenizer_config()),
             "l_cap": cfg.l_cap,
         }
     )
@@ -284,9 +273,9 @@ _META_KEYS = (
     (("artifacts", "scores.csv"), str),
     (("input", "hash"), str),
     (("input", "path"), str),
-    (("n",), int),
-    (("d",), int),
-    (("epsilon",), (int, float, type(None))),
+    (("n",), int, 0),
+    (("d",), int, 0),
+    (("epsilon",), float | None),
     (("pipeline",), dict),
 )
 _MANIFEST_KEYS = (
@@ -294,28 +283,11 @@ _MANIFEST_KEYS = (
     (("artifacts", "selection.csv"), str),
     (("policy_echo",), dict),
 )
-_MISSING = object()
-
-
-def _read_json(path: Path, keys) -> dict:
-    """A JSON object whose ``keys`` (paths into it, with types) are checked; SchemaError otherwise."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise SchemaError(f"{path.name} is not valid JSON: {e}", path=path.name) from e
-    for key_path, kind in keys:
-        value = obj
-        for key in key_path:
-            value = value.get(key, _MISSING) if isinstance(value, dict) else _MISSING
-        if not isinstance(value, kind):
-            dotted = ".".join(key_path)
-            raise SchemaError(f"{path.name}: key {dotted!r} is missing or ill-typed", path=dotted)
-    return obj
 
 
 def _read_meta(path: Path) -> dict:
     """scores.meta.json; SchemaError unless it holds a complete, valid pipeline config."""
-    meta = _read_json(path, _META_KEYS)
+    meta = read_json(path, _META_KEYS)
     missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
     if missing:
         raise SchemaError(f"{path.name}: pipeline keys {missing} are missing", path="pipeline")
@@ -361,17 +333,14 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
         )
 
     corpus = corpus_mod.ingest_file(input_path, cfg.format, cfg.jsonl_fields())
-    if len(corpus) != int(meta["n"]):
+    if len(corpus) != meta["n"]:
         raise StaleScoresError(
             f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
         )
-    columns = maha_mod.read_scores_csv(scores_path)
-    if len(columns["score"]) != len(corpus):
-        raise SchemaError(
-            f"{scores_path.name} has {len(columns['score'])} rows, but scores were computed over {len(corpus)}",
-            path=scores_path.name,
-        )
-    scores = maha_mod.ScoreVector(scores=columns["score"], model_epsilon=float(meta["epsilon"] or 0.0))
+    scores = maha_mod.ScoreVector(
+        scores=maha_mod.read_scores_csv(scores_path, corpus),
+        model_epsilon=float(meta["epsilon"] or 0.0),
+    )
     return corpus, scores, meta
 
 
@@ -387,7 +356,7 @@ def _load_selection(
     manifest_path = out / "selection_manifest.json"
     if not manifest_path.is_file():
         return None
-    manifest = _read_json(manifest_path, _MANIFEST_KEYS)
+    manifest = read_json(manifest_path, _MANIFEST_KEYS)
     if manifest["inputs"]["scores.csv"] != scores_hash:
         raise StaleScoresError(
             f"{manifest_path.name} was written for scores {manifest['inputs']['scores.csv']}, "
@@ -444,7 +413,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
             },
         }
         manifest_path = art.add(out / "selection_manifest.json")
-        _write_json(manifest_path, manifest)
+        write_json(manifest_path, manifest)
     except BaseException:
         art.cleanup()
         raise
@@ -495,7 +464,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
             pearson_by_order,
             report_dir,
             bins=cfg.bins,
-            dimension=int(meta["d"]),
+            dimension=meta["d"],
             input_hashes={
                 "corpus": meta["input"]["hash"],
                 "scores.csv": meta["artifacts"]["scores.csv"],

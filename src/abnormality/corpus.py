@@ -82,10 +82,6 @@ class Corpus:
     def __getitem__(self, i: int) -> Example:
         return self.examples[i]
 
-    @property
-    def n(self) -> int:
-        return len(self.examples)
-
     def char_lengths(self) -> np.ndarray:
         return np.array([ex.char_length for ex in self.examples], dtype=np.int64)
 

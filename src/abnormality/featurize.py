@@ -15,16 +15,15 @@ spelled out only when something reads the density table's ``counts``.
 
 from __future__ import annotations
 
-import csv
-import json
 import unicodedata
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .errors import FitError, SchemaError
 
 if TYPE_CHECKING:
@@ -53,16 +52,6 @@ class TokenizerConfig:
 
     lowercase: bool = True
     strip_edge_punctuation: bool = True
-
-    def to_dict(self) -> dict:
-        return {"lowercase": self.lowercase, "strip_edge_punctuation": self.strip_edge_punctuation}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TokenizerConfig":
-        return cls(
-            lowercase=bool(d.get("lowercase", True)),
-            strip_edge_punctuation=bool(d.get("strip_edge_punctuation", True)),
-        )
 
 
 def _strip_edge_punct(token: str) -> str:
@@ -347,60 +336,49 @@ def build_matrix(
     )
 
 
+_DENSITY_HEADER = ("ngram_key", "count")
+
+
 def save_density(table: DensityTable, csv_path: str | Path, header_path: str | Path) -> None:
     """Two-column CSV (ngram_key, count) sorted by key, plus a JSON header."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["ngram_key", "count"])
-        for key in sorted(table.counts):
-            w.writerow([key, table.counts[key]])
-    header = {
+    write_csv(csv_path, _DENSITY_HEADER, sorted(table.counts.items()))
+    write_json(header_path, {
         "ngram_order": table.n,
         "total": table.total,
-        "tokenizer": table.tokenizer.to_dict(),
-    }
-    Path(header_path).write_text(
-        json.dumps(header, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+        "tokenizer": asdict(table.tokenizer),
+    })
+
+
+_DENSITY_KEYS = (
+    (("ngram_order",), int, 1),
+    (("total",), int),
+    (("tokenizer", "lowercase"), bool),
+    (("tokenizer", "strip_edge_punctuation"), bool),
+)
+
+
+def _density_row(row: list[str]) -> tuple[str, int]:
+    key, count = row
+    return key, int(count)
 
 
 def load_density(csv_path: str | Path, header_path: str | Path) -> DensityTable:
     """Read a table written by :func:`save_density`.
 
     Raises SchemaError when either file is not UTF-8, the header is not a
-    JSON object with an integer ``ngram_order`` and ``total``, the CSV header
-    or a row is malformed, or the counts do not sum to the header's total.
+    JSON object with an integer ``ngram_order`` >= 1, an integer ``total``
+    and boolean ``tokenizer`` flags, the CSV header or a row is malformed,
+    or the counts do not sum to the header's total.
     """
-    name, csv_name = Path(header_path).name, Path(csv_path).name
-    try:
-        header = json.loads(Path(header_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
-    if not isinstance(header, dict) or not isinstance(header.get("tokenizer", {}), dict):
-        raise SchemaError(f"{name} is not a JSON object with a tokenizer object", path=name)
-    for key in ("ngram_order", "total"):
-        if type(header.get(key)) is not int:
-            raise SchemaError(f"{name}: key {key!r} is missing or not an integer", path=key)
-    counts: dict[str, int] = {}
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as f:
-            r = csv.reader(f)
-            head = next(r, None)
-            if head != ["ngram_key", "count"]:
-                raise SchemaError(f"unexpected density CSV header: {head}", path=csv_name)
-            for line, row in enumerate(r, start=2):
-                try:
-                    key, count = row
-                    counts[key] = int(count)
-                except ValueError:
-                    raise SchemaError(f"{csv_name} line {line} is malformed: {row}", path=csv_name) from None
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{csv_name} is not valid UTF-8: {e}", path=csv_name) from e
+    header = read_json(header_path, _DENSITY_KEYS)
+    counts = dict(read_csv(csv_path, _DENSITY_HEADER, _density_row))
     if sum(counts.values()) != header["total"]:
-        raise SchemaError(f"{csv_name} counts do not sum to the header total", path=csv_name)
+        name = Path(csv_path).name
+        raise SchemaError(f"{name} counts do not sum to the header total", path=name)
+    tokenizer = header["tokenizer"]
     return DensityTable(
         n=header["ngram_order"],
         counts=counts,
         total=header["total"],
-        tokenizer=TokenizerConfig.from_dict(header.get("tokenizer", {})),
+        tokenizer=TokenizerConfig(tokenizer["lowercase"], tokenizer["strip_edge_punctuation"]),
     )

@@ -13,14 +13,14 @@ model and carried into every downstream report.
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, row_ordinal, write_csv, write_json
 from .errors import FitError, SchemaError, SingularityError
 from .featurize import FeatureMatrix
 
@@ -229,101 +229,80 @@ def save_model(
     with open(bin_path, "wb") as f:
         for part in (model.mu, model.sigma if model.factor is None else model.factor):
             f.write(np.ascontiguousarray(part, dtype="<f8").data)
-    sidecar = {
+    write_json(sidecar_path, {
         "n": model.n,
         "d": model.d,
         "epsilon": model.epsilon,
         "has_factor": model.factor is not None,
         "feature_config_hash": feature_config_hash,
-    }
-    Path(sidecar_path).write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    })
+
+
+_MODEL_KEYS = (
+    (("n",), int, 0),
+    (("d",), int, 0),
+    (("epsilon",), float | None),
+    (("has_factor",), bool),
+)
 
 
 def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
     """Read a model written by :func:`save_model`.
 
     A factorized model comes back with its factor and ``sigma=None``.
-    Raises SchemaError when the sidecar is not valid JSON, lacks an integer
-    ``n`` or ``d``, or when the binary's size is not 8 * (d + d*d) bytes.
+    Raises SchemaError when the sidecar is not a JSON object with
+    non-negative integers ``n`` and ``d``, a number or null ``epsilon`` and
+    a boolean ``has_factor``, or when the binary's size is not
+    8 * (d + d*d) bytes.  The binary is read once, into the arrays returned.
     """
-    name = Path(sidecar_path).name
-    try:
-        sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
-    if not isinstance(sidecar, dict):
-        raise SchemaError(f"{name} is not a JSON object", path=name)
-    for key in ("d", "n"):
-        if type(sidecar.get(key)) is not int or sidecar[key] < 0:
-            raise SchemaError(f"{name}: key {key!r} is missing or not a non-negative integer", path=key)
-    d, n = sidecar["d"], sidecar["n"]
-    data = Path(bin_path).read_bytes()
-    expected = 8 * (d + d * d)
-    if len(data) != expected:
-        raise SchemaError(
-            f"{Path(bin_path).name} holds {len(data)} bytes, but d = {d} needs {expected}",
-            path=Path(bin_path).name,
-        )
-    values = np.frombuffer(data, dtype="<f8")
-    mu = values[:d].copy()
-    block = values[d:].reshape(d, d).copy()
-    sigma, factor = (None, block) if sidecar.get("has_factor") is True else (block, None)
-    eps = sidecar.get("epsilon")
-    return MomentModel(mu=mu, sigma=sigma, n=n, epsilon=eps if eps is None else float(eps), factor=factor)
+    sidecar = read_json(sidecar_path, _MODEL_KEYS)
+    d = sidecar["d"]
+    size, expected = Path(bin_path).stat().st_size, 8 * (d + d * d)
+    if size != expected:
+        name = Path(bin_path).name
+        raise SchemaError(f"{name} holds {size} bytes, but d = {d} needs {expected}", path=name)
+    values = np.fromfile(bin_path, dtype="<f8")
+    mu, block = values[:d], values[d:].reshape(d, d)
+    sigma, factor = (None, block) if sidecar["has_factor"] else (block, None)
+    eps = sidecar["epsilon"]
+    eps = eps if eps is None else float(eps)
+    return MomentModel(mu=mu, sigma=sigma, n=sidecar["n"], epsilon=eps, factor=factor)
+
+
+_SCORES_HEADER = ("ordinal", "id", "char_length", "score")
 
 
 def write_scores_csv(scores: ScoreVector, corpus: "Corpus", path: str | Path) -> None:
     """ordinal,id,char_length,score rows aligned to corpus ordinals."""
     if len(scores) != len(corpus):
         raise ValueError(f"scores length {len(scores)} does not match corpus size {len(corpus)}")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["ordinal", "id", "char_length", "score"])
-        for ex, s in zip(corpus, scores.scores):
-            w.writerow([ex.ordinal, ex.id, ex.char_length, repr(float(s))])
+    write_csv(path, _SCORES_HEADER, (
+        [ex.ordinal, ex.id, ex.char_length, repr(float(s))] for ex, s in zip(corpus, scores.scores)
+    ))
 
 
-def read_scores_csv(path: str | Path) -> dict[str, Any]:
-    """Read a scores CSV back into arrays keyed by column name.
+def read_scores_csv(path: str | Path, corpus: "Corpus") -> np.ndarray:
+    """The scores a scores CSV records for ``corpus``, in ordinal order.
 
-    Raises SchemaError on bytes that are not UTF-8, a wrong header, a row
-    without exactly four columns, a non-integer ``ordinal`` or
-    ``char_length``, a score that is not a float, or ordinals that are not
-    0, 1, 2, ... in order.
+    Row t must name example t of ``corpus`` by ordinal, id and char length,
+    and hold a finite, non-negative score.  Raises SchemaError on bytes that
+    are not UTF-8, a wrong header, any other row, or a row count other than
+    the corpus size.
     """
-    name = Path(path).name
-    ordinals: list[int] = []
-    ids: list[str] = []
-    char_lengths: list[int] = []
-    values: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            r = csv.reader(f)
-            head = next(r, None)
-            if head != ["ordinal", "id", "char_length", "score"]:
-                raise SchemaError(f"unexpected scores CSV header: {head}", path=name)
-            for row in r:
-                # A row of the wrong length fails to unpack with ValueError too.
-                try:
-                    ordinal, ex_id, char_length, value = row
-                    ordinals.append(int(ordinal))
-                    char_lengths.append(int(char_length))
-                    values.append(float(value))
-                except ValueError:
-                    raise SchemaError(f"{name} line {len(ids) + 2} is malformed: {row}", path=name) from None
-                ids.append(ex_id)
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{name} is not valid UTF-8: {e}", path=name) from e
-    ordinal = np.array(ordinals, dtype=np.int64)
-    misplaced = np.flatnonzero(ordinal != np.arange(len(ordinal)))
-    if len(misplaced):
-        t = int(misplaced[0])
-        raise SchemaError(f"{name} line {t + 2} has ordinal {ordinal[t]}, expected {t}", path=name)
-    return {
-        "ordinal": ordinal,
-        "id": ids,
-        "char_length": np.array(char_lengths, dtype=np.int64),
-        "score": np.array(values, dtype=np.float64),
-    }
+    examples = corpus.examples
+    expected = iter(range(len(examples)))
+
+    def parse(row: list[str]) -> float:
+        ordinal, ex_id, char_length, text = row
+        if row_ordinal(examples, ordinal, ex_id, char_length) != next(expected, None):
+            raise ValueError("rows must list the corpus examples in ordinal order")
+        value = float(text)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"score {text} is not finite and non-negative")
+        return value
+
+    scores = np.fromiter(read_csv(path, _SCORES_HEADER, parse), dtype=np.float64)
+    if len(scores) != len(corpus):
+        name = Path(path).name
+        raise SchemaError(f"{name} has {len(scores)} rows for a corpus of {len(corpus)}", path=name)
+    return scores

@@ -12,15 +12,15 @@ underfull buckets to the next-largest bucket.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SchemaError
+from .artifacts import read_csv, row_ordinal, write_csv
+from .errors import CapacityError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _CATEGORIES = ("low", "high", "mean")
-_SELECTION_HEADER = ["ordinal", "id", "category", "score", "char_length"]
+_SELECTION_HEADER = ("ordinal", "id", "category", "score", "char_length")
 
 
 @dataclass(frozen=True)
@@ -63,27 +63,6 @@ class SelectionSpec:
     def total(self) -> int:
         return self.k_low + self.k_high + self.k_mean
 
-    def to_dict(self) -> dict:
-        return {
-            "k_low": self.k_low,
-            "k_high": self.k_high,
-            "k_mean": self.k_mean,
-            "strategy": self.strategy,
-            "bucket_width": self.bucket_width,
-            "disjoint": self.disjoint,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectionSpec":
-        return cls(
-            k_low=int(d.get("k_low", 3500)),
-            k_high=int(d.get("k_high", 3500)),
-            k_mean=int(d.get("k_mean", 3500)),
-            strategy=str(d.get("strategy", "global")),
-            bucket_width=int(d.get("bucket_width", 250)),
-            disjoint=bool(d.get("disjoint", True)),
-        )
-
 
 @dataclass(frozen=True)
 class Selection:
@@ -93,14 +72,6 @@ class Selection:
     high: tuple[int, ...]
     mean_proximal: tuple[int, ...]
     policy_echo: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "low": list(self.low),
-            "high": list(self.high),
-            "mean_proximal": list(self.mean_proximal),
-            "policy_echo": self.policy_echo,
-        }
 
 
 def _score_array(scores: "ScoreVector | np.ndarray | Sequence[float]") -> np.ndarray:
@@ -236,7 +207,7 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     _check_capacity(n, spec)
     # An empty corpus has no group: a group must have a mean.
     picked, means, _ = _claim(s, [np.arange(n)] if n else [], spec)
-    echo = {"spec": spec.to_dict(), "strategy": "global", "score_mean": means[0] if n else None}
+    echo = {"spec": asdict(spec), "strategy": "global", "score_mean": means[0] if n else None}
     return _selection(picked, echo)
 
 
@@ -269,7 +240,7 @@ def select_bucketed(
     picked, means, quota = _claim(s, groups, spec)
 
     echo = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "strategy": "bucketed",
         "score_mean": _mean(s) if n else None,
         "bucket_width": width,
@@ -311,44 +282,29 @@ def write_selection_csv(
     """Selected rows only: ordinal,id,category,score,char_length ascending by ordinal."""
     s = _score_array(scores)
     labels = label_all(s, selection)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_SELECTION_HEADER)
-        for i, label in enumerate(labels):
-            if label == "unselected":
-                continue
-            ex = corpus[i]
-            w.writerow([i, ex.id, label, repr(float(s[i])), ex.char_length])
+    write_csv(path, _SELECTION_HEADER, (
+        [i, corpus[i].id, label, repr(float(s[i])), corpus[i].char_length]
+        for i, label in enumerate(labels)
+        if label != "unselected"
+    ))
 
 
 def read_selection_csv(path: str | Path, corpus: "Corpus", policy_echo: dict | None = None) -> Selection:
-    """The selection a selection CSV records; each row must name an example of ``corpus``.
+    """The selection a selection CSV records.
 
-    Raises SchemaError on bytes that are not UTF-8, a wrong header, a
-    malformed row, an unknown category, or an ordinal/id pair that is not in
-    the corpus.
+    Each row must name an example of ``corpus`` by ordinal, id and char
+    length.  Raises SchemaError on bytes that are not UTF-8, a wrong header,
+    a row without exactly five columns, an unknown category, or a row that
+    names no example of the corpus.
     """
-    name = Path(path).name
     picked: dict[str, list[int]] = {"low": [], "high": [], "mutual": []}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            r = csv.reader(f)
-            head = next(r, None)
-            if head != _SELECTION_HEADER:
-                raise SchemaError(f"unexpected selection CSV header: {head}")
-            for line, row in enumerate(r, start=2):
-                try:
-                    ordinal, ex_id, category = int(row[0]), row[1], row[2]
-                except (IndexError, ValueError):
-                    raise SchemaError(f"{name} line {line} is malformed: {row}") from None
-                if category not in picked or not 0 <= ordinal < len(corpus) or corpus[ordinal].id != ex_id:
-                    raise SchemaError(f"{name} line {line} names no selectable example: {row}")
-                picked[category].append(ordinal)
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{name} is not valid UTF-8: {e}", path=name) from e
-    return Selection(
-        low=tuple(sorted(picked["low"])),
-        high=tuple(sorted(picked["high"])),
-        mean_proximal=tuple(sorted(picked["mutual"])),
-        policy_echo=policy_echo or {},
-    )
+
+    def parse(row: list[str]) -> tuple[str, int]:
+        ordinal, ex_id, category, _, char_length = row
+        if category not in picked:
+            raise ValueError(f"unknown category {category!r}")
+        return category, row_ordinal(corpus.examples, ordinal, ex_id, char_length)
+
+    for category, ordinal in read_csv(path, _SELECTION_HEADER, parse):
+        picked[category].append(ordinal)
+    return _selection({**picked, "mean": picked["mutual"]}, policy_echo or {})

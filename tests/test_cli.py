@@ -52,15 +52,15 @@ class TestScoreCommand:
             '{"context":"a b a"}\n{"context":"b c d"}\n{"context":"a c"}\n', encoding="utf-8"
         )
         out = run_score(tmp_path, corpus_path)
-        columns = read_scores_csv(out / "scores.csv")
-        assert len(columns["score"]) == 3
-
         corpus = ingest_file(corpus_path, "jsonl")
+        scores = read_scores_csv(out / "scores.csv", corpus)
+        assert len(scores) == 3
+
         table = fit_density(corpus, 1)
         matrix = build_matrix(corpus, table)
         model = regularized_factorize(fit_moments(matrix))
         expected = score_all(model, matrix).scores
-        assert columns["score"].tobytes() == expected.tobytes()
+        assert scores.tobytes() == expected.tobytes()
 
     def test_saved_model_reproduces_scores(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
@@ -70,7 +70,7 @@ class TestScoreCommand:
         assert (out / "model.bin").stat().st_size == 8 * (model.d + model.d * model.d)
         corpus = ingest_file(corpus_path, "jsonl")
         matrix = build_matrix(corpus, fit_density(corpus, 1))
-        expected = read_scores_csv(out / "scores.csv")["score"]
+        expected = read_scores_csv(out / "scores.csv", corpus)
         assert score_all(model, matrix).scores.tobytes() == expected.tobytes()
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -185,6 +185,7 @@ class TestSampleCommand:
     @pytest.mark.parametrize("corrupt", [
         "truncated", "artifacts", "input.hash", "input.path", "pipeline", "pipeline.format",
         "pipeline.ngram", "pipeline.l_cap", "n", "n:ill-typed",
+        "d=true", "d=-3", "epsilon=NaN", "epsilon=true",
     ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_corrupt_meta_exits_2(self, tmp_path, capsys, command, corrupt):
@@ -195,11 +196,14 @@ class TestSampleCommand:
             meta_path.write_text(text[: len(text) // 2])
         else:
             meta = json.loads(meta_path.read_text())
-            *parents, key = corrupt.split(":")[0].split(".")
+            dotted, _, value = corrupt.partition("=")
+            *parents, key = dotted.split(":")[0].split(".")
             holder = meta
             for p in parents:
                 holder = holder[p]
-            if corrupt.endswith(":ill-typed"):
+            if value:
+                holder[key] = json.loads(value)
+            elif corrupt.endswith(":ill-typed"):
                 holder[key] = str(holder[key])
             else:
                 del holder[key]
@@ -210,7 +214,10 @@ class TestSampleCommand:
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["columns", "ordinal", "char_length", "score", "order", "rows", "utf8"])
+    @pytest.mark.parametrize("damage", [
+        "columns", "ordinal", "char_length", "score", "order", "rows", "utf8",
+        "score=nan", "score=inf", "score=-1.0", "id=doc-X", "char_length=1",
+    ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_malformed_scores_csv_exits_2(self, tmp_path, capsys, command, damage):
         # The recorded hash is updated to match, so only the row checks can catch it.
@@ -230,6 +237,10 @@ class TestSampleCommand:
             lines[2], lines[3] = lines[3], lines[2]
         elif damage == "rows":
             del lines[-1]
+        elif "=" in damage:
+            column, value = damage.split("=")
+            fields[["ordinal", "id", "char_length", "score"].index(column)] = value
+            lines[2] = ",".join(fields)
         else:
             # Written as the bytes 0xff 0xfe, which no UTF-8 text contains.
             lines[2] = "\udcff\udcfe" + lines[2]
@@ -475,15 +486,31 @@ class TestRunConfig:
         ('{"format": null}', "format"),
         ("[1]", "JSON object"),
         ('"ngram"', "JSON object"),
+        ('{"epsilon_fixed": NaN}', "epsilon_fixed"),
+        ('{"epsilon_base_scale": Infinity}', "epsilon_base_scale"),
+        (b'{"ngram": 1}\xff', "utf-8"),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, key):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config, encoding="utf-8")
+        cfg_path.write_bytes(config if isinstance(config, bytes) else config.encode("utf-8"))
         code = main(["score", "--config", str(cfg_path), "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
                      "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, key", [
+        ("--epsilon-fixed", "epsilon_fixed"), ("--epsilon-base-scale", "epsilon_base_scale"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_flag_exits_1(self, tmp_path, capsys, flag, key, value):
+        out = tmp_path / "o"
+        code = main(["score", "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
+                     "--format", "jsonl", "--out-dir", str(out), f"{flag}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_values_of_field_type_accepted(self):
         cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None, "lowercase": False})

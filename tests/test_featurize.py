@@ -373,6 +373,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("damage", [
         "count", "columns", "csv-header", "sum", "csv-utf8", "truncated", "no-ngram_order", "total-type", "tokenizer",
+        "lowercase-str", "ngram_order-zero",
     ])
     def test_malformed_density_raises_schema_error(self, tmp_path, damage):
         save_density(fit_density(corpus_of("a b a", "x, y!"), 1), tmp_path / "d.csv", tmp_path / "d.json")
@@ -396,6 +397,10 @@ class TestPersistence:
             del header["ngram_order"]
         elif damage == "total-type":
             header["total"] = str(header["total"])
+        elif damage == "lowercase-str":
+            header["tokenizer"]["lowercase"] = "no"
+        elif damage == "ngram_order-zero":
+            header["ngram_order"] = 0
         else:
             header["tokenizer"] = ["lowercase"]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")

@@ -348,7 +348,10 @@ class TestPersistence:
         want = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts)
         assert (tmp_path / "m.bin").read_bytes() == want
 
-    @pytest.mark.parametrize("damage", ["truncated", "oversized", "no-d", "no-n", "d-not-int", "not-json"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "oversized", "no-d", "no-n", "d-not-int", "not-json",
+        'epsilon="abc"', "epsilon=[1]", 'epsilon="1e-3"', 'has_factor="yes"',
+    ])
     def test_damaged_model_raises_schema_error(self, tmp_path, damage):
         _, model = random_model(np.random.default_rng(34), 20, 3)
         bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
@@ -360,6 +363,10 @@ class TestPersistence:
             bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
         elif damage == "not-json":
             json_path.write_text(json_path.read_text()[:-5])
+        elif "=" in damage:
+            key, value = damage.split("=")
+            sidecar[key] = json.loads(value)
+            json_path.write_text(json.dumps(sidecar))
         else:
             if damage == "d-not-int":
                 sidecar["d"] = "3"
@@ -380,6 +387,19 @@ class TestPersistence:
         assert bin_path.stat().st_size == 8 * (3 + 2 * 9)
         with pytest.raises(SchemaError, match="needs 96"):
             load_model(bin_path, json_path)
+
+    def test_load_peak_memory_one_copy_of_the_model(self, tmp_path):
+        d = 300
+        _, model = random_model(np.random.default_rng(36), 2 * d, d)
+        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
+        tracemalloc.start()
+        try:
+            back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.factor.tobytes() == model.factor.tobytes()
+        assert peak < 1.5 * 8 * (d + d * d), f"peak {peak} bytes >= 1.5 copies of the model"
 
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -403,10 +423,9 @@ class TestPersistence:
         corpus = corpus_of("a b", "c d e", "f")
         sv = ScoreVector(scores=np.array([0.1, 1 / 3, 2.5e-17]), model_epsilon=0.0)
         write_scores_csv(sv, corpus, tmp_path / "s.csv")
-        back = read_scores_csv(tmp_path / "s.csv")
-        assert back["score"].tobytes() == sv.scores.tobytes()
-        assert back["id"] == ["ex-0", "ex-1", "ex-2"]
-        assert back["char_length"].tolist() == [3, 5, 1]
+        # Reading back checks each row's id and char length against the corpus.
+        back = read_scores_csv(tmp_path / "s.csv", corpus)
+        assert back.tobytes() == sv.scores.tobytes()
 
     @pytest.mark.parametrize("row", [
         "1,ex-1,5",              # three columns
@@ -420,4 +439,4 @@ class TestPersistence:
         path = tmp_path / "s.csv"
         path.write_text(f"ordinal,id,char_length,score\n0,ex-0,3,0.1\n{row}\n", encoding="utf-8")
         with pytest.raises(SchemaError):
-            read_scores_csv(path)
+            read_scores_csv(path, corpus_of("a b", "c d e"))

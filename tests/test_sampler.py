@@ -206,7 +206,10 @@ class TestSelectionCsv:
         assert back == sel
         assert label_all(s, back) == label_all(s, sel)
 
-    @pytest.mark.parametrize("row", ["1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1"])
+    @pytest.mark.parametrize("row", [
+        "1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1",
+        "1,ex-1,low", "1,ex-1,low,0.5,4",
+    ])
     def test_rows_outside_the_corpus_rejected(self, tmp_path, row):
         corpus = corpus_of("aa", "bbb", "c")
         path = tmp_path / "sel.csv"
