@@ -14,6 +14,7 @@ any artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -38,7 +39,7 @@ from .errors import (
     StaleScoresError,
     StatError,
 )
-from .hashing import sha256_file
+from .hashing import sha256_file, sha256_json
 
 __all__ = ["RunConfig", "cmd_score", "cmd_sample", "cmd_analyze", "main"]
 
@@ -127,7 +128,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The config file at ``path``; ValueError naming the file if it is not a valid config."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as e:  # undecodable bytes, malformed JSON and bad values alike
+            raise ValueError(f"config file {path}: {e}") from e
 
     def tokenizer_config(self) -> feat_mod.TokenizerConfig:
         return feat_mod.TokenizerConfig(
@@ -165,22 +170,23 @@ _PIPELINE_FIELDS = tuple(
 )
 
 
-class _Artifacts:
-    """Tracks files being written so a failed command leaves nothing behind."""
+@contextlib.contextmanager
+def _writing() -> typing.Iterator[typing.Callable[[Path], Path]]:
+    """Yields ``add(path) -> path``; if the block raises, every added file is removed."""
+    paths: list[Path] = []
 
-    def __init__(self) -> None:
-        self.paths: list[Path] = []
-
-    def add(self, path: Path) -> Path:
-        self.paths.append(path)
+    def add(path: Path) -> Path:
+        paths.append(path)
         return path
 
-    def cleanup(self) -> None:
-        for p in self.paths:
-            try:
+    try:
+        yield add
+    except BaseException:
+        for p in paths:
+            # Not only a missing file: a directory in a file's place must not stop the cleanup.
+            with contextlib.suppress(OSError):
                 p.unlink()
-            except OSError:
-                pass
+        raise
 
 
 def _ingest(cfg: RunConfig) -> corpus_mod.Corpus:
@@ -193,12 +199,11 @@ def _ingest(cfg: RunConfig) -> corpus_mod.Corpus:
 
 
 def run_score_pipeline(
-    corpus: corpus_mod.Corpus, cfg: RunConfig, ngram: int | None = None
+    corpus: corpus_mod.Corpus, cfg: RunConfig
 ) -> tuple[maha_mod.ScoreVector, maha_mod.MomentModel, feat_mod.DensityTable]:
     """ingest-free core: density fit, featurize, moments, factorize, score."""
-    order = ngram if ngram is not None else cfg.ngram
     tok = cfg.tokenizer_config()
-    table = feat_mod.fit_density(corpus, order, tok)
+    table = feat_mod.fit_density(corpus, cfg.ngram, tok)
     matrix = feat_mod.build_matrix(corpus, table, tok, l_cap=cfg.l_cap)
     model = maha_mod.fit_moments(matrix)
     model = maha_mod.regularized_factorize(model, cfg.epsilon_policy())
@@ -215,17 +220,16 @@ def cmd_score(cfg: RunConfig) -> int:
 
     scores, model, table = run_score_pipeline(corpus, cfg)
 
-    art = _Artifacts()
-    try:
-        scores_path = art.add(out / "scores.csv")
+    with _writing() as add:
+        scores_path = add(out / "scores.csv")
         maha_mod.write_scores_csv(scores, corpus, scores_path)
 
-        density_csv = art.add(out / "density.csv")
-        density_json = art.add(out / "density.json")
+        density_csv = add(out / "density.csv")
+        density_json = add(out / "density.json")
         feat_mod.save_density(table, density_csv, density_json)
 
-        model_bin = art.add(out / "model.bin")
-        model_json = art.add(out / "model.json")
+        model_bin = add(out / "model.bin")
+        model_json = add(out / "model.json")
         feature_cfg_hash = _feature_config_hash(cfg)
         maha_mod.save_model(model, model_bin, model_json, feature_config_hash=feature_cfg_hash)
 
@@ -241,19 +245,13 @@ def cmd_score(cfg: RunConfig) -> int:
                 for p in (scores_path, density_csv, density_json, model_bin, model_json)
             },
         }
-        meta_path = art.add(out / ("scores" + META_SUFFIX))
-        write_json(meta_path, meta)
-    except BaseException:
-        art.cleanup()
-        raise
+        write_json(add(out / ("scores" + META_SUFFIX)), meta)
 
     print(f"scored {len(corpus)} examples (d={model.d}, epsilon={model.epsilon:g}) -> {out}")
     return 0
 
 
 def _feature_config_hash(cfg: RunConfig) -> str:
-    from .hashing import sha256_json
-
     return sha256_json(
         {
             "ngram": cfg.ngram,
@@ -262,10 +260,6 @@ def _feature_config_hash(cfg: RunConfig) -> str:
         }
     )
 
-
-# The settings that parse the corpus; `sample` and `analyze` take them from
-# the scores' metadata.
-_PARSE_FIELDS = ("format", "context_field", "title_field", "id_field")
 
 # Keys that `sample` and `analyze` read, with the types they must have; the
 # pipeline block's values are checked by RunConfig.from_dict.
@@ -285,54 +279,44 @@ _MANIFEST_KEYS = (
 )
 
 
-def _read_meta(path: Path) -> dict:
-    """scores.meta.json; SchemaError unless it holds a complete, valid pipeline config."""
-    meta = read_json(path, _META_KEYS)
-    missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
-    if missing:
-        raise SchemaError(f"{path.name}: pipeline keys {missing} are missing", path="pipeline")
-    try:
-        RunConfig.from_dict(meta["pipeline"]).validate()
-    except ValueError as e:
-        raise SchemaError(f"{path.name}: invalid pipeline config: {e}", path="pipeline") from e
-    return meta
+def _check_hash(path: Path, recorded: str | None, where: str) -> None:
+    """StaleScoresError unless ``path`` is a file with the hash that ``where`` records."""
+    actual = sha256_file(path) if path.is_file() else None
+    if actual != recorded:
+        raise StaleScoresError(
+            f"{path} hash {actual} does not match {recorded} recorded in {where}"
+        )
 
 
 def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
-    corpus_mod.Corpus, maha_mod.ScoreVector, dict
+    RunConfig, corpus_mod.Corpus, maha_mod.ScoreVector, dict
 ]:
-    """Common staleness-checked load for sample/analyze."""
+    """The scored config, corpus, scores and metadata behind ``scores_path``.
+
+    The scored config is the one `score` recorded: the scores are bound to
+    the settings they were computed under, and only the input path may be
+    overridden (e.g. a moved file with equal bytes).  Stale or damaged
+    artifacts raise StaleScoresError or SchemaError.
+    """
     if not scores_path.is_file():
         raise FileNotFoundError(f"scores file not found: {scores_path}")
     meta_path = scores_path.with_name(scores_path.stem + META_SUFFIX)
     if not meta_path.is_file():
         raise ValueError(f"missing metadata sidecar {meta_path.name}; rerun `score`")
-    meta = _read_meta(meta_path)
+    meta = read_json(meta_path, _META_KEYS)
+    missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
+    if missing:
+        raise SchemaError(f"{meta_path.name}: pipeline keys {missing} are missing", path="pipeline")
+    try:
+        scored = RunConfig.from_dict(meta["pipeline"])
+        scored.validate()
+    except ValueError as e:
+        raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}", path="pipeline") from e
+    scored.input = cfg.input or meta["input"]["path"]
+    _check_hash(scores_path, meta["artifacts"].get(scores_path.name), meta_path.name)
 
-    recorded = meta["artifacts"].get(scores_path.name)
-    actual = sha256_file(scores_path)
-    if recorded != actual:
-        raise StaleScoresError(
-            f"{scores_path.name} hash {actual} does not match recorded {recorded}"
-        )
-
-    # Scores are bound to the parse settings they were computed under; only
-    # the input path may be overridden (e.g. a moved file with equal bytes).
-    if not cfg.input:
-        cfg.input = meta["input"]["path"]
-    for key in _PARSE_FIELDS:
-        setattr(cfg, key, meta["pipeline"][key])
-    input_path = Path(cfg.input)
-    if not input_path.is_file():
-        raise FileNotFoundError(f"input corpus not found: {input_path}")
-    input_hash = sha256_file(input_path)
-    if input_hash != meta["input"]["hash"]:
-        raise StaleScoresError(
-            f"input corpus {input_path} hash {input_hash} does not match the hash "
-            f"recorded when scores were computed ({meta['input']['hash']})"
-        )
-
-    corpus = corpus_mod.ingest_file(input_path, cfg.format, cfg.jsonl_fields())
+    corpus = _ingest(scored)
+    _check_hash(Path(scored.input), meta["input"]["hash"], meta_path.name)
     if len(corpus) != meta["n"]:
         raise StaleScoresError(
             f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
@@ -341,11 +325,11 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
         scores=maha_mod.read_scores_csv(scores_path, corpus),
         model_epsilon=float(meta["epsilon"] or 0.0),
     )
-    return corpus, scores, meta
+    return scored, corpus, scores, meta
 
 
 def _load_selection(
-    out: Path, corpus: corpus_mod.Corpus, scores_hash: str
+    out: Path, corpus: corpus_mod.Corpus, scores: maha_mod.ScoreVector, scores_path: Path
 ) -> sampler_mod.Selection | None:
     """The selection `sample` wrote into ``out``, checked against its manifest.
 
@@ -357,25 +341,16 @@ def _load_selection(
     if not manifest_path.is_file():
         return None
     manifest = read_json(manifest_path, _MANIFEST_KEYS)
-    if manifest["inputs"]["scores.csv"] != scores_hash:
-        raise StaleScoresError(
-            f"{manifest_path.name} was written for scores {manifest['inputs']['scores.csv']}, "
-            f"not the current {scores_hash}; rerun `sample`"
-        )
+    _check_hash(scores_path, manifest["inputs"]["scores.csv"], manifest_path.name)
     selection_csv = out / "selection.csv"
-    actual = sha256_file(selection_csv) if selection_csv.is_file() else None
-    if actual != manifest["artifacts"]["selection.csv"]:
-        raise StaleScoresError(
-            f"{selection_csv.name} hash {actual} does not match "
-            f"{manifest['artifacts']['selection.csv']} recorded in {manifest_path.name}"
-        )
-    return sampler_mod.read_selection_csv(selection_csv, corpus, manifest["policy_echo"])
+    _check_hash(selection_csv, manifest["artifacts"]["selection.csv"], manifest_path.name)
+    return sampler_mod.read_selection_csv(selection_csv, corpus, scores, manifest["policy_echo"])
 
 
 def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     """Select low/mutual/high subsets from persisted scores and write them out."""
     cfg.validate()
-    corpus, scores, meta = _load_scores_with_meta(cfg, Path(scores_path))
+    _, corpus, scores, meta = _load_scores_with_meta(cfg, Path(scores_path))
     spec = cfg.selection_spec()
     if spec.strategy == "bucketed":
         selection = sampler_mod.select_bucketed(scores, corpus.char_lengths(), spec)
@@ -384,14 +359,13 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    art = _Artifacts()
-    try:
+    with _writing() as add:
         subset_name = "subset.jsonl" if cfg.subset_format == "jsonl" else "subset.json"
-        subset_path = art.add(out / subset_name)
+        subset_path = add(out / subset_name)
         with open(subset_path, "wb") as sink:
             written = corpus_mod.write_subset(corpus, selection, sink, cfg.subset_format, scores)
 
-        selection_csv = art.add(out / "selection.csv")
+        selection_csv = add(out / "selection.csv")
         sampler_mod.write_selection_csv(selection, corpus, scores, selection_csv)
 
         manifest = {
@@ -412,11 +386,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
                 selection_csv.name: sha256_file(selection_csv),
             },
         }
-        manifest_path = art.add(out / "selection_manifest.json")
-        write_json(manifest_path, manifest)
-    except BaseException:
-        art.cleanup()
-        raise
+        write_json(add(out / "selection_manifest.json"), manifest)
 
     print(f"sampled {written} examples ({len(selection.low)} low / "
           f"{len(selection.mean_proximal)} mutual / {len(selection.high)} high) -> {out}")
@@ -426,36 +396,32 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
 def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     """Distribution stats, histogram, and per-order length correlation report."""
     cfg.validate()
-    corpus, scores, meta = _load_scores_with_meta(cfg, Path(scores_path))
+    scores_path = Path(scores_path)
+    scored, corpus, scores, meta = _load_scores_with_meta(cfg, scores_path)
 
-    selection = _load_selection(Path(cfg.out_dir), corpus, meta["artifacts"]["scores.csv"])
+    selection = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path)
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)
 
     # The persisted scores cover the order they were computed at; other
-    # requested orders are recomputed in memory with the same pipeline
-    # settings.  A degenerate corpus (all contexts equal length) reports
-    # the correlation as an undefined marker instead of failing.
-    pipeline_cfg = RunConfig.from_dict({**meta["pipeline"], "input": cfg.input, "out_dir": cfg.out_dir})
-    primary_order = int(meta["pipeline"]["ngram"])
+    # requested orders are recomputed in memory under the scored settings.
+    # A degenerate corpus (all contexts equal length) reports the
+    # correlation as an undefined marker instead of failing.
     pearson_by_order: dict[int, float | None] = {}
     for order in cfg.orders:
-        if order == primary_order:
+        if order == scored.ngram:
             vector = scores
         else:
-            vector, _, _ = run_score_pipeline(corpus, pipeline_cfg, ngram=order)
+            vector, _, _ = run_score_pipeline(corpus, dataclasses.replace(scored, ngram=order))
         try:
             pearson_by_order[order] = analyze_mod.pearson(char_lengths, vector.scores)
         except StatError:
             pearson_by_order[order] = None
 
     report_dir = Path(cfg.out_dir) / "report"
-    art = _Artifacts()
-    try:
-        art.add(report_dir / "scores.csv")
-        art.add(report_dir / "histogram.csv")
-        art.add(report_dir / "summary.json")
-        art.add(report_dir / "manifest.json")
+    with _writing() as add:
+        for name in ("scores.csv", "histogram.csv", "summary.json", "manifest.json"):
+            add(report_dir / name)
         analyze_mod.emit_report(
             corpus,
             scores,
@@ -470,9 +436,6 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
                 "scores.csv": meta["artifacts"]["scores.csv"],
             },
         )
-    except BaseException:
-        art.cleanup()
-        raise
 
     kurt = stats.excess_kurtosis
     kurt_text = f"{kurt:.3f}" if kurt is not None else "undefined"

@@ -13,14 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-
-if TYPE_CHECKING:
-    from .sampler import Selection
+from .sampler import Selection, label_all
 
 __all__ = [
     "Example",
@@ -228,18 +226,9 @@ def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None
     raise ValueError(f"unknown corpus format {fmt!r} (expected 'squad' or 'jsonl')")
 
 
-def _selection_items(selection: "Selection") -> list[tuple[int, str]]:
-    """(ordinal, category) pairs, deduplicated with precedence low > high > mutual."""
-    seen: dict[int, str] = {}
-    for label, idxs in (("low", selection.low), ("high", selection.high), ("mutual", selection.mean_proximal)):
-        for i in idxs:
-            seen.setdefault(int(i), label)
-    return sorted(seen.items())
-
-
 def write_subset(
     corpus: Corpus,
-    selection: "Selection",
+    selection: Selection,
     sink: IO[bytes],
     fmt: str = "jsonl",
     scores: Any = None,
@@ -258,11 +247,10 @@ def write_subset(
     """
     if fmt not in ("jsonl", "squad"):
         raise ValueError(f"unknown subset format {fmt!r} (expected 'jsonl' or 'squad')")
-    items = _selection_items(selection)
     n = len(corpus)
-    for i, _ in items:
-        if i < 0 or i >= n:
-            raise IndexError(f"selection index {i} out of range for corpus of {n} examples")
+    # Only the length of the scores matters to the labels.
+    labels = label_all(np.zeros(n), selection)
+    items = ((i, label) for i, label in enumerate(labels) if label != "unselected")
 
     values = getattr(scores, "scores", scores)
     if values is not None:

@@ -289,21 +289,29 @@ def write_selection_csv(
     ))
 
 
-def read_selection_csv(path: str | Path, corpus: "Corpus", policy_echo: dict | None = None) -> Selection:
+def read_selection_csv(
+    path: str | Path, corpus: "Corpus", scores, policy_echo: dict | None = None
+) -> Selection:
     """The selection a selection CSV records.
 
     Each row must name an example of ``corpus`` by ordinal, id and char
-    length.  Raises SchemaError on bytes that are not UTF-8, a wrong header,
-    a row without exactly five columns, an unknown category, or a row that
-    names no example of the corpus.
+    length, with that example's score in ``scores`` (the writer's
+    ``repr(float)`` reads back exactly).  Raises SchemaError on bytes that
+    are not UTF-8, a wrong header, a row without exactly five columns, an
+    unknown category, a row that names no example of the corpus, or a
+    score that is not the example's.
     """
+    s = _score_array(scores)
     picked: dict[str, list[int]] = {"low": [], "high": [], "mutual": []}
 
     def parse(row: list[str]) -> tuple[str, int]:
-        ordinal, ex_id, category, _, char_length = row
+        ordinal, ex_id, category, score, char_length = row
         if category not in picked:
             raise ValueError(f"unknown category {category!r}")
-        return category, row_ordinal(corpus.examples, ordinal, ex_id, char_length)
+        i = row_ordinal(corpus.examples, ordinal, ex_id, char_length)
+        if float(score) != s[i]:
+            raise ValueError(f"score {score} is not example {i}'s score {float(s[i])!r}")
+        return category, i
 
     for category, ordinal in read_csv(path, _SELECTION_HEADER, parse):
         picked[category].append(ordinal)

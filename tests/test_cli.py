@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abnormality.analyze import pearson
 from abnormality.cli import RunConfig, _build_parser, main
 from abnormality.corpus import ingest_file
-from abnormality.featurize import build_matrix, fit_density
+from abnormality.featurize import TokenizerConfig, build_matrix, fit_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
 
@@ -38,6 +39,12 @@ def run_score(tmp_path: Path, corpus_path: Path, *extra: str) -> Path:
     ])
     assert code == 0
     return out
+
+
+SCORE_ARTIFACTS = {
+    "scores.csv", "scores.meta.json", "density.csv", "density.json", "model.bin", "model.json",
+}
+K1 = ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
 
 
 class TestScoreCommand:
@@ -118,10 +125,21 @@ class TestScoreCommand:
     def test_expected_artifacts(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         names = {p.name for p in out.iterdir()}
-        assert names == {"scores.csv", "scores.meta.json", "density.csv", "density.json", "model.bin", "model.json"}
+        assert names == SCORE_ARTIFACTS
         meta = json.loads((out / "scores.meta.json").read_text())
         assert meta["n"] == 12
         assert "hash" in meta["input"]
+
+
+@pytest.mark.parametrize("command, blocker", [
+    ("sample", "selection.csv"), ("analyze", "report/histogram.csv"),
+])
+def test_mid_write_failure_leaves_none_of_the_commands_files(tmp_path, command, blocker):
+    out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+    (out / blocker).mkdir(parents=True)  # forces that write to fail after an earlier one
+    args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+    assert main(args + K1 if command == "sample" else args) == 1
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == SCORE_ARTIFACTS
 
 
 class TestSampleCommand:
@@ -255,6 +273,17 @@ class TestSampleCommand:
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_parse_flags_give_way_to_the_recorded_settings(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        outputs = []
+        for extra in ([], ["--format", "squad", "--context-field", "text", "--id-field", "key"]):
+            sel_dir = tmp_path / f"sel{len(outputs)}"
+            args = ["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(sel_dir), *K1]
+            assert main(args + extra) == 0
+            outputs.append({p.name: p.read_bytes() for p in sel_dir.iterdir()})
+        assert set(outputs[0]) == {"subset.jsonl", "selection.csv", "selection_manifest.json"}
+        assert outputs[1] == outputs[0]
+
     def test_squad_subset_format(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         out = run_score(tmp_path, corpus_path)
@@ -344,6 +373,53 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "data error" in err and "selection.csv is not valid UTF-8" in err
         assert not (out / "report" / "summary.json").exists()
+
+    def test_selection_csv_wrong_score_exits_2(self, tmp_path, capsys):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        scores = str(out / "scores.csv")
+        assert main(["sample", "--scores", scores, "--out-dir", str(out), *K1]) == 0
+        with open(out / "selection.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        rows[1][3] = repr(float(rows[1][3]) * 2)  # the manifest hash is refreshed below
+        with open(out / "selection.csv", "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        manifest_path = out / "selection_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"]["selection.csv"] = sha256_file(out / "selection.csv")
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["analyze", "--scores", scores, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "selection.csv line 2" in err
+        assert not (out / "report" / "summary.json").exists()
+
+    def test_rescoring_runs_under_the_scored_settings(self, tmp_path):
+        corpus_path = tmp_path / "c.jsonl"
+        rng = np.random.default_rng(11)
+        vocab = ["Alpha", "alpha", "BETA", "beta", "Gamma", "gamma", "delta", "Eta"]
+        with open(corpus_path, "w", encoding="utf-8") as f:
+            for i in range(16):
+                words = rng.choice(vocab, size=int(rng.integers(3, 12)))
+                f.write(json.dumps({"context": " ".join(words), "id": f"doc-{i}"}) + "\n")
+        out = run_score(tmp_path, corpus_path, "--no-lowercase", "--l-cap", "4")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lowercase": True, "l_cap": None}), encoding="utf-8")
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
+                     "--config", str(cfg_path), "--orders", "1,2"]) == 0
+        summary = json.loads((out / "report" / "summary.json").read_text())
+
+        corpus = ingest_file(corpus_path, "jsonl")
+        lengths = corpus.char_lengths().astype(np.float64)
+
+        def library_pearson(lowercase: bool, l_cap: int | None) -> float:
+            tok = TokenizerConfig(lowercase=lowercase)
+            matrix = build_matrix(corpus, fit_density(corpus, 2, tok), tok, l_cap=l_cap)
+            scores = score_all(regularized_factorize(fit_moments(matrix)), matrix).scores
+            return pearson(lengths, scores)
+
+        expected = library_pearson(False, 4)
+        got = summary["pearson_by_order"]["2"]
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert expected != library_pearson(True, None)  # the config file's settings would differ
 
     def test_degenerate_lengths_pearson_null_exit_0(self, tmp_path):
         # equal char lengths (pearson degenerate) but distinct word densities
@@ -489,6 +565,8 @@ class TestRunConfig:
         ('{"epsilon_fixed": NaN}', "epsilon_fixed"),
         ('{"epsilon_base_scale": Infinity}', "epsilon_base_scale"),
         (b'{"ngram": 1}\xff', "utf-8"),
+        (b'{"ngram": 1}\xff', "cfg.json"),
+        ('{"ngram": ', "cfg.json"),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, key):
         cfg_path = tmp_path / "cfg.json"

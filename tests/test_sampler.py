@@ -202,20 +202,20 @@ class TestSelectionCsv:
         s = [5, 1, 2, 3, 4, 0, 9]
         sel = select_global(s, K2)
         write_selection_csv(sel, corpus, s, tmp_path / "sel.csv")
-        back = read_selection_csv(tmp_path / "sel.csv", corpus, sel.policy_echo)
+        back = read_selection_csv(tmp_path / "sel.csv", corpus, s, sel.policy_echo)
         assert back == sel
         assert label_all(s, back) == label_all(s, sel)
 
     @pytest.mark.parametrize("row", [
         "1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1",
-        "1,ex-1,low", "1,ex-1,low,0.5,4",
+        "1,ex-1,low", "1,ex-1,low,0.5,4", "1,ex-1,low,0.25,3",
     ])
     def test_rows_outside_the_corpus_rejected(self, tmp_path, row):
         corpus = corpus_of("aa", "bbb", "c")
         path = tmp_path / "sel.csv"
         path.write_text(f"ordinal,id,category,score,char_length\n{row}\n")
         with pytest.raises(SchemaError):
-            read_selection_csv(path, corpus)
+            read_selection_csv(path, corpus, [0.5, 0.5, 0.5])
 
 
 class TestProperties:
