@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .errors import StatError
 from .hashing import sha256_file
-from .sampler import Selection, label_all
+from .sampler import Selection, _score_array, label_all
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -59,13 +59,9 @@ class Histogram:
     counts: np.ndarray
 
 
-def _values(scores) -> np.ndarray:
-    return np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
-
-
 def moments_stats(scores) -> DistributionStats:
     """Mean, variance, and standardized third/fourth central moments."""
-    x = _values(scores)
+    x = _score_array(scores)
     n = len(x)
     if n < 2:
         raise StatError(f"need at least 2 values for distribution stats, got {n}")
@@ -97,7 +93,7 @@ def histogram(scores, bins: int = 100) -> Histogram:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    x = _values(scores)
+    x = _score_array(scores)
     if len(x) == 0:
         raise StatError("cannot histogram an empty score vector")
     lo, hi = float(x.min()), float(x.max())
@@ -156,7 +152,7 @@ def emit_report(
     / mean-nearest exemplars (ordinal, id, title, score).  The returned
     manifest lists every written file with its content hash.
     """
-    s = _values(scores)
+    s = _score_array(scores)
     if len(s) != len(corpus):
         raise ValueError(f"scores length {len(s)} does not match corpus size {len(corpus)}")
     out = Path(out_dir)

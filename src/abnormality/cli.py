@@ -202,9 +202,8 @@ def run_score_pipeline(
     corpus: corpus_mod.Corpus, cfg: RunConfig
 ) -> tuple[maha_mod.ScoreVector, maha_mod.MomentModel, feat_mod.DensityTable]:
     """ingest-free core: density fit, featurize, moments, factorize, score."""
-    tok = cfg.tokenizer_config()
-    table = feat_mod.fit_density(corpus, cfg.ngram, tok)
-    matrix = feat_mod.build_matrix(corpus, table, tok, l_cap=cfg.l_cap)
+    table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
+    matrix = feat_mod.build_matrix(corpus, table, l_cap=cfg.l_cap)
     model = maha_mod.fit_moments(matrix)
     model = maha_mod.regularized_factorize(model, cfg.epsilon_policy())
     scores = maha_mod.score_all(model, matrix)
@@ -360,12 +359,12 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _writing() as add:
-        subset_name = "subset.jsonl" if cfg.subset_format == "jsonl" else "subset.json"
-        subset_path = add(out / subset_name)
+        # Added before any write, so a failure also removes the previous run's manifest.
+        subset_path = add(out / ("subset.jsonl" if cfg.subset_format == "jsonl" else "subset.json"))
+        selection_csv = add(out / "selection.csv")
+        manifest_path = add(out / "selection_manifest.json")
         with open(subset_path, "wb") as sink:
             written = corpus_mod.write_subset(corpus, selection, sink, cfg.subset_format, scores)
-
-        selection_csv = add(out / "selection.csv")
         sampler_mod.write_selection_csv(selection, corpus, scores, selection_csv)
 
         manifest = {
@@ -386,7 +385,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
                 selection_csv.name: sha256_file(selection_csv),
             },
         }
-        write_json(add(out / "selection_manifest.json"), manifest)
+        write_json(manifest_path, manifest)
 
     print(f"sampled {written} examples ({len(selection.low)} low / "
           f"{len(selection.mean_proximal)} mutual / {len(selection.high)} high) -> {out}")

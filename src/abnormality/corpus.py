@@ -18,7 +18,7 @@ from typing import IO, Any, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .sampler import Selection, label_all
+from .sampler import Selection, _score_array, label_all
 
 __all__ = [
     "Example",
@@ -252,11 +252,9 @@ def write_subset(
     labels = label_all(np.zeros(n), selection)
     items = ((i, label) for i, label in enumerate(labels) if label != "unselected")
 
-    values = getattr(scores, "scores", scores)
-    if values is not None:
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) != n:
-            raise ValueError(f"scores length {len(values)} does not match corpus size {n}")
+    values = None if scores is None else _score_array(scores)
+    if values is not None and len(values) != n:
+        raise ValueError(f"scores length {len(values)} does not match corpus size {n}")
 
     def annotate(i: int, category: str) -> dict:
         rec: dict[str, Any] = {"category": category}

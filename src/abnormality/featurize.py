@@ -10,16 +10,18 @@ once, its tokens are mapped to integer ids, and every n-gram occurrence gets
 an integer code.  Densities are counted with ``np.bincount`` weighted by how
 often each context repeats, and the feature matrix keeps one row per
 distinct context plus the row of every record.  String n-gram keys are
-spelled out only when something reads the density table's ``counts``.
+spelled out only when the density table's ``counts`` are read by key.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from array import array
-from dataclasses import FrozenInstanceError, asdict, dataclass
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -163,73 +165,62 @@ def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams
     return _Grams(source=corpus, codes=codes, index=index, lengths=lengths, words=words, token_ids=gram_ids)
 
 
+class _CodeCounts(Mapping):
+    """Read-only counts per n-gram code of ``grams``; keys are spelled on first read."""
+
+    def __init__(self, grams: _Grams, by_code: np.ndarray) -> None:
+        self.grams, self.by_code = grams, by_code
+
+    @cached_property
+    def _by_key(self) -> dict[str, int]:
+        return dict(zip(self.grams.keys(), self.by_code.tolist()))
+
+    def __getitem__(self, key: str) -> int:
+        return self._by_key[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._by_key)
+
+    def __len__(self) -> int:
+        return len(self.by_code)
+
+    def __repr__(self) -> str:
+        return repr(self._by_key)
+
+
+@dataclass(frozen=True)
 class DensityTable:
     """Corpus-wide n-gram occurrence counts; density(g) = count(g) / total.
 
-    ``counts`` maps each n-gram key to its count.  A table from
-    :func:`fit_density` holds its counts per n-gram code of the corpus it
+    ``counts`` is a read-only mapping from each n-gram key to its count.  A
+    table from :func:`fit_density` counts per n-gram code of the corpus it
     was fit on, which :func:`build_matrix` on that corpus reuses, and spells
-    the string keys out only when ``counts`` is first read.  Tables are
-    immutable and compare equal when their order, counts, total and
-    tokenizer are equal.
+    the string keys out only when ``counts`` is first read by key.
     """
 
-    __slots__ = ("n", "total", "tokenizer", "_counts", "_grams", "_code_counts")
+    n: int
+    counts: Mapping[str, int]
+    total: int
+    tokenizer: TokenizerConfig = TokenizerConfig()
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        n: int,
-        counts: dict[str, int] | None,
-        total: int,
-        tokenizer: TokenizerConfig = TokenizerConfig(),
-        *,
-        grams: _Grams | None = None,
-        code_counts: np.ndarray | None = None,
-    ) -> None:
-        if counts is None and (grams is None or code_counts is None):
-            raise ValueError("DensityTable needs counts, or both grams and code_counts")
-        for name, value in (
-            ("n", n),
-            ("total", total),
-            ("tokenizer", tokenizer),
-            ("_counts", counts),
-            ("_grams", grams),
-            ("_code_counts", code_counts),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def counts(self) -> dict[str, int]:
-        if self._counts is None:
-            object.__setattr__(self, "_counts", dict(zip(self._grams.keys(), self._code_counts.tolist())))
-        return self._counts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensityTable):
-            return NotImplemented
-        return (self.n, self.total, self.tokenizer, self.counts) == (other.n, other.total, other.tokenizer, other.counts)
-
-    def __repr__(self) -> str:
-        return f"DensityTable(n={self.n!r}, counts={self.counts!r}, total={self.total!r}, tokenizer={self.tokenizer!r})"
+    def __post_init__(self) -> None:
+        if self.counts is None:
+            raise ValueError("DensityTable needs counts")
 
     def density(self, key: str) -> float:
         return self.counts.get(key, 0) / self.total
 
     def __len__(self) -> int:
-        return len(self._code_counts) if self._counts is None else len(self._counts)
+        return len(self.counts)
 
 
 def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
     """Count n-grams over all contexts (duplicates counted once per example).
 
-    Raises FitError when the corpus yields no n-grams at order n.
+    The table's ``counts`` keeps the corpus's n-gram codes, so
+    :func:`build_matrix` on this same corpus object spells no key.  Raises
+    FitError when the corpus yields no n-grams at order n.
     """
     grams = _encode(corpus, n, cfg)
     repeats = np.bincount(grams.index, minlength=len(grams.lengths))
@@ -240,7 +231,7 @@ def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = Toke
     code_counts = np.bincount(
         grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams)
     ).astype(np.int64)
-    return DensityTable(n=n, counts=None, total=total, tokenizer=cfg, grams=grams, code_counts=code_counts)
+    return DensityTable(n=n, counts=_CodeCounts(grams, code_counts), total=total, tokenizer=cfg)
 
 
 @dataclass(frozen=True)
@@ -288,33 +279,28 @@ class FeatureMatrix:
         return self.unique_values.shape[1]
 
 
-def build_matrix(
-    corpus: "Corpus",
-    table: DensityTable,
-    cfg: TokenizerConfig = TokenizerConfig(),
-    l_cap: int | None = None,
-) -> FeatureMatrix:
+def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = None) -> FeatureMatrix:
     """Feature matrix over the corpus in ordinal order.
 
-    L is the maximum per-example n-gram count, reduced to ``l_cap`` when set
-    (longer rows are truncated and flagged).  ``cfg`` must match the config
-    the table was fit with.  Downstream covariance is L x L, so for corpora
+    The corpus is tokenized with ``table.tokenizer``.  L is the maximum
+    per-example n-gram count, reduced to ``l_cap`` when set (longer rows are
+    truncated and flagged).  Downstream covariance is L x L, so for corpora
     with extreme length outliers capping near the 99.9th percentile length
     keeps memory in check.  When ``table`` was fit on this same corpus
     object its n-gram codes and their counts are reused: each density is
-    the code's count / total, the same float as a lookup by key.
+    the code's count / total, the same float as a lookup by key.  Any other
+    table, loaded or fit on another corpus, is looked up by key.
     """
-    if cfg != table.tokenizer:
-        raise ValueError("tokenizer config does not match the one used to fit the density table")
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
 
-    grams = table._grams
-    if grams is not None and grams.source is corpus:
+    counts = table.counts
+    if isinstance(counts, _CodeCounts) and counts.grams.source is corpus:
+        grams = counts.grams
         # Counts and total are exact in float64, so the division rounds as int / int does.
-        densities = table._code_counts / table.total
+        densities = counts.by_code / table.total
     else:
-        grams = _encode(corpus, table.n, cfg)
+        grams = _encode(corpus, table.n, table.tokenizer)
         densities = np.array([table.density(k) for k in grams.keys()], dtype=np.float64)
 
     L = int(grams.lengths.max(initial=0))

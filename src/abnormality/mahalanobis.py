@@ -54,6 +54,14 @@ class EpsilonPolicy:
     max_exponent: int = 8
     fixed: float | None = None
 
+    def __post_init__(self) -> None:
+        if not 0 < self.base_scale < math.inf:
+            raise ValueError(f"base_scale must be finite and > 0, got {self.base_scale}")
+        if self.fixed is not None and not math.isfinite(self.fixed):
+            raise ValueError(f"fixed epsilon must be finite, got {self.fixed}")
+        if self.max_exponent < 0:
+            raise ValueError(f"max_exponent must be >= 0, got {self.max_exponent}")
+
     def schedule(self, trace: float, d: int) -> list[float]:
         if self.fixed is not None:
             return [float(self.fixed)]

@@ -136,10 +136,18 @@ class TestScoreCommand:
 ])
 def test_mid_write_failure_leaves_none_of_the_commands_files(tmp_path, command, blocker):
     out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
-    (out / blocker).mkdir(parents=True)  # forces that write to fail after an earlier one
     args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
-    assert main(args + K1 if command == "sample" else args) == 1
+    if command == "sample":
+        args += K1
+        assert main(args) == 0  # the failed rerun must not leave this run's manifest behind
+        (out / blocker).unlink()
+    (out / blocker).mkdir(parents=True)  # forces that write to fail after an earlier one
+    assert main(args) == 1
     assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == SCORE_ARTIFACTS
+    if command == "sample":
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert summary["selection_counts"] == {"low": 0, "mutual": 0, "high": 0, "unselected": 12}
 
 
 class TestSampleCommand:
@@ -412,7 +420,7 @@ class TestAnalyzeCommand:
 
         def library_pearson(lowercase: bool, l_cap: int | None) -> float:
             tok = TokenizerConfig(lowercase=lowercase)
-            matrix = build_matrix(corpus, fit_density(corpus, 2, tok), tok, l_cap=l_cap)
+            matrix = build_matrix(corpus, fit_density(corpus, 2, tok), l_cap=l_cap)
             scores = score_all(regularized_factorize(fit_moments(matrix)), matrix).scores
             return pearson(lengths, scores)
 

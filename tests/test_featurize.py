@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abnormality import featurize
+from abnormality.cli import RunConfig, run_score_pipeline
 from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError, SchemaError
 from abnormality.featurize import (
@@ -56,7 +58,7 @@ def oracle_matrix(corpus, table, cfg=TokenizerConfig(), l_cap=None):
 
 
 def assert_matches_oracle(corpus, table, cfg=TokenizerConfig(), l_cap=None):
-    m = build_matrix(corpus, table, cfg, l_cap=l_cap)
+    m = build_matrix(corpus, table, l_cap=l_cap)
     values, true_lengths, truncated = oracle_matrix(corpus, table, cfg, l_cap)
     assert m.values.tobytes() == values.tobytes()
     assert m.true_lengths.tolist() == true_lengths
@@ -297,12 +299,6 @@ class TestBuildMatrix:
         assert m.truncated.tolist() == [False, True]
         assert m.true_lengths.tolist() == [3, 4]
 
-    def test_config_mismatch_rejected(self):
-        corpus = corpus_of("a b")
-        table = fit_density(corpus, 1, TokenizerConfig(lowercase=False))
-        with pytest.raises(ValueError):
-            build_matrix(corpus, table, TokenizerConfig(lowercase=True))
-
     def test_zeros_beyond_true_length(self):
         corpus = make_synthetic_corpus(25, vocab_size=20, min_tokens=2, max_tokens=30, seed=9)
         table = fit_density(corpus, 1)
@@ -338,11 +334,15 @@ class TestPersistence:
         assert back.tokenizer == table.tokenizer
 
     @pytest.mark.parametrize("cfg", [TokenizerConfig(), TokenizerConfig(lowercase=False, strip_edge_punctuation=False)])
-    def test_order2_csv_equals_naive_count(self, tmp_path, cfg):
+    def test_order2_csv_equals_naive_count(self, tmp_path, monkeypatch, cfg):
         corpus = duplicate_heavy_corpus(3)
-        table = fit_density(corpus, 2, cfg)
-        build_matrix(corpus, table, cfg)
-        assert table._counts is None  # fitting and featurizing its own corpus spell no keys
+        with monkeypatch.context() as m:
+            # Fitting and featurizing its own corpus spell no keys, in the library and the CLI.
+            m.setattr(featurize._Grams, "keys", lambda self: pytest.fail("n-gram keys spelled"))
+            table = fit_density(corpus, 2, cfg)
+            build_matrix(corpus, table)
+            run_score_pipeline(corpus, RunConfig(ngram=2, lowercase=cfg.lowercase,
+                                                 strip_edge_punctuation=cfg.strip_edge_punctuation))
         save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
         want = reference_ngram_counts([tokenize(ex.context, cfg) for ex in corpus], 2)
         with open(tmp_path / "d.csv", encoding="utf-8", newline="") as f:

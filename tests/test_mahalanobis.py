@@ -149,6 +149,15 @@ class TestRegularizedFactorize:
         out = regularized_factorize(model, EpsilonPolicy(fixed=0.5))
         assert out.epsilon == 0.5
 
+    @pytest.mark.parametrize("field, value", [
+        ("fixed", float("nan")), ("fixed", float("inf")),
+        ("base_scale", float("nan")), ("base_scale", float("inf")), ("base_scale", 0.0),
+        ("max_exponent", -1),
+    ])
+    def test_invalid_policy_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EpsilonPolicy(**{field: value})
+
     def test_fixed_epsilon_can_fail(self):
         model = MomentModel(mu=np.zeros(2), sigma=-np.eye(2), n=5)
         with pytest.raises(SingularityError):
