@@ -98,10 +98,7 @@ def histogram(scores, bins: int = 100) -> Histogram:
         raise StatError("cannot histogram an empty score vector")
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
-        edges = np.linspace(hi - 1.0, hi, bins + 1)
-        counts = np.zeros(bins, dtype=np.int64)
-        counts[-1] = len(x)
-        return Histogram(bin_edges=edges, counts=counts)
+        lo = hi - 1.0
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     return Histogram(bin_edges=edges, counts=counts.astype(np.int64))

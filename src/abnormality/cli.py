@@ -82,8 +82,8 @@ class RunConfig:
             raise ValueError(f"l_cap must be >= 1, got {self.l_cap}")
         if not 0 < self.epsilon_base_scale < math.inf:
             raise ValueError("epsilon_base_scale must be finite and > 0")
-        if self.epsilon_fixed is not None and not math.isfinite(self.epsilon_fixed):
-            raise ValueError(f"epsilon_fixed must be finite, got {self.epsilon_fixed}")
+        if self.epsilon_fixed is not None and not 0 <= self.epsilon_fixed < math.inf:
+            raise ValueError(f"epsilon_fixed must be finite and >= 0, got {self.epsilon_fixed}")
         if self.epsilon_max_exponent < 0:
             raise ValueError("epsilon_max_exponent must be >= 0")
         if min(self.k_low, self.k_high, self.k_mean) < 0:
@@ -171,21 +171,20 @@ _PIPELINE_FIELDS = tuple(
 
 
 @contextlib.contextmanager
-def _writing() -> typing.Iterator[typing.Callable[[Path], Path]]:
-    """Yields ``add(path) -> path``; if the block raises, every added file is removed."""
-    paths: list[Path] = []
+def _writing(*paths: Path) -> typing.Iterator[None]:
+    """Removes ``paths`` before the block and again if it raises, so none outlives a failed run."""
 
-    def add(path: Path) -> Path:
-        paths.append(path)
-        return path
-
-    try:
-        yield add
-    except BaseException:
+    def remove() -> None:
         for p in paths:
             # Not only a missing file: a directory in a file's place must not stop the cleanup.
             with contextlib.suppress(OSError):
                 p.unlink()
+
+    remove()
+    try:
+        yield
+    except BaseException:
+        remove()
         raise
 
 
@@ -219,16 +218,13 @@ def cmd_score(cfg: RunConfig) -> int:
 
     scores, model, table = run_score_pipeline(corpus, cfg)
 
-    with _writing() as add:
-        scores_path = add(out / "scores.csv")
+    names = ("scores.csv", "density.csv", "density.json", "model.bin", "model.json")
+    artifacts = [out / name for name in names]
+    scores_path, density_csv, density_json, model_bin, model_json = artifacts
+    meta_path = out / ("scores" + META_SUFFIX)
+    with _writing(*artifacts, meta_path):
         maha_mod.write_scores_csv(scores, corpus, scores_path)
-
-        density_csv = add(out / "density.csv")
-        density_json = add(out / "density.json")
         feat_mod.save_density(table, density_csv, density_json)
-
-        model_bin = add(out / "model.bin")
-        model_json = add(out / "model.json")
         feature_cfg_hash = _feature_config_hash(cfg)
         maha_mod.save_model(model, model_bin, model_json, feature_config_hash=feature_cfg_hash)
 
@@ -239,12 +235,9 @@ def cmd_score(cfg: RunConfig) -> int:
             "d": model.d,
             "epsilon": model.epsilon,
             "source_descriptor": corpus.source_descriptor,
-            "artifacts": {
-                p.name: sha256_file(p)
-                for p in (scores_path, density_csv, density_json, model_bin, model_json)
-            },
+            "artifacts": {p.name: sha256_file(p) for p in artifacts},
         }
-        write_json(add(out / ("scores" + META_SUFFIX)), meta)
+        write_json(meta_path, meta)
 
     print(f"scored {len(corpus)} examples (d={model.d}, epsilon={model.epsilon:g}) -> {out}")
     return 0
@@ -358,11 +351,11 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _writing() as add:
-        # Added before any write, so a failure also removes the previous run's manifest.
-        subset_path = add(out / ("subset.jsonl" if cfg.subset_format == "jsonl" else "subset.json"))
-        selection_csv = add(out / "selection.csv")
-        manifest_path = add(out / "selection_manifest.json")
+    subset_path = out / ("subset.jsonl" if cfg.subset_format == "jsonl" else "subset.json")
+    selection_csv = out / "selection.csv"
+    manifest_path = out / "selection_manifest.json"
+    # Both subset names, so a subset in the other format cannot outlive this run.
+    with _writing(out / "subset.jsonl", out / "subset.json", selection_csv, manifest_path):
         with open(subset_path, "wb") as sink:
             written = corpus_mod.write_subset(corpus, selection, sink, cfg.subset_format, scores)
         sampler_mod.write_selection_csv(selection, corpus, scores, selection_csv)
@@ -418,9 +411,8 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
             pearson_by_order[order] = None
 
     report_dir = Path(cfg.out_dir) / "report"
-    with _writing() as add:
-        for name in ("scores.csv", "histogram.csv", "summary.json", "manifest.json"):
-            add(report_dir / name)
+    names = ("scores.csv", "histogram.csv", "summary.json", "manifest.json")
+    with _writing(*(report_dir / name for name in names)):
         analyze_mod.emit_report(
             corpus,
             scores,

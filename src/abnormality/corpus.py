@@ -250,58 +250,48 @@ def write_subset(
     n = len(corpus)
     # Only the length of the scores matters to the labels.
     labels = label_all(np.zeros(n), selection)
-    items = ((i, label) for i, label in enumerate(labels) if label != "unselected")
 
     values = None if scores is None else _score_array(scores)
     if values is not None and len(values) != n:
         raise ValueError(f"scores length {len(values)} does not match corpus size {n}")
 
-    def annotate(i: int, category: str) -> dict:
-        rec: dict[str, Any] = {"category": category}
-        if values is not None:
-            rec["score"] = float(values[i])
-        return rec
-
-    if fmt == "jsonl":
-        count = 0
-        for i, category in items:
-            ex = corpus[i]
+    # squad groups by title (articles in order of first selected ordinal),
+    # then by context within each article, qas in ordinal order.
+    articles: dict[str, dict[str, list[dict[str, Any]]]] = {}
+    count = 0
+    for i, category in enumerate(labels):
+        if category == "unselected":
+            continue
+        ex = corpus[i]
+        count += 1
+        if fmt == "jsonl":
             rec: dict[str, Any] = {
                 "id": ex.id,
                 "title": ex.title,
                 "context": ex.context,
                 "ordinal": ex.ordinal,
+                "category": category,
             }
-            rec.update(annotate(i, category))
+            if values is not None:
+                rec["score"] = float(values[i])
             if ex.payload is not None:
                 rec["payload"] = ex.payload
             sink.write((json.dumps(rec, ensure_ascii=False) + "\n").encode("utf-8"))
-            count += 1
-        return count
-
-    # squad: group by title (articles in order of first selected ordinal),
-    # then by context within each article, qas in ordinal order.
-    articles: dict[str, dict[str, Any]] = {}
-    count = 0
-    for i, category in items:
-        ex = corpus[i]
-        art = articles.setdefault(ex.title, {"title": ex.title, "_paras": {}})
-        para = art["_paras"].setdefault(ex.context, {"context": ex.context, "qas": []})
-        qa: dict[str, Any] = dict(ex.payload) if ex.payload is not None else {"id": ex.id}
-        ann = annotate(i, category)
-        qa["category"] = ann["category"]
-        if "score" in ann:
-            qa["abnormality_score"] = ann["score"]
-        para["qas"].append(qa)
-        count += 1
-    doc = {
-        "version": "v1.1-pruned",
-        "data": [
-            {"title": art["title"], "paragraphs": list(art["_paras"].values())}
-            for art in articles.values()
-        ],
-    }
-    sink.write((json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8"))
+        else:
+            qa: dict[str, Any] = dict(ex.payload) if ex.payload is not None else {"id": ex.id}
+            qa["category"] = category
+            if values is not None:
+                qa["abnormality_score"] = float(values[i])
+            articles.setdefault(ex.title, {}).setdefault(ex.context, []).append(qa)
+    if fmt == "squad":
+        doc = {
+            "version": "v1.1-pruned",
+            "data": [
+                {"title": title, "paragraphs": [{"context": c, "qas": qas} for c, qas in paras.items()]}
+                for title, paras in articles.items()
+            ],
+        }
+        sink.write((json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8"))
     return count
 
 

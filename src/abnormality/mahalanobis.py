@@ -47,7 +47,7 @@ class EpsilonPolicy:
 
     Attempts epsilon = 0 first, then base * 10^k for k = 0..max_exponent
     with base = base_scale * trace(sigma) / d.  A ``fixed`` value replaces
-    the whole schedule.
+    the whole schedule; it must be finite and >= 0.
     """
 
     base_scale: float = 1e-8
@@ -57,8 +57,8 @@ class EpsilonPolicy:
     def __post_init__(self) -> None:
         if not 0 < self.base_scale < math.inf:
             raise ValueError(f"base_scale must be finite and > 0, got {self.base_scale}")
-        if self.fixed is not None and not math.isfinite(self.fixed):
-            raise ValueError(f"fixed epsilon must be finite, got {self.fixed}")
+        if self.fixed is not None and not 0 <= self.fixed < math.inf:
+            raise ValueError(f"fixed epsilon must be finite and >= 0, got {self.fixed}")
         if self.max_exponent < 0:
             raise ValueError(f"max_exponent must be >= 0, got {self.max_exponent}")
 
@@ -86,11 +86,6 @@ class MomentModel:
     def d(self) -> int:
         return len(self.mu)
 
-    def _require_factor(self) -> np.ndarray:
-        if self.factor is None:
-            raise FitError("model is not factorized; call regularized_factorize first")
-        return self.factor
-
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -103,11 +98,14 @@ class ScoreVector:
         return len(self.scores)
 
 
-def _matrix_values(matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
-    values = np.asarray(getattr(matrix, "values", matrix), dtype=np.float64)
+def _rows(matrix: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows and each record's row index; a plain array is its own distinct rows."""
+    if isinstance(matrix, FeatureMatrix):
+        return matrix.unique_values, matrix.index
+    values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("feature matrix must be 2-dimensional")
-    return values
+    return values, np.arange(len(values))
 
 
 def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
@@ -121,14 +119,11 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     no records x L array is ever built.  This equals the fit over every
     record up to rounding, and bitwise when every record has its own row.
     """
-    if isinstance(matrix, FeatureMatrix):
-        X, n = matrix.unique_values, matrix.rows
-        weights = np.bincount(matrix.index, minlength=len(X)).astype(np.float64)
-    else:
-        X = _matrix_values(matrix)
-        n, weights = X.shape[0], np.ones(X.shape[0])
+    X, index = _rows(matrix)
+    n = len(index)
     if n < 2:
         raise FitError(f"need at least 2 rows to fit moments, got {n}")
+    weights = np.bincount(index, minlength=len(X)).astype(np.float64)
     # The weighted rows and then the centered ones share one buffer, so at
     # most one array the size of the distinct rows is allocated.
     centered = X * weights[:, None]
@@ -186,20 +181,18 @@ def _quadform(factor: np.ndarray, deviation: np.ndarray) -> float:
 def score(model: MomentModel, row: np.ndarray) -> float:
     """Squared Mahalanobis distance of one feature row from the model.
 
-    Evaluated as the squared norm of the triangular solve of the de-meaned
-    row; always >= 0 and exactly 0 at the mean.  No square root is applied.
+    This is :func:`score_all` of the one-row matrix ``row[None, :]``: the
+    squared norm of the triangular solve of the de-meaned row, always >= 0
+    and exactly 0 at the mean.  No square root is applied.
     """
-    factor = model._require_factor()
     row = np.asarray(row, dtype=np.float64)
     if row.shape != (model.d,):
         raise ValueError(f"row has shape {row.shape}, model dimension is {model.d}")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("row contains non-finite values")
-    return _quadform(factor, row - model.mu)
+    return float(score_all(model, row[None, :]).scores[0])
 
 
 def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: int = 1) -> ScoreVector:
-    """Score every row of the matrix through the same per-row kernel as :func:`score`.
+    """Score every record of the matrix, one triangular solve per distinct row.
 
     A :class:`FeatureMatrix` is scored once per distinct context and the
     scores are broadcast to every record; since each row's score depends on
@@ -208,19 +201,17 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     the per-row loop holds the interpreter lock, so worker threads buy
     nothing.
     """
-    factor = model._require_factor()
-    dedup = isinstance(matrix, FeatureMatrix)
-    X = matrix.unique_values if dedup else _matrix_values(matrix)
+    if model.factor is None:
+        raise FitError("model is not factorized; call regularized_factorize first")
+    X, index = _rows(matrix)
     if X.shape[1] != model.d:
         raise ValueError(f"matrix has {X.shape[1]} columns, model dimension is {model.d}")
     if X.size and not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite values")
 
-    mu = model.mu
+    factor, mu = model.factor, model.mu
     out = np.fromiter((_quadform(factor, x - mu) for x in X), dtype=np.float64, count=X.shape[0])
-    if dedup:
-        out = out[matrix.index]
-    return ScoreVector(scores=out, model_epsilon=float(model.epsilon or 0.0))
+    return ScoreVector(scores=out[index], model_epsilon=float(model.epsilon or 0.0))
 
 
 def save_model(

@@ -68,6 +68,7 @@ class TestHistogram:
         assert h.counts.tolist() == [0, 0, 3]
         assert (np.diff(h.bin_edges) > 0).all()
         assert h.bin_edges[-1] == 4.0
+        assert h.bin_edges.tolist() == np.linspace(3.0, 4.0, 4).tolist()
 
     def test_forced_edges(self):
         h = histogram([0.0, 1.0, 2.0, 3.0], bins=2)

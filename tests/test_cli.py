@@ -303,6 +303,18 @@ class TestSampleCommand:
         doc = json.loads((out / "subset.json").read_text())
         assert sum(len(p["qas"]) for a in doc["data"] for p in a["paragraphs"]) == 3
 
+    def test_format_switch_leaves_no_stale_subset(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        args = ["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]
+        assert main(args + ["--subset-format", "squad"]) == 0
+        assert (out / "subset.json").is_file()
+        assert main(args) == 0
+        assert (out / "subset.jsonl").is_file() and not (out / "subset.json").exists()
+        manifest = json.loads((out / "selection_manifest.json").read_text())
+        present = {p.name for p in out.iterdir() if p.name.startswith(("subset.", "selection.csv"))}
+        assert set(manifest["artifacts"]) == present == {"subset.jsonl", "selection.csv"}
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+
 
 class TestAnalyzeCommand:
     def test_report_fields(self, tmp_path):
@@ -597,6 +609,29 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_negative_epsilon_flag_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["score", "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
+                     "--format", "jsonl", "--out-dir", str(out), "--epsilon-fixed", "-0.001"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "epsilon_fixed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_negative_epsilon_in_metadata_exits_2(self, tmp_path, capsys, command):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["pipeline"]["epsilon_fixed"] = -0.5
+        meta_path.write_text(json.dumps(meta))
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += K1
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "epsilon_fixed" in err
 
     def test_config_values_of_field_type_accepted(self):
         cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None, "lowercase": False})

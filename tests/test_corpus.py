@@ -182,6 +182,35 @@ class TestWriteSubset:
         back = ingest_squad(sink.getvalue())
         assert [ex.context for ex in back] == [ex.context for ex in corpus]
 
+    @pytest.mark.parametrize("fmt, scores, expected", [
+        ("jsonl", None,
+         b'{"id": "q0", "title": "Alpha", "context": "a b", "ordinal": 0, "category": "high", '
+         b'"payload": {"id": "q0", "question": "why?"}}\n'
+         b'{"id": "r1", "title": "Alpha", "context": "c \xc3\xa9", "ordinal": 1, "category": "low"}\n'),
+        ("jsonl", [2.5, 0.125],
+         b'{"id": "q0", "title": "Alpha", "context": "a b", "ordinal": 0, "category": "high", "score": 2.5, '
+         b'"payload": {"id": "q0", "question": "why?"}}\n'
+         b'{"id": "r1", "title": "Alpha", "context": "c \xc3\xa9", "ordinal": 1, "category": "low", "score": 0.125}\n'),
+        ("squad", None,
+         b'{"version": "v1.1-pruned", "data": [{"title": "Alpha", "paragraphs": ['
+         b'{"context": "a b", "qas": [{"id": "q0", "question": "why?", "category": "high"}]}, '
+         b'{"context": "c \xc3\xa9", "qas": [{"id": "r1", "category": "low"}]}]}]}\n'),
+        ("squad", [2.5, 0.125],
+         b'{"version": "v1.1-pruned", "data": [{"title": "Alpha", "paragraphs": ['
+         b'{"context": "a b", "qas": [{"id": "q0", "question": "why?", "category": "high", "abnormality_score": 2.5}]}, '
+         b'{"context": "c \xc3\xa9", "qas": [{"id": "r1", "category": "low", "abnormality_score": 0.125}]}]}]}\n'),
+    ], ids=["jsonl", "jsonl-scores", "squad", "squad-scores"])
+    def test_exact_bytes(self, fmt, scores, expected):
+        # Key order is part of the format: these are the bytes a subset file holds.
+        corpus = Corpus((
+            Example(ordinal=0, id="q0", title="Alpha", context="a b", payload={"id": "q0", "question": "why?"}),
+            Example(ordinal=1, id="r1", title="Alpha", context="c é"),
+        ))
+        sel = Selection(low=(1,), high=(0,), mean_proximal=(), policy_echo={})
+        sink = io.BytesIO()
+        assert write_subset(corpus, sel, sink, fmt, scores) == 2
+        assert sink.getvalue() == expected
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             write_subset(corpus_of("x"), everything_selected(1), io.BytesIO(), fmt="csv")

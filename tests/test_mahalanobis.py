@@ -150,7 +150,7 @@ class TestRegularizedFactorize:
         assert out.epsilon == 0.5
 
     @pytest.mark.parametrize("field, value", [
-        ("fixed", float("nan")), ("fixed", float("inf")),
+        ("fixed", float("nan")), ("fixed", float("inf")), ("fixed", -0.1),
         ("base_scale", float("nan")), ("base_scale", float("inf")), ("base_scale", 0.0),
         ("max_exponent", -1),
     ])
