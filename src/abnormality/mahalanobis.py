@@ -2,8 +2,11 @@
 
 The model is the sample mean vector and 1/(n-1) covariance of the rows; an
 example's score is the squared Mahalanobis distance of its row from that
-distribution, computed by triangular solve against a Cholesky factor of the
-(possibly shrunk) covariance.  The explicit inverse is never formed.
+distribution, the squared norm of the forward substitution of the de-meaned
+row against a Cholesky factor of the (possibly shrunk) covariance.  The
+explicit inverse is never formed.  All rows are substituted together in
+NumPy, column block by column block, but no operation mixes two rows, so a
+record's score depends only on its row and the model.
 
 Positional-density covariance is frequently singular, so factorization
 escalates a diagonal shrinkage epsilon through a fixed schedule until the
@@ -169,13 +172,23 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
     )
 
 
-def _quadform(factor: np.ndarray, deviation: np.ndarray) -> float:
-    # Imported here, not at module level: scipy.linalg is most of the
-    # package's import time, and only scoring ever solves.
-    from scipy.linalg import solve_triangular
+# Columns per block in _squared_norms.  Blocks of 8 to 32 ran within 10% of
+# each other at d = 60, 700 and 1,500 on 2 vCPUs with OpenBLAS; 64 was slower.
+_BLOCK = 16
 
-    y = solve_triangular(factor, deviation, lower=True, check_finite=False)
-    return float(y @ y)
+
+def _squared_norms(factor: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||L^-1 y||^2 of every row y of Y, overwriting Y with L^-1 y (see :func:`score_all`)."""
+    d = Y.shape[1]
+    for s in range(0, d, _BLOCK):
+        e = min(s + _BLOCK, d)
+        Y[:, s:e] -= (Y[:, None, :s] @ factor[s:e, :s].T)[:, 0, :]
+        T = Y[:, s:e].T.copy()
+        for i in range(e - s):
+            T[i] /= factor[s + i, s + i]
+            T[i + 1 :] -= factor[s + i + 1 : e, s + i, None] * T[i]
+        Y[:, s:e] = T.T
+    return (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 def score(model: MomentModel, row: np.ndarray) -> float:
@@ -192,14 +205,18 @@ def score(model: MomentModel, row: np.ndarray) -> float:
 
 
 def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: int = 1) -> ScoreVector:
-    """Score every record of the matrix, one triangular solve per distinct row.
+    """Score every record of the matrix, one forward substitution per distinct row.
 
-    A :class:`FeatureMatrix` is scored once per distinct context and the
-    scores are broadcast to every record; since each row's score depends on
-    that row alone, this agrees bitwise with scoring every record.
-    ``threads`` is accepted for compatibility and never changes the result:
-    the per-row loop holds the interpreter lock, so worker threads buy
-    nothing.
+    The de-meaned rows are solved in one buffer by blocked forward
+    substitution: per block of 16 columns, a stacked matmul (one gemv per
+    row) against the factor panel of the columns already solved, then
+    elementwise updates on a transposed copy of the block to solve its small
+    triangle.  Every row sees the same operations in the same order and no
+    operation mixes two rows, so a row's score is bitwise the same alone, in
+    any batch and at any position.  A :class:`FeatureMatrix` is therefore
+    scored once per distinct context and the scores are broadcast to every
+    record, bitwise equal to scoring every record.  ``threads`` is accepted
+    for compatibility and changes nothing.
     """
     if model.factor is None:
         raise FitError("model is not factorized; call regularized_factorize first")
@@ -209,8 +226,7 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     if X.size and not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite values")
 
-    factor, mu = model.factor, model.mu
-    out = np.fromiter((_quadform(factor, x - mu) for x in X), dtype=np.float64, count=X.shape[0])
+    out = _squared_norms(model.factor, X - model.mu)
     return ScoreVector(scores=out[index], model_epsilon=float(model.epsilon or 0.0))
 
 

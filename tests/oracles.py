@@ -65,6 +65,18 @@ def reference_scores(X: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
     return out
 
 
+def reference_triangular_scores(factor: np.ndarray, mu: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared norms of one SciPy triangular solve per de-meaned row of X against the lower factor."""
+    # Imported here so that the benchmark, which imports this module, does not load SciPy.
+    from scipy.linalg import solve_triangular
+
+    out = np.zeros(len(X))
+    for t, x in enumerate(np.asarray(X, dtype=np.float64)):
+        y = solve_triangular(factor, x - mu, lower=True)
+        out[t] = y @ y
+    return out
+
+
 def reference_shifted_cholesky(sigma: np.ndarray, epsilon: float) -> np.ndarray:
     """Cholesky factor of a copy of sigma with epsilon added to its diagonal."""
     shifted = np.array(sigma, dtype=np.float64)

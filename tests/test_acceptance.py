@@ -19,11 +19,12 @@ from scipy import stats as scipy_stats
 
 from abnormality.analyze import pearson
 from abnormality.cli import main
-from abnormality.corpus import Corpus, Example, ingest_file, make_synthetic_corpus, write_subset
+from abnormality.corpus import ingest_file, make_synthetic_corpus, write_subset
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import fit_moments, regularized_factorize, score_all
 from abnormality.sampler import SelectionSpec, select_global
 
+from conftest import long_tail_corpus
 from oracles import reference_scores, reference_selection
 
 
@@ -54,22 +55,6 @@ def test_mahalanobis_oracle_equivalence():
         worst <= 1e-8 and elapsed < 10.0,
         f"worst rel err {worst:.2e}, {elapsed:.2f}s",
     )
-
-
-def long_tail_corpus(seed: int) -> Corpus:
-    """300 short contexts plus 3 long outliers, each repeated 1-3 times, shuffled.
-
-    The outliers alone reach the last feature positions, so the padded tail
-    of the covariance is rank deficient and factorization needs epsilon > 0.
-    """
-    rng = np.random.default_rng(seed)
-    short = make_synthetic_corpus(300, vocab_size=60, min_tokens=5, max_tokens=40, seed=seed)
-    long = make_synthetic_corpus(3, vocab_size=60, min_tokens=60, max_tokens=90, seed=seed + 100)
-    contexts = [ex.context for ex in (*short, *long)]
-    records = [c for c in contexts for _ in range(int(rng.integers(1, 4)))]
-    records = [records[i] for i in rng.permutation(len(records))]
-    examples = tuple(Example(ordinal=i, id=f"tail-{i}", title="t", context=c) for i, c in enumerate(records))
-    return Corpus(examples, source_descriptor=f"long-tail:seed={seed}")
 
 
 def test_mahalanobis_oracle_equivalence_at_positive_epsilon():

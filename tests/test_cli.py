@@ -455,46 +455,53 @@ class TestAnalyzeCommand:
         assert summary["pearson_by_order"]["1"] is None
 
 
-# Runs the CLI commands given as JSON in argv[1], then prints, as its last
-# line, whether SciPy was imported.  It needs a fresh interpreter: the test
+# Runs the CLI commands given as JSON in argv[1] and prints, as its last line,
+# their exit codes and whether SciPy was imported.  With "block" in argv[2],
+# importing SciPy raises ImportError.  It needs a fresh interpreter: the test
 # process has already imported scipy.stats.
 _SCIPY_PROBE = """
 import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
 from abnormality.cli import main
-for args in json.loads(sys.argv[1]):
-    assert main(args) == 0, args
-print("scipy" in sys.modules)
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, sys.modules.get("scipy") is not None]))
 """
 
 
-def scipy_loaded_after(*commands: list[str]) -> bool:
+def run_fresh(*commands: list[str], block_scipy: bool = False) -> tuple[list[int], bool]:
+    """Each command's exit code, and whether SciPy was loaded, from one fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(list(commands))],
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(list(commands)), "block" if block_scipy else "allow"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
-    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    return codes, loaded
 
 
 class TestScipyLoadedOnlyToSolve:
+    # No command loads SciPy; the class keeps its name so that its test ids
+    # stay stable.
     def test_import_sample_and_scored_order_analyze_leave_scipy_unloaded(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         scores = str(out / "scores.csv")
-        assert not scipy_loaded_after()
-        assert not scipy_loaded_after(
+        assert run_fresh() == ([], False)
+        assert run_fresh(
             ["sample", "--scores", scores, "--out-dir", str(out), "--k-low", "1", "--k-high", "1", "--k-mean", "1"],
             ["analyze", "--scores", scores, "--out-dir", str(out), "--orders", "1"],
-        )
+        ) == ([0, 0], False)
 
-    def test_score_and_rescoring_load_scipy(self, tmp_path):
+    def test_pipeline_runs_without_scipy(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
-        out = tmp_path / "out"
-        assert scipy_loaded_after(
-            ["score", "--input", str(corpus_path), "--format", "jsonl", "--out-dir", str(out)],
+        out, scores = str(tmp_path / "out"), str(tmp_path / "out" / "scores.csv")
+        codes, _ = run_fresh(
+            ["score", "--input", str(corpus_path), "--format", "jsonl", "--out-dir", out],
+            ["sample", "--scores", scores, "--out-dir", out, "--k-low", "1", "--k-high", "1", "--k-mean", "1"],
+            ["analyze", "--scores", scores, "--out-dir", out, "--orders", "1,2"],
+            block_scipy=True,
         )
-        assert scipy_loaded_after(
-            ["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--orders", "1,2"],
-        )
+        assert codes == [0, 0, 0]
 
 
 class TestRunConfig:

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError, SchemaError, SingularityError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import (
+    _BLOCK,
     EpsilonPolicy,
     MomentModel,
     ScoreVector,
@@ -23,8 +26,13 @@ from abnormality.mahalanobis import (
     write_scores_csv,
 )
 
-from conftest import corpus_of
-from oracles import reference_covariance, reference_scores, reference_shifted_cholesky
+from conftest import corpus_of, long_tail_corpus
+from oracles import (
+    reference_covariance,
+    reference_scores,
+    reference_shifted_cholesky,
+    reference_triangular_scores,
+)
 
 
 def repeated_corpus(distinct: int, max_repeats: int, seed: int):
@@ -307,6 +315,68 @@ class TestScoreAll:
         _, model = random_model(rng, 10, 3)
         with pytest.raises(ValueError):
             score_all(model, np.zeros((4, 2)))
+
+
+class TestBlockedSubstitution:
+    """score_all substitutes all rows at once; each row's bits must not depend on the others."""
+
+    @staticmethod
+    def assert_rows_independent(model, X, rng) -> np.ndarray:
+        # Alone, in a permuted batch, in a random subset and from a buffer
+        # offset by one float64, every row gets the same bits.
+        full = score_all(model, X).scores
+        n = len(X)
+        for r in rng.choice(n, size=min(n, 3), replace=False):
+            assert score_all(model, X[r : r + 1]).scores.tobytes() == full[r : r + 1].tobytes()
+        perm = rng.permutation(n)
+        assert score_all(model, X[perm]).scores.tobytes() == full[perm].tobytes()
+        subset = np.flatnonzero(rng.random(n) < 0.5)
+        assert score_all(model, X[subset]).scores.tobytes() == full[subset].tobytes()
+        shifted = np.empty(X.size + 1)[1:].reshape(X.shape)
+        shifted[:] = X
+        assert score_all(model, shifted).scores.tobytes() == full.tobytes()
+        return full
+
+    @pytest.mark.parametrize("d", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 61, 401])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_independent_and_match_triangular_oracle(self, d, seed):
+        rng = np.random.default_rng(seed)
+        X, model = random_model(rng, 2 * d + 8, d)
+        assert model.epsilon == 0.0
+        full = self.assert_rows_independent(model, X, rng)
+        oracle = reference_triangular_scores(model.factor, model.mu, X)
+        np.testing.assert_allclose(full, oracle, rtol=1e-10, atol=0)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_long_tail_positive_epsilon_matches_inverse_oracle(self, seed):
+        corpus = long_tail_corpus(seed)
+        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        model = regularized_factorize(fit_moments(matrix))
+        assert model.epsilon > 0.0
+        self.assert_rows_independent(model, matrix.unique_values, np.random.default_rng(seed))
+        ref = reference_scores(matrix.values, epsilon=model.epsilon)
+        np.testing.assert_allclose(score_all(model, matrix).scores, ref, rtol=1e-6, atol=0)
+
+    def test_peak_memory_one_deviation_buffer(self):
+        # 150 distinct contexts of up to 200 tokens, each repeated 8 times:
+        # scoring holds the de-meaned distinct rows and block-sized
+        # temporaries, never a records x d or a d x d array.
+        contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
+        corpus = corpus_of(*(c for c in contexts for _ in range(8)))
+        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        model = regularized_factorize(fit_moments(matrix))
+        tracemalloc.start()
+        try:
+            score_all(model, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, d = matrix.unique_values.shape
+        assert rows == 150 and d > 150
+        bound = 8 * rows * d + 6 * 8 * _BLOCK * rows + 8 * matrix.rows
+        assert peak <= bound, f"peak {peak} bytes > {bound} (one {rows} x {d} buffer + block temporaries)"
 
 
 class TestProperties:
