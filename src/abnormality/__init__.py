@@ -35,7 +35,6 @@ from .featurize import (
     TokenizerConfig,
     build_matrix,
     fit_density,
-    ngrams,
     tokenize,
 )
 from .mahalanobis import (
@@ -84,7 +83,6 @@ __all__ = [
     "label_all",
     "make_synthetic_corpus",
     "moments_stats",
-    "ngrams",
     "pearson",
     "regularized_factorize",
     "score",

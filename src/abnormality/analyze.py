@@ -16,7 +16,6 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .errors import StatError
 from .hashing import sha256_file
-from .sampler import Selection, _score_array, label_all
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -61,7 +60,7 @@ class Histogram:
 
 def moments_stats(scores) -> DistributionStats:
     """Mean, variance, and standardized third/fourth central moments."""
-    x = _score_array(scores)
+    x = np.asarray(scores, dtype=np.float64)
     n = len(x)
     if n < 2:
         raise StatError(f"need at least 2 values for distribution stats, got {n}")
@@ -93,7 +92,7 @@ def histogram(scores, bins: int = 100) -> Histogram:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    x = _score_array(scores)
+    x = np.asarray(scores, dtype=np.float64)
     if len(x) == 0:
         raise StatError("cannot histogram an empty score vector")
     lo, hi = float(x.min()), float(x.max())
@@ -134,7 +133,7 @@ def _exemplar(corpus: "Corpus", s: np.ndarray, i: int) -> dict:
 def emit_report(
     corpus: "Corpus",
     scores: "ScoreVector",
-    selection: Selection | None,
+    labels: Sequence[str],
     stats: DistributionStats,
     pearson_by_order: Mapping[int, float | None],
     out_dir: str | Path,
@@ -144,18 +143,20 @@ def emit_report(
 ) -> dict:
     """Write scores.csv, histogram.csv, summary.json, manifest.json.
 
-    summary.json carries n, feature dimension, shrinkage epsilon, the score
-    distribution stats, Pearson r per n-gram order, and the lowest / highest
-    / mean-nearest exemplars (ordinal, id, title, score).  The returned
-    manifest lists every written file with its content hash.
+    ``labels`` holds one category per example, as ``sampler.label_all``
+    gives it; they fill the category column of scores.csv and the selection
+    counts.  summary.json carries n, feature dimension, shrinkage epsilon,
+    the score distribution stats, Pearson r per n-gram order, and the
+    lowest / highest / mean-nearest exemplars (ordinal, id, title, score).
+    The returned manifest lists every written file with its content hash.
     """
-    s = _score_array(scores)
+    s = np.asarray(scores, dtype=np.float64)
     if len(s) != len(corpus):
         raise ValueError(f"scores length {len(s)} does not match corpus size {len(corpus)}")
+    if len(labels) != len(s):
+        raise ValueError(f"labels length {len(labels)} does not match scores length {len(s)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    labels = label_all(s, selection) if selection is not None else ["unselected"] * len(s)
 
     scores_path = out / "scores.csv"
     write_csv(

@@ -322,21 +322,21 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
 
 def _load_selection(
     out: Path, corpus: corpus_mod.Corpus, scores: maha_mod.ScoreVector, scores_path: Path
-) -> sampler_mod.Selection | None:
-    """The selection `sample` wrote into ``out``, checked against its manifest.
+) -> list[str]:
+    """The per-example labels `sample` wrote into ``out``, checked against its manifest.
 
-    None when ``out`` holds no selection manifest.  A manifest written for
-    other scores, or a selection.csv whose hash it does not record, raises
-    StaleScoresError.
+    Every example is unselected when ``out`` holds no selection manifest.  A
+    manifest written for other scores, or a selection.csv whose hash it does
+    not record, raises StaleScoresError.
     """
     manifest_path = out / "selection_manifest.json"
     if not manifest_path.is_file():
-        return None
+        return ["unselected"] * len(corpus)
     manifest = read_json(manifest_path, _MANIFEST_KEYS)
     _check_hash(scores_path, manifest["inputs"]["scores.csv"], manifest_path.name)
     selection_csv = out / "selection.csv"
     _check_hash(selection_csv, manifest["artifacts"]["selection.csv"], manifest_path.name)
-    return sampler_mod.read_selection_csv(selection_csv, corpus, scores, manifest["policy_echo"])
+    return sampler_mod.read_selection_csv(selection_csv, corpus, scores)
 
 
 def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
@@ -348,6 +348,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
         selection = sampler_mod.select_bucketed(scores, corpus.char_lengths(), spec)
     else:
         selection = sampler_mod.select_global(scores, spec)
+    labels = sampler_mod.label_all(scores, selection)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -357,8 +358,8 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     # Both subset names, so a subset in the other format cannot outlive this run.
     with _writing(out / "subset.jsonl", out / "subset.json", selection_csv, manifest_path):
         with open(subset_path, "wb") as sink:
-            written = corpus_mod.write_subset(corpus, selection, sink, cfg.subset_format, scores)
-        sampler_mod.write_selection_csv(selection, corpus, scores, selection_csv)
+            written = corpus_mod.write_subset(corpus, labels, sink, cfg.subset_format, scores)
+        sampler_mod.write_selection_csv(labels, corpus, scores, selection_csv)
 
         manifest = {
             "policy_echo": selection.policy_echo,
@@ -391,7 +392,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     scores_path = Path(scores_path)
     scored, corpus, scores, meta = _load_scores_with_meta(cfg, scores_path)
 
-    selection = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path)
+    labels = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path)
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)
 
@@ -416,7 +417,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
         analyze_mod.emit_report(
             corpus,
             scores,
-            selection,
+            labels,
             stats,
             pearson_by_order,
             report_dir,

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .sampler import Selection, _score_array, label_all
 
 __all__ = [
     "Example",
@@ -36,8 +35,6 @@ __all__ = [
 class Example:
     """One corpus record.
 
-    ``char_length`` counts unicode code points in ``context``; when omitted
-    it is computed, and when supplied it is checked against the context.
     ``payload`` carries the original parsed record (e.g. a SQuAD qa object)
     opaquely for subset writing; it plays no role in featurization.
     """
@@ -46,17 +43,12 @@ class Example:
     id: str
     title: str
     context: str
-    char_length: int = -1
     payload: Mapping[str, Any] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.char_length < 0:
-            object.__setattr__(self, "char_length", len(self.context))
-        elif self.char_length != len(self.context):
-            raise ValueError(
-                f"char_length {self.char_length} does not match measured "
-                f"context length {len(self.context)} (ordinal {self.ordinal})"
-            )
+    @property
+    def char_length(self) -> int:
+        """Unicode code points in ``context``."""
+        return len(self.context)
 
 
 @dataclass(frozen=True)
@@ -228,30 +220,31 @@ def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None
 
 def write_subset(
     corpus: Corpus,
-    selection: Selection,
+    labels: Sequence[str],
     sink: IO[bytes],
     fmt: str = "jsonl",
     scores: Any = None,
 ) -> int:
     """Write the selected examples in ascending ordinal order; returns the count.
 
-    Each record is annotated with its category label and, when ``scores`` is
-    given (a ScoreVector or array aligned to corpus ordinals), its
-    abnormality score.  ``jsonl`` emits one object per line with the default
-    JsonlFields names so a subset re-ingests cleanly; ``squad`` reconstructs
-    the nested article/paragraph grouping by title, passing original qa
-    payloads through opaquely.
+    ``labels`` holds one category per example, as ``sampler.label_all``
+    gives it, and examples labelled ``unselected`` are skipped.  Each record
+    is annotated with its category label and, when ``scores`` is given (a
+    ScoreVector or array aligned to corpus ordinals), its abnormality score.
+    ``jsonl`` emits one object per line with the default JsonlFields names
+    so a subset re-ingests cleanly; ``squad`` reconstructs the nested
+    article/paragraph grouping by title, passing original qa payloads
+    through opaquely.
 
-    Out-of-range selection indices raise IndexError before any byte is
-    written.
+    Labels or scores of another length than the corpus raise ValueError
+    before any byte is written.
     """
     if fmt not in ("jsonl", "squad"):
         raise ValueError(f"unknown subset format {fmt!r} (expected 'jsonl' or 'squad')")
     n = len(corpus)
-    # Only the length of the scores matters to the labels.
-    labels = label_all(np.zeros(n), selection)
-
-    values = None if scores is None else _score_array(scores)
+    if len(labels) != n:
+        raise ValueError(f"labels length {len(labels)} does not match corpus size {n}")
+    values = None if scores is None else np.asarray(scores, dtype=np.float64)
     if values is not None and len(values) != n:
         raise ValueError(f"scores length {len(values)} does not match corpus size {n}")
 

@@ -37,7 +37,6 @@ __all__ = [
     "FeatureMatrix",
     "NGRAM_SEP",
     "tokenize",
-    "ngrams",
     "fit_density",
     "build_matrix",
     "save_density",
@@ -80,19 +79,6 @@ def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
         tokens = [_strip_edge_punct(t) for t in tokens]
         tokens = [t for t in tokens if t]
     return tokens
-
-
-def ngrams(tokens: list[str], n: int) -> list[str]:
-    """Overlapping stride-1 n-grams, each joined with the unit separator.
-
-    Result length is max(0, len(tokens) - n + 1).  These strings are the keys
-    of :attr:`DensityTable.counts`.
-    """
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    if n == 1:
-        return list(tokens)
-    return [NGRAM_SEP.join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,12 @@ class ScoreVector:
     def __len__(self) -> int:
         return len(self.scores)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The scores, so ``np.asarray(vector)`` reads a ScoreVector like an array."""
+        if copy:
+            return np.array(self.scores, dtype=dtype)
+        return np.asarray(self.scores, dtype=dtype)
+
 
 def _rows(matrix: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows and each record's row index; a plain array is its own distinct rows."""
@@ -121,6 +127,11 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     centered rows are scaled in place by the square root of their weight, so
     no records x L array is ever built.  This equals the fit over every
     record up to rounding, and bitwise when every record has its own row.
+
+    Sigma is one BLAS matrix product, whose summation order depends on the
+    BLAS thread count (``OPENBLAS_NUM_THREADS``), not on ``--threads``: the
+    artifacts are byte-identical at any ``--threads``, but golden files
+    need the BLAS thread count pinned.
     """
     X, index = _rows(matrix)
     n = len(index)

@@ -24,7 +24,6 @@ from .errors import CapacityError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
-    from .mahalanobis import ScoreVector
 
 __all__ = [
     "SelectionSpec",
@@ -36,7 +35,7 @@ __all__ = [
     "read_selection_csv",
 ]
 
-_CATEGORIES = ("low", "high", "mean")
+_CATEGORIES = ("low", "high", "mutual")
 _SELECTION_HEADER = ("ordinal", "id", "category", "score", "char_length")
 
 
@@ -74,10 +73,6 @@ class Selection:
     policy_echo: dict
 
 
-def _score_array(scores: "ScoreVector | np.ndarray | Sequence[float]") -> np.ndarray:
-    return np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
-
-
 def _check_capacity(n: int, spec: SelectionSpec) -> None:
     if spec.disjoint:
         if spec.total > n:
@@ -112,7 +107,7 @@ def _orders(s: np.ndarray, members: np.ndarray, mean: float):
     low = members[np.argsort(s[members], kind="stable")]
     high = members[np.argsort(-s[members], kind="stable")]
     mean_prox = members[np.argsort(np.abs(s[members] - mean), kind="stable")]
-    return {"low": low, "high": high, "mean": mean_prox}
+    return {"low": low, "high": high, "mutual": mean_prox}
 
 
 def _largest_remainder(k: int, pops: list[int]) -> list[int]:
@@ -140,7 +135,7 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec):
 
     Each quota is split across the groups by largest-remainder
     apportionment.  Groups claim in descending-population order (ties:
-    lower list position), each category in low, high, mean order against
+    lower list position), each category in low, high, mutual order against
     the group's own score mean; a group's shortfall spills to the next
     group, pass after pass, until every quota is placed.  Returns the picks
     per category, each group's score mean, and each category's quotas.
@@ -150,7 +145,7 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec):
     orders = [_orders(s, m, mean) for m, mean in zip(groups, means)]
     quota = {
         cat: _largest_remainder(k, pops)
-        for cat, k in (("low", spec.k_low), ("high", spec.k_high), ("mean", spec.k_mean))
+        for cat, k in zip(_CATEGORIES, (spec.k_low, spec.k_high, spec.k_mean))
     }
     process_order = sorted(range(len(groups)), key=lambda g: (-pops[g], g))
 
@@ -190,7 +185,7 @@ def _selection(picked: dict[str, list[int]], echo: dict) -> Selection:
     return Selection(
         low=tuple(sorted(picked["low"])),
         high=tuple(sorted(picked["high"])),
-        mean_proximal=tuple(sorted(picked["mean"])),
+        mean_proximal=tuple(sorted(picked["mutual"])),
         policy_echo=echo,
     )
 
@@ -202,7 +197,7 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     from whatever remains; the mean is always the mean of all scores.  This
     is the bucketed rule with every example in one bucket.
     """
-    s = _score_array(scores)
+    s = np.asarray(scores, dtype=np.float64)
     n = len(s)
     _check_capacity(n, spec)
     # An empty corpus has no group: a group must have a mean.
@@ -226,7 +221,7 @@ def select_bucketed(
     until placed).  Capacity errors are raised only when the corpus as a
     whole cannot satisfy the quotas.
     """
-    s = _score_array(scores)
+    s = np.asarray(scores, dtype=np.float64)
     lengths = np.asarray(char_lengths, dtype=np.int64)
     n = len(s)
     if len(lengths) != n:
@@ -251,7 +246,7 @@ def select_bucketed(
                 "score_mean": means[g],
                 "quota_low": quota["low"][g],
                 "quota_high": quota["high"][g],
-                "quota_mean": quota["mean"][g],
+                "quota_mean": quota["mutual"][g],
             }
             for g, b in enumerate(bucket_ids)
         ],
@@ -265,9 +260,9 @@ def label_all(scores, selection: Selection) -> list[str]:
     When the selection lists overlap (disjoint mode off), the first claim in
     low, high, mutual order wins, so every index gets exactly one label.
     """
-    s = _score_array(scores)
+    s = np.asarray(scores, dtype=np.float64)
     labels = ["unselected"] * len(s)
-    for name, idxs in (("low", selection.low), ("high", selection.high), ("mutual", selection.mean_proximal)):
+    for name, idxs in zip(_CATEGORIES, (selection.low, selection.high, selection.mean_proximal)):
         for i in idxs:
             if i < 0 or i >= len(s):
                 raise IndexError(f"selection index {i} out of range for {len(s)} scores")
@@ -276,12 +271,12 @@ def label_all(scores, selection: Selection) -> list[str]:
     return labels
 
 
-def write_selection_csv(
-    selection: Selection, corpus: "Corpus", scores, path: str | Path
-) -> None:
-    """Selected rows only: ordinal,id,category,score,char_length ascending by ordinal."""
-    s = _score_array(scores)
-    labels = label_all(s, selection)
+def write_selection_csv(labels: Sequence[str], corpus: "Corpus", scores, path: str | Path) -> None:
+    """Selected rows only: ordinal,id,category,score,char_length ascending by ordinal.
+
+    ``labels`` holds one category per example, as :func:`label_all` gives it.
+    """
+    s = np.asarray(scores, dtype=np.float64)
     write_csv(path, _SELECTION_HEADER, (
         [i, corpus[i].id, label, repr(float(s[i])), corpus[i].char_length]
         for i, label in enumerate(labels)
@@ -289,30 +284,30 @@ def write_selection_csv(
     ))
 
 
-def read_selection_csv(
-    path: str | Path, corpus: "Corpus", scores, policy_echo: dict | None = None
-) -> Selection:
-    """The selection a selection CSV records.
+def read_selection_csv(path: str | Path, corpus: "Corpus", scores) -> list[str]:
+    """The per-example labels a selection CSV records; unlisted examples are unselected.
 
     Each row must name an example of ``corpus`` by ordinal, id and char
     length, with that example's score in ``scores`` (the writer's
     ``repr(float)`` reads back exactly).  Raises SchemaError on bytes that
     are not UTF-8, a wrong header, a row without exactly five columns, an
-    unknown category, a row that names no example of the corpus, or a
-    score that is not the example's.
+    unknown category, a row that names no example of the corpus or one that
+    an earlier row names, or a score that is not the example's.
     """
-    s = _score_array(scores)
-    picked: dict[str, list[int]] = {"low": [], "high": [], "mutual": []}
+    s = np.asarray(scores, dtype=np.float64)
+    labels = ["unselected"] * len(corpus)
 
     def parse(row: list[str]) -> tuple[str, int]:
         ordinal, ex_id, category, score, char_length = row
-        if category not in picked:
+        if category not in _CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
         i = row_ordinal(corpus.examples, ordinal, ex_id, char_length)
+        if labels[i] != "unselected":
+            raise ValueError(f"example {i} is listed twice")
         if float(score) != s[i]:
             raise ValueError(f"score {score} is not example {i}'s score {float(s[i])!r}")
         return category, i
 
-    for category, ordinal in read_csv(path, _SELECTION_HEADER, parse):
-        picked[category].append(ordinal)
-    return _selection({**picked, "mean": picked["mutual"]}, policy_echo or {})
+    for category, i in read_csv(path, _SELECTION_HEADER, parse):
+        labels[i] = category
+    return labels

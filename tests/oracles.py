@@ -15,12 +15,22 @@ import numpy as np
 SEP = "\x1f"
 
 
+def ngrams(tokens: list[str], n: int) -> list[str]:
+    """Overlapping stride-1 n-grams, each joined with the unit separator.
+
+    Result length is max(0, len(tokens) - n + 1).  These strings are the keys
+    of ``DensityTable.counts``.
+    """
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    return [SEP.join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
 def reference_ngram_counts(token_lists, n: int) -> Counter:
     """N-gram key -> occurrences over every token list (one list per record)."""
     counts: Counter = Counter()
     for tokens in token_lists:
-        for i in range(len(tokens) - n + 1):
-            counts[SEP.join(tokens[i : i + n])] += 1
+        counts.update(ngrams(tokens, n))
     return counts
 
 
@@ -39,7 +49,7 @@ def featurize_example(tokens: list[str], table, L: int) -> FeatureRow:
     """
     if L < 1:
         raise ValueError(f"feature length must be >= 1, got {L}")
-    grams = [SEP.join(tokens[i : i + table.n]) for i in range(len(tokens) - table.n + 1)]
+    grams = ngrams(tokens, table.n)
     true_length = min(len(grams), L)
     row = np.zeros(L, dtype=np.float64)
     for i in range(true_length):

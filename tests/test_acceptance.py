@@ -22,7 +22,7 @@ from abnormality.cli import main
 from abnormality.corpus import ingest_file, make_synthetic_corpus, write_subset
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import fit_moments, regularized_factorize, score_all
-from abnormality.sampler import SelectionSpec, select_global
+from abnormality.sampler import SelectionSpec, label_all, select_global
 
 from conftest import long_tail_corpus
 from oracles import reference_scores, reference_selection
@@ -153,9 +153,7 @@ def test_pipeline_determinism_across_threads(tmp_path):
     corpus = make_synthetic_corpus(500, vocab_size=80, min_tokens=5, max_tokens=60, seed=11)
     corpus_path = tmp_path / "fixture.jsonl"
     with open(corpus_path, "wb") as sink:
-        from abnormality.sampler import Selection
-
-        write_subset(corpus, Selection(low=tuple(range(500)), high=(), mean_proximal=(), policy_echo={}), sink)
+        write_subset(corpus, ["low"] * len(corpus), sink)
 
     runs = {
         "t1-first": _run_pipeline(corpus_path, tmp_path / "run1", threads=1),
@@ -215,7 +213,7 @@ def test_squad_scale_smoke(tmp_path):
 
     subset_path = tmp_path / "subset.jsonl"
     with open(subset_path, "wb") as sink:
-        written = write_subset(corpus, selection, sink, scores=scores)
+        written = write_subset(corpus, label_all(scores, selection), sink, scores=scores)
 
     s = scores.scores
     mean = float(s.mean())

@@ -11,7 +11,7 @@ from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import StatError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import ScoreVector, fit_moments, regularized_factorize, score_all
-from abnormality.sampler import SelectionSpec, select_global
+from abnormality.sampler import SelectionSpec, label_all, select_global
 
 from conftest import corpus_of
 from oracles import reference_histogram_counts, reference_moments
@@ -141,6 +141,9 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0])
 
 
+UNSELECTED = ["unselected"] * 6
+
+
 def scored_fixture():
     corpus = corpus_of("a a b", "a b c d", "b c", "a c d e f", "f g", "a b")
     scores = ScoreVector(scores=np.array([0.5, 2.0, 1.0, 6.0, 3.0, 1.5]), model_epsilon=0.25)
@@ -151,9 +154,9 @@ class TestEmitReport:
     def test_files_and_summary_fields(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        sel = select_global(scores, SelectionSpec(k_low=1, k_high=1, k_mean=1))
+        labels = label_all(scores, select_global(scores, SelectionSpec(k_low=1, k_high=1, k_mean=1)))
         manifest = emit_report(
-            corpus, scores, sel, stats, {1: 0.8, 3: None}, tmp_path, bins=4,
+            corpus, scores, labels, stats, {1: 0.8, 3: None}, tmp_path, bins=4,
             dimension=7, input_hashes={"corpus": "sha256:abc"},
         )
         for name in ("scores.csv", "histogram.csv", "summary.json", "manifest.json"):
@@ -176,8 +179,8 @@ class TestEmitReport:
     def test_category_column(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        sel = select_global(scores, SelectionSpec(k_low=2, k_high=2, k_mean=2))
-        emit_report(corpus, scores, sel, stats, {}, tmp_path)
+        labels = label_all(scores, select_global(scores, SelectionSpec(k_low=2, k_high=2, k_mean=2)))
+        emit_report(corpus, scores, labels, stats, {}, tmp_path)
         rows = (tmp_path / "scores.csv").read_text().splitlines()
         assert rows[0] == "ordinal,id,title,char_length,score,category"
         categories = [r.split(",")[-1] for r in rows[1:]]
@@ -188,7 +191,7 @@ class TestEmitReport:
     def test_no_selection_all_unselected(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        emit_report(corpus, scores, None, stats, {}, tmp_path)
+        emit_report(corpus, scores, UNSELECTED, stats, {}, tmp_path)
         rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
         assert all(r.endswith(",unselected") for r in rows)
 
@@ -196,15 +199,15 @@ class TestEmitReport:
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_report(corpus, scores, None, stats, {1: 0.5}, a)
-        emit_report(corpus, scores, None, stats, {1: 0.5}, b)
+        emit_report(corpus, scores, UNSELECTED, stats, {1: 0.5}, a)
+        emit_report(corpus, scores, UNSELECTED, stats, {1: 0.5}, b)
         for name in ("scores.csv", "histogram.csv", "summary.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_histogram_csv_consistent(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        emit_report(corpus, scores, None, stats, {}, tmp_path, bins=5)
+        emit_report(corpus, scores, UNSELECTED, stats, {}, tmp_path, bins=5)
         rows = (tmp_path / "histogram.csv").read_text().splitlines()
         assert rows[0] == "bin_left,bin_right,count"
         assert sum(int(r.split(",")[2]) for r in rows[1:]) == 6
@@ -213,7 +216,13 @@ class TestEmitReport:
         corpus, _ = scored_fixture()
         bad = ScoreVector(scores=np.array([1.0, 2.0]), model_epsilon=0.0)
         with pytest.raises(ValueError):
-            emit_report(corpus, bad, None, moments_stats(bad), {}, tmp_path)
+            emit_report(corpus, bad, ["unselected"] * 2, moments_stats(bad), {}, tmp_path)
+
+    def test_labels_of_another_length(self, tmp_path):
+        corpus, scores = scored_fixture()
+        with pytest.raises(ValueError, match="labels length 5"):
+            emit_report(corpus, scores, UNSELECTED[:5], moments_stats(scores), {}, tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestLengthScoreCorrelation:

@@ -18,6 +18,7 @@ from abnormality.corpus import ingest_file
 from abnormality.featurize import TokenizerConfig, build_matrix, fit_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
+from abnormality.sampler import SelectionSpec, select_global
 
 
 def write_jsonl_fixture(path: Path, n: int = 12, seed: int = 3) -> Path:
@@ -352,6 +353,34 @@ class TestAnalyzeCommand:
         with open(out / "report" / "scores.csv", newline="") as f:
             labels = {r["ordinal"]: r["category"] for r in csv.DictReader(f)}
         assert {o: c for o, c in labels.items() if c != "unselected"} == selected
+
+    def test_overlapping_selection_labels_each_example_once(self, tmp_path):
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        out = run_score(tmp_path, corpus_path)
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--no-disjoint",
+                     "--k-low", "5", "--k-high", "5", "--k-mean", "6"]) == 0
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+
+        scores = read_scores_csv(out / "scores.csv", ingest_file(corpus_path, "jsonl"))
+        sel = select_global(scores, SelectionSpec(k_low=5, k_high=5, k_mean=6, disjoint=False))
+        expected: dict[str, str] = {}
+        for category, ordinals in (("low", sel.low), ("high", sel.high), ("mutual", sel.mean_proximal)):
+            for i in ordinals:
+                expected.setdefault(str(i), category)
+        assert len(expected) < len(sel.low) + len(sel.high) + len(sel.mean_proximal)  # the quotas overlap
+
+        with open(out / "selection.csv", newline="") as f:
+            rows = [(r["ordinal"], r["category"]) for r in csv.DictReader(f)]
+        assert dict(rows) == expected
+        assert len(rows) == len(expected)  # each ordinal once
+        manifest = json.loads((out / "selection_manifest.json").read_text())
+        assert manifest["counts"]["written"] == len(rows)
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        categories = [c for _, c in rows]
+        assert summary["selection_counts"] == {
+            "low": categories.count("low"), "mutual": categories.count("mutual"),
+            "high": categories.count("high"), "unselected": 12 - len(rows),
+        }
 
     def test_without_selection_rows_unselected(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))

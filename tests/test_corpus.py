@@ -17,13 +17,12 @@ from abnormality.corpus import (
     write_subset,
 )
 from abnormality.errors import ParseError, SchemaError
-from abnormality.sampler import Selection
 
 from conftest import corpus_of
 
 
-def everything_selected(n: int) -> Selection:
-    return Selection(low=tuple(range(n)), high=(), mean_proximal=(), policy_echo={})
+def everything_selected(n: int) -> list[str]:
+    return ["low"] * n
 
 
 class TestIngestSquad:
@@ -127,15 +126,14 @@ class TestWriteSubset:
     def test_empty_selection(self):
         corpus = corpus_of("a", "b")
         sink = io.BytesIO()
-        count = write_subset(corpus, everything_selected(0), sink)
+        count = write_subset(corpus, ["unselected"] * 2, sink)
         assert count == 0
         assert sink.getvalue() == b""
 
     def test_ordinal_order(self):
         corpus = corpus_of("x", "y", "z")
-        sel = Selection(low=(2,), high=(0,), mean_proximal=(), policy_echo={})
         sink = io.BytesIO()
-        count = write_subset(corpus, sel, sink)
+        count = write_subset(corpus, ["high", "unselected", "low"], sink)
         assert count == 2
         recs = [json.loads(line) for line in sink.getvalue().decode().splitlines()]
         assert [r["ordinal"] for r in recs] == [0, 2]
@@ -143,17 +141,15 @@ class TestWriteSubset:
 
     def test_out_of_range_writes_nothing(self):
         corpus = corpus_of("x")
-        sel = Selection(low=(0,), high=(5,), mean_proximal=(), policy_echo={})
         sink = io.BytesIO()
-        with pytest.raises(IndexError):
-            write_subset(corpus, sel, sink)
+        with pytest.raises(ValueError, match="labels length 2"):
+            write_subset(corpus, ["low", "high"], sink)
         assert sink.getvalue() == b""
 
     def test_scores_annotation(self):
         corpus = corpus_of("x", "y")
-        sel = Selection(low=(0,), high=(1,), mean_proximal=(), policy_echo={})
         sink = io.BytesIO()
-        write_subset(corpus, sel, sink, scores=[0.5, 2.5])
+        write_subset(corpus, ["low", "high"], sink, scores=[0.5, 2.5])
         recs = [json.loads(line) for line in sink.getvalue().decode().splitlines()]
         assert recs[0]["score"] == 0.5
         assert recs[1]["score"] == 2.5
@@ -206,9 +202,8 @@ class TestWriteSubset:
             Example(ordinal=0, id="q0", title="Alpha", context="a b", payload={"id": "q0", "question": "why?"}),
             Example(ordinal=1, id="r1", title="Alpha", context="c é"),
         ))
-        sel = Selection(low=(1,), high=(0,), mean_proximal=(), policy_echo={})
         sink = io.BytesIO()
-        assert write_subset(corpus, sel, sink, fmt, scores) == 2
+        assert write_subset(corpus, ["high", "low"], sink, fmt, scores) == 2
         assert sink.getvalue() == expected
 
     def test_unknown_format(self):
@@ -217,9 +212,11 @@ class TestWriteSubset:
 
 
 class TestInvariants:
-    def test_example_char_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Example(ordinal=0, id="x", title="", context="abc", char_length=2)
+    def test_example_char_length_counts_code_points(self):
+        ex = Example(ordinal=0, id="x", title="", context="\u00e9\U0001F600a")
+        assert ex.char_length == 3
+        with pytest.raises(TypeError):
+            Example(ordinal=0, id="x", title="", context="abc", char_length=3)
 
     def test_ordinal_gap_rejected(self):
         ex = Example(ordinal=1, id="x", title="", context="abc")

@@ -20,13 +20,12 @@ from abnormality.featurize import (
     build_matrix,
     fit_density,
     load_density,
-    ngrams,
     save_density,
     tokenize,
 )
 
 from conftest import corpus_of
-from oracles import featurize_example, reference_ngram_counts
+from oracles import featurize_example, ngrams, reference_ngram_counts
 
 # Mixed case, edge and interior punctuation, a punctuation-only token.
 WORDS = ["The", "the", "brain,", "Brain.", "«word»", "(x)", "it's", "--", "e.g.", "STATE-of-the-art", "a", "b!"]

@@ -190,7 +190,7 @@ class TestSelectionCsv:
         s = [0, 1, 2, 3, 4, 5]
         sel = select_global(s, K1)
         path = tmp_path / "sel.csv"
-        write_selection_csv(sel, corpus, s, path)
+        write_selection_csv(label_all(s, sel), corpus, s, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "ordinal,id,category,score,char_length"
         assert len(lines) == 4
@@ -200,11 +200,16 @@ class TestSelectionCsv:
     def test_read_back_gives_same_labels(self, tmp_path):
         corpus = corpus_of("aa", "bbb", "c", "dddd", "ee", "f", "g")
         s = [5, 1, 2, 3, 4, 0, 9]
-        sel = select_global(s, K2)
-        write_selection_csv(sel, corpus, s, tmp_path / "sel.csv")
-        back = read_selection_csv(tmp_path / "sel.csv", corpus, s, sel.policy_echo)
-        assert back == sel
-        assert label_all(s, back) == label_all(s, sel)
+        labels = label_all(s, select_global(s, K2))
+        write_selection_csv(labels, corpus, s, tmp_path / "sel.csv")
+        assert read_selection_csv(tmp_path / "sel.csv", corpus, s) == labels
+
+    def test_repeated_ordinal_rejected(self, tmp_path):
+        corpus = corpus_of("aa", "bbb", "c")
+        path = tmp_path / "sel.csv"
+        path.write_text("ordinal,id,category,score,char_length\n1,ex-1,low,0.5,3\n1,ex-1,high,0.5,3\n")
+        with pytest.raises(SchemaError, match="line 3 .*example 1 is listed twice"):
+            read_selection_csv(path, corpus, [0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("row", [
         "1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1",
