@@ -29,6 +29,8 @@ T = TypeVar("T")
 
 def fits(value, hint) -> bool:
     """Whether a JSON value fits a type annotation: a bool is no int, an int is a float."""
+    if typing.get_origin(hint) is typing.Literal:
+        return any(type(value) is type(v) and value == v for v in typing.get_args(hint))  # its own values
     if typing.get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and all(type(o) is int for o in value)
     if typing.get_args(hint):

@@ -14,6 +14,7 @@ any artifact.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -349,6 +350,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     else:
         selection = sampler_mod.select_global(scores, spec)
     labels = sampler_mod.label_all(scores, selection)
+    counts = collections.Counter(labels)  # an example claimed twice is labelled once
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,9 +371,9 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
                 "scores.csv": meta["artifacts"]["scores.csv"],
             },
             "counts": {
-                "low": len(selection.low),
-                "high": len(selection.high),
-                "mean_proximal": len(selection.mean_proximal),
+                "low": counts["low"],
+                "high": counts["high"],
+                "mean_proximal": counts["mutual"],
                 "written": written,
             },
             "artifacts": {
@@ -381,8 +383,8 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
         }
         write_json(manifest_path, manifest)
 
-    print(f"sampled {written} examples ({len(selection.low)} low / "
-          f"{len(selection.mean_proximal)} mutual / {len(selection.high)} high) -> {out}")
+    print(f"sampled {written} examples ({counts['low']} low / "
+          f"{counts['mutual']} mutual / {counts['high']} high) -> {out}")
     return 0
 
 

@@ -2,11 +2,11 @@
 
 The model is the sample mean vector and 1/(n-1) covariance of the rows; an
 example's score is the squared Mahalanobis distance of its row from that
-distribution, the squared norm of the forward substitution of the de-meaned
-row against a Cholesky factor of the (possibly shrunk) covariance.  The
-explicit inverse is never formed.  All rows are substituted together in
-NumPy, column block by column block, but no operation mixes two rows, so a
-record's score depends only on its row and the model.
+distribution, the squared norm of the back substitution of the de-meaned
+row against an upper factor U, U U^T the (possibly shrunk) covariance.  The
+explicit inverse is never formed, and a row's zero padding costs nothing.
+All rows are substituted together in NumPy, block by block, but no operation
+mixes two rows, so a record's score depends only on its row and the model.
 
 Positional-density covariance is frequently singular, so factorization
 escalates a diagonal shrinkage epsilon through a fixed schedule until the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class EpsilonPolicy:
 
 @dataclass(frozen=True)
 class MomentModel:
-    """Mean and covariance; once factorized, shrinkage + Cholesky factor and no covariance."""
+    """Mean and covariance; once factorized, shrinkage + upper factor U and no covariance."""
 
     mu: np.ndarray
     sigma: np.ndarray | None
@@ -149,14 +149,15 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
 
 
 def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
-    """Cholesky-factorize sigma + epsilon*I, escalating epsilon until it succeeds.
+    """Factor sigma + epsilon*I as U U^T, U upper triangular, escalating epsilon until it succeeds.
 
-    Returns a new model with the first epsilon that factorized, its factor
-    and sigma None; raises SingularityError naming the final epsilon tried
-    when every attempt fails (e.g. degenerate data with trace 0), and
-    FitError when the model has no sigma.  Epsilon is added to sigma's own
-    diagonal, restored exactly on return or raise, so no second d x d
-    matrix is allocated.
+    U is the Cholesky factor of the reversed sigma, reversed back in place,
+    so the last (zero-padded) positions are eliminated first.  Returns a new
+    model with the first epsilon that factorized, U and sigma None; raises
+    SingularityError naming the final epsilon tried when every attempt
+    fails (e.g. degenerate data with trace 0), and FitError when the model
+    has no sigma.  Epsilon is added to sigma's own diagonal, restored
+    exactly on return or raise, so no second d x d matrix is allocated.
     """
     if model.sigma is None:
         raise FitError("model holds no covariance to factorize: it is already factorized")
@@ -170,9 +171,13 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
         for eps in policy.schedule(trace, d):
             sigma.flat[:: d + 1] = diag + eps
             try:
-                factor = np.linalg.cholesky(sigma)
+                factor = np.linalg.cholesky(sigma[::-1, ::-1])
             except np.linalg.LinAlgError:
                 continue
+            for i in range((d + 1) // 2):  # factor[::-1, ::-1], a row pair at a time
+                top = factor[i, ::-1].copy()
+                factor[i] = factor[d - 1 - i, ::-1]
+                factor[d - 1 - i] = top
             return replace(model, sigma=None, epsilon=eps, factor=factor)
     finally:
         sigma.flat[:: d + 1] = diag
@@ -183,23 +188,36 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
     )
 
 
-# Columns per block in _squared_norms.  Blocks of 8 to 32 ran within 10% of
-# each other at d = 60, 700 and 1,500 on 2 vCPUs with OpenBLAS; 64 was slower.
+# Columns per block in _solve_upper.  16 was the fastest at d = 60, 700 and
+# 1,500 on 2 vCPUs with OpenBLAS; 8 and 32 ran within 20% of it, 64 slower.
 _BLOCK = 16
 
 
-def _squared_norms(factor: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """||L^-1 y||^2 of every row y of Y, overwriting Y with L^-1 y (see :func:`score_all`)."""
-    d = Y.shape[1]
-    for s in range(0, d, _BLOCK):
-        e = min(s + _BLOCK, d)
-        Y[:, s:e] -= (Y[:, None, :s] @ factor[s:e, :s].T)[:, 0, :]
-        T = Y[:, s:e].T.copy()
-        for i in range(e - s):
+def _solve_upper(factor: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U^-1 x for every row x of X, in a new array sorted by block count, and that order."""
+    d = X.shape[1]
+    ends = np.where(X.any(axis=1), d - np.argmax(X[:, ::-1] != 0, axis=1), 0)
+    blocks = -(-ends // _BLOCK)  # U^-1 x is zero past a row's last nonzero block
+    order = np.argsort(blocks, kind="stable")
+    Y = X[order]
+    counts = np.bincount(blocks)
+    starts = np.cumsum(counts) - counts  # the rows that span b blocks start at starts[b]
+    groups = [(b, slice(starts[b], starts[b] + counts[b])) for b in np.flatnonzero(counts)]
+    for k in range(len(counts) - 2, -1, -1):
+        s, e = k * _BLOCK, min((k + 1) * _BLOCK, d)
+        # A row's panel reaches to the end of its own last block, so its
+        # extent, like every other operation on the row, is independent of the batch.
+        for b, rows in groups:
+            if b > k + 1:
+                end = min(b * _BLOCK, d)
+                Y[rows, s:e] -= (Y[rows, None, e:end] @ factor[s:e, e:end].T)[:, 0, :]
+        active = slice(starts[k + 1], None)
+        T = Y[active, s:e].T.copy()
+        for i in range(e - s - 1, -1, -1):
             T[i] /= factor[s + i, s + i]
-            T[i + 1 :] -= factor[s + i + 1 : e, s + i, None] * T[i]
-        Y[:, s:e] = T.T
-    return (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
+            T[:i] -= factor[s : s + i, s + i, None] * T[i]
+        Y[active, s:e] = T.T
+    return Y, order
 
 
 def score(model: MomentModel, row: np.ndarray) -> float:
@@ -216,18 +234,21 @@ def score(model: MomentModel, row: np.ndarray) -> float:
 
 
 def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: int = 1) -> ScoreVector:
-    """Score every record of the matrix, one forward substitution per distinct row.
+    """Score every record of the matrix, one back substitution per distinct row.
 
-    The de-meaned rows are solved in one buffer by blocked forward
-    substitution: per block of 16 columns, a stacked matmul (one gemv per
-    row) against the factor panel of the columns already solved, then
-    elementwise updates on a transposed copy of the block to solve its small
-    triangle.  Every row sees the same operations in the same order and no
-    operation mixes two rows, so a row's score is bitwise the same alone, in
-    any batch and at any position.  A :class:`FeatureMatrix` is therefore
-    scored once per distinct context and the scores are broadcast to every
-    record, bitwise equal to scoring every record.  ``threads`` is accepted
-    for compatibility and changes nothing.
+    The score of x is ||z + U^-1 x||^2, with z = U^-1 (-mu) solved once per
+    call.  U is upper triangular, so U^-1 x is zero past x's last nonzero
+    column: each row is solved over its own length, not d.  The rows, sorted
+    by their number of 16-column blocks, are solved in one buffer by blocked
+    back substitution: per block, a stacked matmul (one gemv per row)
+    against the factor panel up to the end of the row's own last block,
+    then elementwise updates on a transposed copy of the block to solve its
+    small triangle.  No operation mixes two rows or depends on the batch, so
+    a row's score is bitwise the same alone, in any batch and at any
+    position.  A :class:`FeatureMatrix` is therefore scored once per distinct
+    context and the scores are broadcast to every record, bitwise equal to
+    scoring every record.  ``threads`` is accepted for compatibility and
+    changes nothing.
     """
     if model.factor is None:
         raise FitError("model is not factorized; call regularized_factorize first")
@@ -237,7 +258,11 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     if X.size and not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite values")
 
-    out = _squared_norms(model.factor, X - model.mu)
+    (z,), _ = _solve_upper(model.factor, -model.mu[None, :])
+    Y, order = _solve_upper(model.factor, X)
+    Y += z
+    out = np.empty(len(Y))
+    out[order] = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
     return ScoreVector(scores=out[index], model_epsilon=float(model.epsilon or 0.0))
 
 
@@ -247,7 +272,7 @@ def save_model(
     sidecar_path: str | Path,
     feature_config_hash: str | None = None,
 ) -> None:
-    """Little-endian float64 binary (mu, then the factor, or sigma if unfactorized) + JSON sidecar.
+    """Little-endian float64 binary (mu, then the upper factor U, or sigma if unfactorized) + JSON sidecar.
 
     Each array is written straight from its buffer, so saving holds no
     second copy of the model.
@@ -259,7 +284,7 @@ def save_model(
         "n": model.n,
         "d": model.d,
         "epsilon": model.epsilon,
-        "has_factor": model.factor is not None,
+        "factor": None if model.factor is None else "upper",
         "feature_config_hash": feature_config_hash,
     })
 
@@ -268,7 +293,7 @@ _MODEL_KEYS = (
     (("n",), int, 0),
     (("d",), int, 0),
     (("epsilon",), float | None),
-    (("has_factor",), bool),
+    (("factor",), Literal["upper"] | None),
 )
 
 
@@ -278,8 +303,9 @@ def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
     A factorized model comes back with its factor and ``sigma=None``.
     Raises SchemaError when the sidecar is not a JSON object with
     non-negative integers ``n`` and ``d``, a number or null ``epsilon`` and
-    a boolean ``has_factor``, or when the binary's size is not
-    8 * (d + d*d) bytes.  The binary is read once, into the arrays returned.
+    a ``factor`` of ``"upper"`` or null, or when the binary's size is not
+    8 * (d + d*d) bytes, so a sidecar from before the factor was upper is
+    refused.  The binary is read once, into the arrays returned.
     """
     sidecar = read_json(sidecar_path, _MODEL_KEYS)
     d = sidecar["d"]
@@ -289,7 +315,7 @@ def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
         raise SchemaError(f"{name} holds {size} bytes, but d = {d} needs {expected}", path=name)
     values = np.fromfile(bin_path, dtype="<f8")
     mu, block = values[:d], values[d:].reshape(d, d)
-    sigma, factor = (None, block) if sidecar["has_factor"] else (block, None)
+    sigma, factor = (block, None) if sidecar["factor"] is None else (None, block)
     eps = sidecar["epsilon"]
     eps = eps if eps is None else float(eps)
     return MomentModel(mu=mu, sigma=sigma, n=sidecar["n"], epsilon=eps, factor=factor)

@@ -76,22 +76,22 @@ def reference_scores(X: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
 
 
 def reference_triangular_scores(factor: np.ndarray, mu: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Squared norms of one SciPy triangular solve per de-meaned row of X against the lower factor."""
+    """Squared norms of one SciPy triangular solve per de-meaned row of X against the upper factor."""
     # Imported here so that the benchmark, which imports this module, does not load SciPy.
     from scipy.linalg import solve_triangular
 
     out = np.zeros(len(X))
     for t, x in enumerate(np.asarray(X, dtype=np.float64)):
-        y = solve_triangular(factor, x - mu, lower=True)
+        y = solve_triangular(factor, x - mu, lower=False)
         out[t] = y @ y
     return out
 
 
 def reference_shifted_cholesky(sigma: np.ndarray, epsilon: float) -> np.ndarray:
-    """Cholesky factor of a copy of sigma with epsilon added to its diagonal."""
+    """Upper factor U, U U^T = sigma + epsilon * I, of a copy of sigma: flip, Cholesky, flip."""
     shifted = np.array(sigma, dtype=np.float64)
     shifted.flat[:: shifted.shape[0] + 1] += epsilon
-    return np.linalg.cholesky(shifted)
+    return np.ascontiguousarray(np.linalg.cholesky(np.ascontiguousarray(shifted[::-1, ::-1]))[::-1, ::-1])
 
 
 def reference_covariance(X: np.ndarray) -> np.ndarray:

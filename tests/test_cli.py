@@ -14,7 +14,7 @@ import pytest
 
 from abnormality.analyze import pearson
 from abnormality.cli import RunConfig, _build_parser, main
-from abnormality.corpus import ingest_file
+from abnormality.corpus import ingest_file, make_synthetic_corpus
 from abnormality.featurize import TokenizerConfig, build_matrix, fit_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
@@ -174,6 +174,26 @@ class TestSampleCommand:
         manifest = json.loads((out / "selection_manifest.json").read_text())
         assert manifest["counts"]["written"] == 6
         assert manifest["policy_echo"]["spec"]["k_low"] == 2
+
+    def test_overlapping_quotas_count_labels_not_claims(self, tmp_path, capsys):
+        # The 200-record synthetic corpus with overlapping --no-disjoint quotas:
+        # 52 of the 80 mean-proximal examples are also low or high, so only
+        # 28 are labelled mutual, and the manifest and stdout must say 28.
+        corpus_path = tmp_path / "c.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps({"context": ex.context, "id": ex.id, "title": ex.title}) + "\n"
+            for ex in make_synthetic_corpus(200)
+        ), encoding="utf-8")
+        out = run_score(tmp_path, corpus_path)
+        capsys.readouterr()
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--no-disjoint",
+                     "--k-low", "80", "--k-high", "80", "--k-mean", "80"]) == 0
+        with open(out / "selection.csv", newline="") as f:
+            categories = [r["category"] for r in csv.DictReader(f)]
+        counts = json.loads((out / "selection_manifest.json").read_text())["counts"]
+        assert (categories.count("low"), categories.count("high"), categories.count("mutual")) == (80, 80, 28)
+        assert counts == {"low": 80, "high": 80, "mean_proximal": 28, "written": 188}
+        assert "(80 low / 28 mutual / 80 high)" in capsys.readouterr().out
 
     def test_bucketed_strategy_echoed(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")

@@ -177,7 +177,7 @@ class TestRegularizedFactorize:
         out = regularized_factorize(model)
         assert out.epsilon == 0.0
         assert model.sigma.tobytes() == before
-        assert out.factor.tobytes() == np.linalg.cholesky(model.sigma).tobytes()
+        assert out.factor.tobytes() == reference_shifted_cholesky(model.sigma, 0.0).tobytes()
 
     def test_shift_matches_copy_and_leaves_sigma_unchanged(self):
         # Epsilon = 0 fails on the zero row, so the factor comes from a
@@ -348,6 +348,30 @@ class TestBlockedSubstitution:
         oracle = reference_triangular_scores(model.factor, model.mu, X)
         np.testing.assert_allclose(full, oracle, rtol=1e-10, atol=0)
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2 * _BLOCK + 12, 5 * _BLOCK),
+        interior_zeros=st.sampled_from([0.0, 0.3]),
+    )
+    def test_zero_padded_rows_of_mixed_lengths(self, seed, d, interior_zeros):
+        # Each row is nonzero only over its first l positions, l on and
+        # around block edges.  Three rows reach d, so the padded tail is rank
+        # deficient and epsilon > 0, as on a long-tail corpus.  Some rows
+        # have zeros inside their length, as unseen n-grams give under a
+        # foreign density table.
+        rng = np.random.default_rng(seed)
+        lengths = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+        lengths = rng.permutation(np.append(rng.choice(lengths, size=3 * d - 3), [d, d, d]))
+        X = rng.normal(size=(3 * d, d))
+        X[np.arange(d) >= lengths[:, None]] = 0.0
+        X[rng.random(X.shape) < interior_zeros] = 0.0
+        model = regularized_factorize(fit_moments(X))
+        assert model.epsilon > 0.0
+        full = self.assert_rows_independent(model, X, rng)
+        np.testing.assert_allclose(full, reference_triangular_scores(model.factor, model.mu, X), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(full, reference_scores(X, epsilon=model.epsilon), rtol=1e-6, atol=0)
+
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_long_tail_positive_epsilon_matches_inverse_oracle(self, seed):
@@ -429,7 +453,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "oversized", "no-d", "no-n", "d-not-int", "not-json",
-        'epsilon="abc"', "epsilon=[1]", 'epsilon="1e-3"', 'has_factor="yes"',
+        'epsilon="abc"', "epsilon=[1]", 'epsilon="1e-3"',
+        'factor="yes"', 'factor="lower"', 'factor="Upper"', "factor=true", "factor=1", "old-sidecar",
     ])
     def test_damaged_model_raises_schema_error(self, tmp_path, damage):
         _, model = random_model(np.random.default_rng(34), 20, 3)
@@ -442,6 +467,11 @@ class TestPersistence:
             bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
         elif damage == "not-json":
             json_path.write_text(json_path.read_text()[:-5])
+        elif damage == "old-sidecar":
+            # Written before the factor was upper: its binary holds a lower one.
+            del sidecar["factor"]
+            sidecar["has_factor"] = True
+            json_path.write_text(json.dumps(sidecar))
         elif "=" in damage:
             key, value = damage.split("=")
             sidecar[key] = json.loads(value)
@@ -484,6 +514,7 @@ class TestPersistence:
         rng = np.random.default_rng(31)
         _, model = random_model(rng, 20, 3)
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json", feature_config_hash="sha256:x")
+        assert json.loads((tmp_path / "m.json").read_text())["factor"] == "upper"
         back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert back.mu.tobytes() == model.mu.tobytes()
         assert model.sigma is None and back.sigma is None
@@ -494,6 +525,7 @@ class TestPersistence:
     def test_unfactorized_round_trip(self, tmp_path):
         model = fit_moments(np.random.default_rng(32).normal(size=(10, 3)))
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["factor"] is None
         back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert back.factor is None
         assert back.epsilon is None
