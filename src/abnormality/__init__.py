@@ -39,6 +39,7 @@ from .featurize import (
 )
 from .mahalanobis import (
     EpsilonPolicy,
+    Moments,
     MomentModel,
     ScoreVector,
     fit_moments,
@@ -62,6 +63,7 @@ __all__ = [
     "FitError",
     "Histogram",
     "JsonlFields",
+    "Moments",
     "MomentModel",
     "ParseError",
     "SchemaError",

@@ -19,7 +19,6 @@ from .hashing import sha256_file
 
 if TYPE_CHECKING:
     from .corpus import Corpus
-    from .mahalanobis import ScoreVector
 
 __all__ = [
     "DistributionStats",
@@ -132,22 +131,24 @@ def _exemplar(corpus: "Corpus", s: np.ndarray, i: int) -> dict:
 
 def emit_report(
     corpus: "Corpus",
-    scores: "ScoreVector",
+    scores,
     labels: Sequence[str],
     stats: DistributionStats,
     pearson_by_order: Mapping[int, float | None],
     out_dir: str | Path,
     bins: int = 100,
     dimension: int | None = None,
+    epsilon: float | None = None,
     input_hashes: Mapping[str, str] | None = None,
 ) -> dict:
     """Write scores.csv, histogram.csv, summary.json, manifest.json.
 
     ``labels`` holds one category per example, as ``sampler.label_all``
     gives it; they fill the category column of scores.csv and the selection
-    counts.  summary.json carries n, feature dimension, shrinkage epsilon,
-    the score distribution stats, Pearson r per n-gram order, and the
-    lowest / highest / mean-nearest exemplars (ordinal, id, title, score).
+    counts.  summary.json carries n, ``dimension`` and ``epsilon`` (null
+    when not given), the score distribution stats, Pearson r per n-gram
+    order, and the lowest / highest / mean-nearest exemplars (ordinal, id,
+    title, score).
     The returned manifest lists every written file with its content hash.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -183,7 +184,7 @@ def emit_report(
     summary = {
         "n": len(s),
         "dimension": dimension,
-        "epsilon": float(scores.model_epsilon) if hasattr(scores, "model_epsilon") else None,
+        "epsilon": epsilon,
         "score_stats": asdict(stats),
         "pearson_by_order": {str(k): v for k, v in sorted(pearson_by_order.items())},
         "exemplars": {

@@ -59,16 +59,18 @@ def _no_constant(name: str):
 def read_json(path: str | Path, keys: Iterable[tuple] = ()) -> dict:
     """A JSON artifact, with the value at each of ``keys`` checked.
 
-    Each key is ``(key_path, hint)`` or ``(key_path, int, minimum)``: the
+    Each key is ``(key_path, hint)`` or ``(key_path, hint, minimum)``: the
     value reached through the tuple of object keys ``key_path`` must fit
     ``hint`` under :func:`fits`, and be at least ``minimum`` when one is
-    given.  Raises SchemaError when the file is not UTF-8, not a JSON
-    object, holds ``NaN`` or ``Infinity``, or a key is missing or ill-typed.
+    given (``hint`` is then ``int`` or ``float``).  Raises SchemaError when
+    the file is not UTF-8, not a JSON object, holds ``NaN`` or
+    ``Infinity``, is nested too deeply to parse, or a key is missing or
+    ill-typed.
     """
     name = Path(path).name
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
-    except ValueError as e:  # undecodable bytes and malformed JSON alike
+    except (ValueError, RecursionError) as e:  # undecodable bytes, malformed or too deep JSON
         raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} is not a JSON object", path=name)

@@ -132,7 +132,7 @@ class RunConfig:
         """The config file at ``path``; ValueError naming the file if it is not a valid config."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except ValueError as e:  # undecodable bytes, malformed JSON and bad values alike
+        except (ValueError, RecursionError) as e:  # undecodable bytes, malformed or too deep JSON, bad values
             raise ValueError(f"config file {path}: {e}") from e
 
     def tokenizer_config(self) -> feat_mod.TokenizerConfig:
@@ -204,8 +204,8 @@ def run_score_pipeline(
     """ingest-free core: density fit, featurize, moments, factorize, score."""
     table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
     matrix = feat_mod.build_matrix(corpus, table, l_cap=cfg.l_cap)
-    model = maha_mod.fit_moments(matrix)
-    model = maha_mod.regularized_factorize(model, cfg.epsilon_policy())
+    # Sigma is unreachable once factorized, so it is freed before scoring.
+    model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_policy())
     scores = maha_mod.score_all(model, matrix)
     return scores, model, table
 
@@ -262,7 +262,7 @@ _META_KEYS = (
     (("input", "path"), str),
     (("n",), int, 0),
     (("d",), int, 0),
-    (("epsilon",), float | None),
+    (("epsilon",), float, 0),
     (("pipeline",), dict),
 )
 _MANIFEST_KEYS = (
@@ -282,7 +282,7 @@ def _check_hash(path: Path, recorded: str | None, where: str) -> None:
 
 
 def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
-    RunConfig, corpus_mod.Corpus, maha_mod.ScoreVector, dict
+    RunConfig, corpus_mod.Corpus, np.ndarray, dict
 ]:
     """The scored config, corpus, scores and metadata behind ``scores_path``.
 
@@ -314,15 +314,11 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
         raise StaleScoresError(
             f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
         )
-    scores = maha_mod.ScoreVector(
-        scores=maha_mod.read_scores_csv(scores_path, corpus),
-        model_epsilon=float(meta["epsilon"] or 0.0),
-    )
-    return scored, corpus, scores, meta
+    return scored, corpus, maha_mod.read_scores_csv(scores_path, corpus), meta
 
 
 def _load_selection(
-    out: Path, corpus: corpus_mod.Corpus, scores: maha_mod.ScoreVector, scores_path: Path
+    out: Path, corpus: corpus_mod.Corpus, scores: np.ndarray, scores_path: Path
 ) -> list[str]:
     """The per-example labels `sample` wrote into ``out``, checked against its manifest.
 
@@ -365,7 +361,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
 
         manifest = {
             "policy_echo": selection.policy_echo,
-            "epsilon": scores.model_epsilon,
+            "epsilon": meta["epsilon"],
             "inputs": {
                 "corpus": meta["input"]["hash"],
                 "scores.csv": meta["artifacts"]["scores.csv"],
@@ -407,9 +403,9 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
         if order == scored.ngram:
             vector = scores
         else:
-            vector, _, _ = run_score_pipeline(corpus, dataclasses.replace(scored, ngram=order))
+            vector = run_score_pipeline(corpus, dataclasses.replace(scored, ngram=order))[0].scores
         try:
-            pearson_by_order[order] = analyze_mod.pearson(char_lengths, vector.scores)
+            pearson_by_order[order] = analyze_mod.pearson(char_lengths, vector)
         except StatError:
             pearson_by_order[order] = None
 
@@ -425,6 +421,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
             report_dir,
             bins=cfg.bins,
             dimension=meta["d"],
+            epsilon=meta["epsilon"],
             input_hashes={
                 "corpus": meta["input"]["hash"],
                 "scores.csv": meta["artifacts"]["scores.csv"],

@@ -106,8 +106,9 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
     across qa records of the same paragraph), and the original qa object is
     kept as the example payload.
 
-    Raises ParseError (with byte offset) on malformed JSON and SchemaError
-    (naming the JSON path) on missing required fields.
+    Raises ParseError (with byte offset) on malformed JSON, ParseError on
+    JSON nested too deeply to parse, and SchemaError (naming the JSON path)
+    on missing required fields or a context that is not a string.
     """
     raw = _read_all(stream)
     text = _decode_utf8(raw, "SQuAD input")
@@ -116,6 +117,8 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
     except json.JSONDecodeError as e:
         byte_offset = len(text[: e.pos].encode("utf-8"))
         raise ParseError(f"malformed JSON at byte {byte_offset}: {e.msg}", offset=byte_offset) from e
+    except RecursionError as e:
+        raise ParseError(f"JSON nested too deeply to parse: {e}") from e
 
     if not isinstance(doc, dict) or "data" not in doc:
         raise SchemaError("missing top-level 'data' array", path="data")
@@ -139,6 +142,8 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
             if "qas" not in para or not isinstance(para["qas"], list):
                 raise SchemaError(f"missing 'qas' at {ppath}", path=f"{ppath}.qas")
             context = para["context"]
+            if not isinstance(context, str):
+                raise SchemaError(f"'context' at {ppath} is not a string", path=f"{ppath}.context")
             for qi, qa in enumerate(para["qas"]):
                 qpath = f"{ppath}.qas[{qi}]"
                 if not isinstance(qa, dict) or "id" not in qa:
@@ -166,8 +171,8 @@ def ingest_jsonl(
 
     Missing title defaults to "", missing id to ``line-<k>`` where k is the
     1-based physical line number.  Raises ParseError carrying the line
-    number for an unparseable line, SchemaError if the configured context
-    field is absent.
+    number for an unparseable or too deeply nested line, SchemaError if the
+    configured context field is absent or not a string.
     """
     fields = fields or JsonlFields()
     raw = _read_all(stream)
@@ -181,6 +186,8 @@ def ingest_jsonl(
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"line {lineno}: malformed JSON: {e.msg}", line=lineno) from e
+        except RecursionError as e:
+            raise ParseError(f"line {lineno}: JSON nested too deeply to parse: {e}", line=lineno) from e
         if not isinstance(obj, dict):
             raise SchemaError(f"line {lineno}: record is not a JSON object", path=f"line {lineno}")
         if fields.context not in obj:

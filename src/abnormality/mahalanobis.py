@@ -17,7 +17,7 @@ model and carried into every downstream report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Literal
 
@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EpsilonPolicy",
+    "Moments",
     "MomentModel",
     "ScoreVector",
     "fit_moments",
@@ -76,14 +77,22 @@ class EpsilonPolicy:
 
 
 @dataclass(frozen=True)
-class MomentModel:
-    """Mean and covariance; once factorized, shrinkage + upper factor U and no covariance."""
+class Moments:
+    """Column means and 1/(n-1) covariance of n rows."""
 
     mu: np.ndarray
-    sigma: np.ndarray | None
+    sigma: np.ndarray
     n: int
-    epsilon: float | None = None
-    factor: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class MomentModel:
+    """Mean of n rows and the upper factor U, U U^T = sigma + epsilon*I, of their covariance."""
+
+    mu: np.ndarray
+    factor: np.ndarray
+    n: int
+    epsilon: float
 
     @property
     def d(self) -> int:
@@ -95,7 +104,6 @@ class ScoreVector:
     """Per-example squared distances aligned to corpus ordinals."""
 
     scores: np.ndarray
-    model_epsilon: float = 0.0
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -117,8 +125,8 @@ def _rows(matrix: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.arange(len(values))
 
 
-def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
-    """Column means and 1/(n-1) covariance of the rows (unfactorized model).
+def fit_moments(matrix: FeatureMatrix | np.ndarray) -> Moments:
+    """Column means and 1/(n-1) covariance of the rows.
 
     Two-pass: the mean is computed first, then the centered cross product,
     a symmetric rank-k update whose result is exactly symmetric.  A
@@ -145,25 +153,23 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> MomentModel:
     np.subtract(X, mu, out=centered)
     centered *= np.sqrt(weights)[:, None]
     sigma = centered.T @ centered / (n - 1)
-    return MomentModel(mu=mu, sigma=sigma, n=n)
+    return Moments(mu=mu, sigma=sigma, n=n)
 
 
-def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
+def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
     """Factor sigma + epsilon*I as U U^T, U upper triangular, escalating epsilon until it succeeds.
 
     U is the Cholesky factor of the reversed sigma, reversed back in place,
-    so the last (zero-padded) positions are eliminated first.  Returns a new
-    model with the first epsilon that factorized, U and sigma None; raises
+    so the last (zero-padded) positions are eliminated first.  Returns the
+    model with U and the first epsilon that factorized; raises
     SingularityError naming the final epsilon tried when every attempt
-    fails (e.g. degenerate data with trace 0), and FitError when the model
-    has no sigma.  Epsilon is added to sigma's own diagonal, restored
-    exactly on return or raise, so no second d x d matrix is allocated.
+    fails (e.g. degenerate data with trace 0).  Epsilon is added to sigma's
+    own diagonal, restored exactly on return or raise, so no second d x d
+    matrix is allocated.
     """
-    if model.sigma is None:
-        raise FitError("model holds no covariance to factorize: it is already factorized")
     # No copy for float64; any other dtype is shifted in a float64 copy.
-    sigma = np.asarray(model.sigma, dtype=np.float64)
-    d = model.d
+    sigma = np.asarray(moments.sigma, dtype=np.float64)
+    d = len(sigma)
     trace = float(np.trace(sigma))
     diag = sigma.diagonal().copy()
     eps = 0.0
@@ -178,7 +184,7 @@ def regularized_factorize(model: MomentModel, policy: EpsilonPolicy = EpsilonPol
                 top = factor[i, ::-1].copy()
                 factor[i] = factor[d - 1 - i, ::-1]
                 factor[d - 1 - i] = top
-            return replace(model, sigma=None, epsilon=eps, factor=factor)
+            return MomentModel(mu=moments.mu, factor=factor, n=moments.n, epsilon=eps)
     finally:
         sigma.flat[:: d + 1] = diag
     raise SingularityError(
@@ -250,8 +256,6 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     scoring every record.  ``threads`` is accepted for compatibility and
     changes nothing.
     """
-    if model.factor is None:
-        raise FitError("model is not factorized; call regularized_factorize first")
     X, index = _rows(matrix)
     if X.shape[1] != model.d:
         raise ValueError(f"matrix has {X.shape[1]} columns, model dimension is {model.d}")
@@ -263,7 +267,7 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     Y += z
     out = np.empty(len(Y))
     out[order] = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
-    return ScoreVector(scores=out[index], model_epsilon=float(model.epsilon or 0.0))
+    return ScoreVector(scores=out[index])
 
 
 def save_model(
@@ -272,19 +276,19 @@ def save_model(
     sidecar_path: str | Path,
     feature_config_hash: str | None = None,
 ) -> None:
-    """Little-endian float64 binary (mu, then the upper factor U, or sigma if unfactorized) + JSON sidecar.
+    """Little-endian float64 binary (mu, then the upper factor U) + JSON sidecar.
 
     Each array is written straight from its buffer, so saving holds no
     second copy of the model.
     """
     with open(bin_path, "wb") as f:
-        for part in (model.mu, model.sigma if model.factor is None else model.factor):
+        for part in (model.mu, model.factor):
             f.write(np.ascontiguousarray(part, dtype="<f8").data)
     write_json(sidecar_path, {
         "n": model.n,
         "d": model.d,
         "epsilon": model.epsilon,
-        "factor": None if model.factor is None else "upper",
+        "factor": "upper",
         "feature_config_hash": feature_config_hash,
     })
 
@@ -292,33 +296,31 @@ def save_model(
 _MODEL_KEYS = (
     (("n",), int, 0),
     (("d",), int, 0),
-    (("epsilon",), float | None),
-    (("factor",), Literal["upper"] | None),
+    (("epsilon",), float, 0),
+    (("factor",), Literal["upper"]),
 )
 
 
 def load_model(bin_path: str | Path, sidecar_path: str | Path) -> MomentModel:
     """Read a model written by :func:`save_model`.
 
-    A factorized model comes back with its factor and ``sigma=None``.
     Raises SchemaError when the sidecar is not a JSON object with
-    non-negative integers ``n`` and ``d``, a number or null ``epsilon`` and
-    a ``factor`` of ``"upper"`` or null, or when the binary's size is not
-    8 * (d + d*d) bytes, so a sidecar from before the factor was upper is
-    refused.  The binary is read once, into the arrays returned.
+    non-negative integers ``n`` and ``d``, a number ``epsilon`` >= 0 and a
+    ``factor`` of ``"upper"``, when the binary's size is not 8 * (d + d*d)
+    bytes (so a sidecar from before the factor was upper is refused), or
+    when it holds a non-finite value or a factor diagonal entry <= 0, which
+    no factorization gives.  The binary is read once, into the arrays returned.
     """
     sidecar = read_json(sidecar_path, _MODEL_KEYS)
-    d = sidecar["d"]
+    d, name = sidecar["d"], Path(bin_path).name
     size, expected = Path(bin_path).stat().st_size, 8 * (d + d * d)
     if size != expected:
-        name = Path(bin_path).name
         raise SchemaError(f"{name} holds {size} bytes, but d = {d} needs {expected}", path=name)
     values = np.fromfile(bin_path, dtype="<f8")
-    mu, block = values[:d], values[d:].reshape(d, d)
-    sigma, factor = (block, None) if sidecar["factor"] is None else (None, block)
-    eps = sidecar["epsilon"]
-    eps = eps if eps is None else float(eps)
-    return MomentModel(mu=mu, sigma=sigma, n=sidecar["n"], epsilon=eps, factor=factor)
+    mu, factor = values[:d], values[d:].reshape(d, d)
+    if not (np.isfinite(values).all() and (factor.diagonal() > 0).all()):
+        raise SchemaError(f"{name} holds a non-finite value or a factor diagonal entry <= 0", path=name)
+    return MomentModel(mu=mu, factor=factor, n=sidecar["n"], epsilon=float(sidecar["epsilon"]))
 
 
 _SCORES_HEADER = ("ordinal", "id", "char_length", "score")

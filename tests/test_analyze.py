@@ -146,7 +146,7 @@ UNSELECTED = ["unselected"] * 6
 
 def scored_fixture():
     corpus = corpus_of("a a b", "a b c d", "b c", "a c d e f", "f g", "a b")
-    scores = ScoreVector(scores=np.array([0.5, 2.0, 1.0, 6.0, 3.0, 1.5]), model_epsilon=0.25)
+    scores = ScoreVector(scores=np.array([0.5, 2.0, 1.0, 6.0, 3.0, 1.5]))
     return corpus, scores
 
 
@@ -157,7 +157,7 @@ class TestEmitReport:
         labels = label_all(scores, select_global(scores, SelectionSpec(k_low=1, k_high=1, k_mean=1)))
         manifest = emit_report(
             corpus, scores, labels, stats, {1: 0.8, 3: None}, tmp_path, bins=4,
-            dimension=7, input_hashes={"corpus": "sha256:abc"},
+            dimension=7, epsilon=0.25, input_hashes={"corpus": "sha256:abc"},
         )
         for name in ("scores.csv", "histogram.csv", "summary.json", "manifest.json"):
             assert (tmp_path / name).is_file()
@@ -214,7 +214,7 @@ class TestEmitReport:
 
     def test_inconsistent_sizes(self, tmp_path):
         corpus, _ = scored_fixture()
-        bad = ScoreVector(scores=np.array([1.0, 2.0]), model_epsilon=0.0)
+        bad = ScoreVector(scores=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             emit_report(corpus, bad, ["unselected"] * 2, moments_stats(bad), {}, tmp_path)
 

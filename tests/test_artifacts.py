@@ -147,7 +147,10 @@ class TestReadersAndWriters:
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"epsilon": math.nan})
 
-    @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": -Infinity}', "[1]", '{"a": 1', ""])
+    @pytest.mark.parametrize("text", [
+        '{"a": NaN}', '{"a": -Infinity}', "[1]", '{"a": 1', "",
+        pytest.param('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"),
+    ])
     def test_read_json_rejects(self, tmp_path, text):
         (tmp_path / "x.json").write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match="x.json"):
@@ -164,6 +167,8 @@ class TestReadersAndWriters:
         ([(("t",), bool)], True),
         ([(("f",), float | None)], True),
         ([(("f",), int | None)], False),
+        ([(("f",), float, 0)], True),
+        ([(("f",), float, 1)], False),
     ])
     def test_read_json_key_types(self, tmp_path, keys, ok):
         (tmp_path / "x.json").write_text('{"a": {"b": 1}, "t": true, "f": 0.5}', encoding="utf-8")

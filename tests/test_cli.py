@@ -42,6 +42,9 @@ def run_score(tmp_path: Path, corpus_path: Path, *extra: str) -> Path:
     return out
 
 
+# Deeper than any recursion limit: the JSON decoder raises RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+
 SCORE_ARTIFACTS = {
     "scores.csv", "scores.meta.json", "density.csv", "density.json", "model.bin", "model.json",
 }
@@ -74,7 +77,7 @@ class TestScoreCommand:
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         out = run_score(tmp_path, corpus_path)
         model = load_model(out / "model.bin", out / "model.json")
-        assert model.sigma is None
+        assert model.epsilon == json.loads((out / "scores.meta.json").read_text())["epsilon"]
         assert (out / "model.bin").stat().st_size == 8 * (model.d + model.d * model.d)
         corpus = ingest_file(corpus_path, "jsonl")
         matrix = build_matrix(corpus, fit_density(corpus, 1))
@@ -98,6 +101,19 @@ class TestScoreCommand:
         code = main(["score", "--input", str(bad), "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("squad", '{"data": [{"title": "T", "paragraphs": [{"context": 5, "qas": [{"id": "q"}]}]}]}'),
+        ("squad", '{"data": ' + DEEP + "}"),
+        ("jsonl", '{"context": ' + DEEP + "}\n"),
+    ], ids=["squad-context-not-string", "squad-deeply-nested", "jsonl-deeply-nested"])
+    def test_malformed_corpus_exits_2_without_traceback(self, tmp_path, capsys, fmt, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code = main(["score", "--input", str(bad), "--format", fmt, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
 
     def test_singular_corpus_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "flat.jsonl"
@@ -232,7 +248,7 @@ class TestSampleCommand:
     @pytest.mark.parametrize("corrupt", [
         "truncated", "artifacts", "input.hash", "input.path", "pipeline", "pipeline.format",
         "pipeline.ngram", "pipeline.l_cap", "n", "n:ill-typed",
-        "d=true", "d=-3", "epsilon=NaN", "epsilon=true",
+        "d=true", "d=-3", "epsilon=NaN", "epsilon=true", "epsilon=null", "epsilon=-1e-12",
     ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_corrupt_meta_exits_2(self, tmp_path, capsys, command, corrupt):
@@ -427,6 +443,16 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "data error" in capsys.readouterr().err
         assert not (out / "report" / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["scores.meta.json", "selection_manifest.json"])
+    def test_deeply_nested_metadata_exits_2(self, tmp_path, capsys, name):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 0
+        (out / name).write_text('{"n": ' + DEEP + "}", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {name} is not valid JSON" in err and "Traceback" not in err
 
     def test_selection_csv_not_utf8_exits_2(self, tmp_path, capsys):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
@@ -643,6 +669,7 @@ class TestRunConfig:
         (b'{"ngram": 1}\xff', "utf-8"),
         (b'{"ngram": 1}\xff', "cfg.json"),
         ('{"ngram": ', "cfg.json"),
+        pytest.param('{"orders": ' + DEEP + "}", "cfg.json", id="deeply-nested-cfg.json"),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, key):
         cfg_path = tmp_path / "cfg.json"

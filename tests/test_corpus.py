@@ -20,6 +20,9 @@ from abnormality.errors import ParseError, SchemaError
 
 from conftest import corpus_of
 
+# Deeper than any recursion limit: the JSON decoder raises RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 def everything_selected(n: int) -> list[str]:
     return ["low"] * n
@@ -70,6 +73,18 @@ class TestIngestSquad:
             ingest_squad(json.dumps(doc).encode())
         assert "data[0].paragraphs[0].context" == exc.value.path
 
+    @pytest.mark.parametrize("context", [5, None, ["x"], {"text": "x"}])
+    def test_non_string_context_names_path(self, context):
+        doc = {"data": [{"title": "T", "paragraphs": [{"context": context, "qas": [{"id": "q"}]}]}]}
+        with pytest.raises(SchemaError, match="not a string") as exc:
+            ingest_squad(json.dumps(doc).encode())
+        assert exc.value.path == "data[0].paragraphs[0].context"
+
+    @pytest.mark.parametrize("doc", [DEEP, '{"data": ' + DEEP + "}"], ids=["top-level", "data"])
+    def test_deeply_nested_json_raises_parse_error(self, doc):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            ingest_squad(doc.encode())
+
     def test_missing_qa_id_names_path(self):
         doc = {"data": [{"title": "T", "paragraphs": [{"context": "x", "qas": [{"id": "q"}, {}]}]}]}
         with pytest.raises(SchemaError) as exc:
@@ -102,6 +117,11 @@ class TestIngestJsonl:
             ingest_jsonl(b'{"context":"ok"}\nnot json\n')
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
+
+    def test_deeply_nested_line_raises_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            ingest_jsonl(('{"context":"ok"}\n{"context": ' + DEEP + "}\n").encode())
+        assert exc.value.line == 2
 
     def test_missing_context_field(self):
         with pytest.raises(SchemaError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,6 +16,7 @@ from abnormality.mahalanobis import (
     _BLOCK,
     EpsilonPolicy,
     MomentModel,
+    Moments,
     ScoreVector,
     fit_moments,
     load_model,
@@ -135,26 +137,26 @@ class TestFitMoments:
 
 class TestRegularizedFactorize:
     def test_identity_succeeds_at_zero(self):
-        model = MomentModel(mu=np.zeros(3), sigma=np.eye(3), n=10)
-        out = regularized_factorize(model)
+        moments = Moments(mu=np.zeros(3), sigma=np.eye(3), n=10)
+        out = regularized_factorize(moments)
         assert out.epsilon == 0.0
         assert (out.factor == np.eye(3)).all()
 
     def test_all_zeros_is_singular(self):
-        model = MomentModel(mu=np.zeros(2), sigma=np.zeros((2, 2)), n=5)
+        moments = Moments(mu=np.zeros(2), sigma=np.zeros((2, 2)), n=5)
         with pytest.raises(SingularityError) as exc:
-            regularized_factorize(model)
+            regularized_factorize(moments)
         assert exc.value.last_epsilon == 0.0
 
     def test_rank_deficient_escalates(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        model = MomentModel(mu=np.zeros(4), sigma=np.outer(v, v), n=9)
-        out = regularized_factorize(model)
+        moments = Moments(mu=np.zeros(4), sigma=np.outer(v, v), n=9)
+        out = regularized_factorize(moments)
         assert out.epsilon > 0.0
 
     def test_fixed_epsilon(self):
-        model = MomentModel(mu=np.zeros(2), sigma=np.zeros((2, 2)), n=5)
-        out = regularized_factorize(model, EpsilonPolicy(fixed=0.5))
+        moments = Moments(mu=np.zeros(2), sigma=np.zeros((2, 2)), n=5)
+        out = regularized_factorize(moments, EpsilonPolicy(fixed=0.5))
         assert out.epsilon == 0.5
 
     @pytest.mark.parametrize("field, value", [
@@ -167,26 +169,26 @@ class TestRegularizedFactorize:
             EpsilonPolicy(**{field: value})
 
     def test_fixed_epsilon_can_fail(self):
-        model = MomentModel(mu=np.zeros(2), sigma=-np.eye(2), n=5)
+        moments = Moments(mu=np.zeros(2), sigma=-np.eye(2), n=5)
         with pytest.raises(SingularityError):
-            regularized_factorize(model, EpsilonPolicy(fixed=0.0))
+            regularized_factorize(moments, EpsilonPolicy(fixed=0.0))
 
     def test_sigma_unchanged_at_zero_epsilon(self):
-        model = fit_moments(np.random.default_rng(41).normal(size=(30, 6)))
-        before = model.sigma.tobytes()
-        out = regularized_factorize(model)
+        moments = fit_moments(np.random.default_rng(41).normal(size=(30, 6)))
+        before = moments.sigma.tobytes()
+        out = regularized_factorize(moments)
         assert out.epsilon == 0.0
-        assert model.sigma.tobytes() == before
-        assert out.factor.tobytes() == reference_shifted_cholesky(model.sigma, 0.0).tobytes()
+        assert moments.sigma.tobytes() == before
+        assert out.factor.tobytes() == reference_shifted_cholesky(moments.sigma, 0.0).tobytes()
 
     def test_shift_matches_copy_and_leaves_sigma_unchanged(self):
         # Epsilon = 0 fails on the zero row, so the factor comes from a
         # shifted diagonal that must then be restored bit for bit.
-        model = singular_moments(np.random.default_rng(42), 40, 8)
-        before = model.sigma.copy()
-        out = regularized_factorize(model)
+        moments = singular_moments(np.random.default_rng(42), 40, 8)
+        before = moments.sigma.copy()
+        out = regularized_factorize(moments)
         assert out.epsilon > 0.0
-        assert model.sigma.tobytes() == before.tobytes()
+        assert moments.sigma.tobytes() == before.tobytes()
         assert out.factor.tobytes() == reference_shifted_cholesky(before, out.epsilon).tobytes()
 
     def test_sigma_unchanged_after_singularity_error(self):
@@ -195,37 +197,32 @@ class TestRegularizedFactorize:
         sigma[0, 0] = -1.0  # no shrinkage in the schedule makes this positive definite
         before = sigma.tobytes()
         with pytest.raises(SingularityError) as exc:
-            regularized_factorize(MomentModel(mu=np.zeros(5), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
+            regularized_factorize(Moments(mu=np.zeros(5), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
         assert exc.value.last_epsilon > 0.0
         assert sigma.tobytes() == before
 
     def test_integer_sigma_is_shifted_in_float64(self):
         # Writing epsilon onto an integer diagonal would truncate it to 0.
         sigma = np.array([[1, 1], [1, 1]])
-        out = regularized_factorize(MomentModel(mu=np.zeros(2), sigma=sigma, n=5))
+        out = regularized_factorize(Moments(mu=np.zeros(2), sigma=sigma, n=5))
         assert out.epsilon == EpsilonPolicy().schedule(2.0, 2)[1]
         assert sigma.tolist() == [[1, 1], [1, 1]]
 
     def test_factorized_model_drops_sigma(self):
-        model = regularized_factorize(MomentModel(mu=np.zeros(3), sigma=np.eye(3), n=10))
-        assert model.sigma is None
-        with pytest.raises(FitError, match="already factorized"):
-            regularized_factorize(model)
-
-    def test_loaded_factorized_model_cannot_be_refactorized(self, tmp_path):
-        _, model = random_model(np.random.default_rng(44), 20, 3)
-        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-        with pytest.raises(FitError, match="already factorized"):
-            regularized_factorize(load_model(tmp_path / "m.bin", tmp_path / "m.json"))
+        moments = Moments(mu=np.arange(3.0), sigma=np.eye(3), n=10)
+        model = regularized_factorize(moments)
+        assert isinstance(model, MomentModel)
+        assert [f.name for f in dataclasses.fields(model)] == ["mu", "factor", "n", "epsilon"]
+        assert model.mu is moments.mu and model.n == 10 and model.epsilon == 0.0
 
     def test_peak_memory_one_matrix_beyond_sigma(self):
         # With epsilon > 0 the stage allocates the factor and a few vectors;
         # a shifted copy of sigma beside the factor would be 2 * 8 d^2 bytes.
         d = 300
-        model = singular_moments(np.random.default_rng(45), 400, d)
+        moments = singular_moments(np.random.default_rng(45), 400, d)
         tracemalloc.start()
         try:
-            out = regularized_factorize(model)
+            out = regularized_factorize(moments)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -240,29 +237,25 @@ class TestScore:
         assert score(model, model.mu) == 0.0
 
     def test_identity_covariance_is_squared_euclidean(self):
-        model = regularized_factorize(MomentModel(mu=np.zeros(2), sigma=np.eye(2), n=10))
+        model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
         assert score(model, np.array([3.0, 4.0])) == pytest.approx(25.0, rel=1e-12)
 
     def test_diagonal_covariance_hand_oracle(self):
         model = regularized_factorize(
-            MomentModel(mu=np.array([1.0, 1.0]), sigma=np.diag([2.0, 8.0]), n=10)
+            Moments(mu=np.array([1.0, 1.0]), sigma=np.diag([2.0, 8.0]), n=10)
         )
         # (2^2)/2 + (4^2)/8 = 4
         assert score(model, np.array([3.0, 5.0])) == pytest.approx(4.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        model = regularized_factorize(MomentModel(mu=np.zeros(2), sigma=np.eye(2), n=10))
+        model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
         with pytest.raises(ValueError):
             score(model, np.zeros(3))
 
     def test_non_finite_rejected(self):
-        model = regularized_factorize(MomentModel(mu=np.zeros(2), sigma=np.eye(2), n=10))
+        model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
         with pytest.raises(ValueError):
             score(model, np.array([np.nan, 0.0]))
-
-    def test_unfactorized_rejected(self):
-        with pytest.raises(FitError):
-            score(MomentModel(mu=np.zeros(2), sigma=np.eye(2), n=10), np.zeros(2))
 
 
 class TestScoreAll:
@@ -271,7 +264,7 @@ class TestScoreAll:
         model = regularized_factorize(fit_moments(X), EpsilonPolicy(fixed=0.5))
         sv = score_all(model, X)
         assert (sv.scores == 0).all()
-        assert sv.model_epsilon == 0.5
+        assert model.epsilon == 0.5
 
     def test_trace_identity(self):
         rng = np.random.default_rng(5)
@@ -441,20 +434,17 @@ class TestProperties:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("factorized", [True, False])
-    def test_model_bytes_are_mu_sigma_factor(self, tmp_path, factorized):
-        model = fit_moments(np.random.default_rng(33).normal(size=(12, 4)))
-        if factorized:
-            model = regularized_factorize(model)
+    def test_model_bytes_are_mu_then_factor(self, tmp_path):
+        model = regularized_factorize(fit_moments(np.random.default_rng(33).normal(size=(12, 4))))
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-        parts = [model.mu, model.factor if factorized else model.sigma]
+        parts = [model.mu, model.factor]
         want = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts)
         assert (tmp_path / "m.bin").read_bytes() == want
 
     @pytest.mark.parametrize("damage", [
         "truncated", "oversized", "no-d", "no-n", "d-not-int", "not-json",
-        'epsilon="abc"', "epsilon=[1]", 'epsilon="1e-3"',
-        'factor="yes"', 'factor="lower"', 'factor="Upper"', "factor=true", "factor=1", "old-sidecar",
+        'epsilon="abc"', "epsilon=[1]", 'epsilon="1e-3"', "epsilon=null", "epsilon=-1e-12",
+        "factor=null", 'factor="yes"', 'factor="lower"', 'factor="Upper"', "factor=true", "factor=1", "old-sidecar",
     ])
     def test_damaged_model_raises_schema_error(self, tmp_path, damage):
         _, model = random_model(np.random.default_rng(34), 20, 3)
@@ -483,6 +473,26 @@ class TestPersistence:
                 del sidecar[damage.removeprefix("no-")]
             json_path.write_text(json.dumps(sidecar))
         with pytest.raises(SchemaError):
+            load_model(bin_path, json_path)
+
+    @pytest.mark.parametrize("index, value", [
+        (1, np.nan),                 # mu[1]
+        (3 + 1, np.inf),             # U[0, 1]
+        (3 + 3 * 3 - 1, -np.inf),    # U[2, 2]
+        (3 + 0, 0.0),                # U[0, 0]
+        (3 + 4, -0.5),               # U[1, 1]
+    ])
+    def test_damaged_model_values_raise_schema_error(self, tmp_path, index, value):
+        # No factorization gives a non-finite value or a diagonal entry <= 0;
+        # loading one would make every score NaN.
+        _, model = random_model(np.random.default_rng(37), 20, 3)
+        bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+        save_model(model, bin_path, json_path)
+        assert (model.factor.diagonal() > 0).all()
+        values = np.fromfile(bin_path, dtype="<f8")
+        values[index] = value
+        values.tofile(bin_path)
+        with pytest.raises(SchemaError, match="non-finite value or a factor diagonal entry <= 0"):
             load_model(bin_path, json_path)
 
     def test_layout_with_sigma_and_factor_raises_schema_error(self, tmp_path):
@@ -517,22 +527,13 @@ class TestPersistence:
         assert json.loads((tmp_path / "m.json").read_text())["factor"] == "upper"
         back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert back.mu.tobytes() == model.mu.tobytes()
-        assert model.sigma is None and back.sigma is None
         assert back.factor.tobytes() == model.factor.tobytes()
         assert back.epsilon == model.epsilon
         assert back.n == model.n
 
-    def test_unfactorized_round_trip(self, tmp_path):
-        model = fit_moments(np.random.default_rng(32).normal(size=(10, 3)))
-        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-        assert json.loads((tmp_path / "m.json").read_text())["factor"] is None
-        back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
-        assert back.factor is None
-        assert back.epsilon is None
-
     def test_scores_csv_round_trip(self, tmp_path):
         corpus = corpus_of("a b", "c d e", "f")
-        sv = ScoreVector(scores=np.array([0.1, 1 / 3, 2.5e-17]), model_epsilon=0.0)
+        sv = ScoreVector(scores=np.array([0.1, 1 / 3, 2.5e-17]))
         write_scores_csv(sv, corpus, tmp_path / "s.csv")
         # Reading back checks each row's id and char length against the corpus.
         back = read_scores_csv(tmp_path / "s.csv", corpus)
