@@ -135,6 +135,8 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
         if "paragraphs" not in article or not isinstance(article["paragraphs"], list):
             raise SchemaError(f"missing 'paragraphs' at {apath}", path=f"{apath}.paragraphs")
         title = article["title"]
+        if not isinstance(title, str):
+            raise SchemaError(f"'title' at {apath} is not a string", path=f"{apath}.title")
         for pi, para in enumerate(article["paragraphs"]):
             ppath = f"{apath}.paragraphs[{pi}]"
             if not isinstance(para, dict) or "context" not in para:
@@ -148,11 +150,13 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
                 qpath = f"{ppath}.qas[{qi}]"
                 if not isinstance(qa, dict) or "id" not in qa:
                     raise SchemaError(f"missing 'id' at {qpath}", path=f"{qpath}.id")
+                if not isinstance(qa["id"], str):
+                    raise SchemaError(f"'id' at {qpath} is not a string", path=f"{qpath}.id")
                 examples.append(
                     Example(
                         ordinal=len(examples),
-                        id=str(qa["id"]),
-                        title=str(title),
+                        id=qa["id"],
+                        title=title,
                         context=context,
                         payload=qa,
                     )
@@ -172,7 +176,8 @@ def ingest_jsonl(
     Missing title defaults to "", missing id to ``line-<k>`` where k is the
     1-based physical line number.  Raises ParseError carrying the line
     number for an unparseable or too deeply nested line, SchemaError if the
-    configured context field is absent or not a string.
+    configured context field is absent, or the context, id or title field
+    is present but not a JSON string.
     """
     fields = fields or JsonlFields()
     raw = _read_all(stream)
@@ -196,16 +201,17 @@ def ingest_jsonl(
                 path=f"line {lineno}.{fields.context}",
             )
         context = obj[fields.context]
-        if not isinstance(context, str):
-            raise SchemaError(
-                f"line {lineno}: context field '{fields.context}' is not a string",
-                path=f"line {lineno}.{fields.context}",
-            )
+        ex_id, title = obj.get(fields.id, f"line-{lineno}"), obj.get(fields.title, "")
+        for name, key, value in (("context", fields.context, context), ("id", fields.id, ex_id),
+                                 ("title", fields.title, title)):
+            if not isinstance(value, str):
+                raise SchemaError(f"line {lineno}: {name} field '{key}' is not a string",
+                                  path=f"line {lineno}.{key}")
         examples.append(
             Example(
                 ordinal=len(examples),
-                id=str(obj.get(fields.id, f"line-{lineno}")),
-                title=str(obj.get(fields.title, "")),
+                id=ex_id,
+                title=title,
                 context=context,
                 payload=obj,
             )

@@ -1,14 +1,16 @@
 """Tokenization, n-gram density tables, and positional-density feature matrices.
 
 Feature i of an example is the corpus-wide relative frequency of the i-th
-n-gram of its context; rows are back padded with zeros to a common length L
-so one covariance matrix can be fit over the whole corpus.
+n-gram of its context, and 0 past its last n-gram up to a common length L,
+so one covariance matrix can be fit over the whole corpus.  That zero
+padding is implied, never built: each row is stored only up to its last
+nonzero density.
 
 Contexts repeat (a SQuAD paragraph appears once per question), so a corpus
 is featurized once per distinct context: each distinct context is tokenized
 once, its tokens are mapped to integer ids, and every n-gram occurrence gets
 an integer code.  Densities are counted with ``np.bincount`` weighted by how
-often each context repeats, and the feature matrix keeps one row per
+often each context repeats, and the feature matrix keeps one ragged row per
 distinct context plus the row of every record.  String n-gram keys are
 spelled out only when the density table's ``counts`` are read by key.
 """
@@ -220,49 +222,96 @@ def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = Toke
     return DensityTable(n=n, counts=_CodeCounts(grams, code_counts), total=total, tokenizer=cfg)
 
 
+def _trim(content: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the trailing zeros of every row ``content[offsets[r]:offsets[r + 1]]``."""
+    if content.all():
+        return content, offsets
+    nonzero = np.flatnonzero(content)
+    # Just past the last nonzero value before each row's end, or 0.
+    last = np.concatenate(([0], nonzero + 1))[np.searchsorted(nonzero, offsets[1:])]
+    extents, stored = np.maximum(last - offsets[:-1], 0), np.diff(offsets)
+    keep = np.arange(len(content)) - np.repeat(offsets[:-1], stored) < np.repeat(extents, stored)
+    return content[keep], np.concatenate(([0], np.cumsum(extents)))
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Positional-density rows of a corpus, stored once per distinct context.
+    """Positional-density rows of a corpus, stored ragged, once per distinct context.
 
-    ``unique_values`` has one L-wide row per distinct context and
-    ``index[t]`` is the row of record t, so record t's features are
-    ``unique_values[index[t]]``.  ``true_lengths`` and ``truncated`` are per
-    record.
+    Distinct row r is ``content[offsets[r]:offsets[r + 1]]``, its densities
+    up to its last nonzero one (its extent), then zeros up to ``width`` (L)
+    that are never built.  ``index[t]`` is the row of record t, and
+    ``ngram_counts[r]`` the n-gram count of distinct context r before the
+    cap to L, from which each record's ``true_lengths`` and ``truncated``
+    are derived.
     """
 
-    unique_values: np.ndarray
+    content: np.ndarray
+    offsets: np.ndarray
     index: np.ndarray
-    true_lengths: np.ndarray
-    truncated: np.ndarray
+    width: int
+    ngram_counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.unique_values.ndim != 2:
+        extents = np.diff(self.offsets)
+        if self.content.ndim != 1 or self.index.ndim != 1 or len(self.ngram_counts) != len(extents):
+            raise ValueError("content and index must be 1-dimensional, one n-gram count per row")
+        if self.offsets[0] != 0 or self.offsets[-1] != len(self.content) or not (
+            (0 <= extents) & (extents <= self.width)
+        ).all():
+            raise ValueError("offsets do not split the content into rows of at most width values")
+        if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(extents)):
+            raise ValueError("record index points outside the distinct rows")
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> FeatureMatrix:
+        """The ragged form of a records x L array, each record its own row."""
+        X = np.asarray(values, dtype=np.float64)
+        if X.ndim != 2:
             raise ValueError("feature matrix must be 2-dimensional")
-        if self.index.ndim != 1:
-            raise ValueError("record index must be 1-dimensional")
-        if len(self.true_lengths) != len(self.index) or len(self.truncated) != len(self.index):
-            raise ValueError("per-row metadata length does not match row count")
-        if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(self.unique_values)):
-            raise ValueError("record index points outside the unique rows")
+        content, offsets = _trim(X.ravel(), np.arange(len(X) + 1) * X.shape[1])
+        return cls(content, offsets, np.arange(len(X)), X.shape[1], np.diff(offsets))
+
+    @property
+    def extents(self) -> np.ndarray:
+        """Per distinct row: its stored length, just past its last nonzero value."""
+        return np.diff(self.offsets)
+
+    def dense(self, width: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """Distinct rows ``rows`` (default: all, in order) as a new array, ``width`` >= their extents."""
+        extents = self.extents if rows is None else self.extents[rows]
+        out = np.zeros((len(extents), width))
+        if rows is None:
+            out[np.arange(width) < extents[:, None]] = self.content
+            return out
+        # A slice of rows at a time, at most 16 values per distinct row, so
+        # the gather's temporaries stay block-sized.
+        step = max(1, 16 * len(self.ngram_counts) // max(width, 1))
+        for start in range(0, len(rows), step):
+            part, ends = rows[start : start + step], extents[start : start + step]
+            gather = np.repeat(self.offsets[part] - (np.cumsum(ends) - ends), ends)
+            gather += np.arange(len(gather))
+            out[start : start + step][np.arange(width) < ends[:, None]] = self.content[gather]
+        return out
 
     @property
     def values(self) -> np.ndarray:
-        """The records x L matrix.
-
-        This is ``unique_values`` itself when every record has its own row in
-        order, and a new array otherwise.
-        """
-        if len(self.index) == len(self.unique_values) and (self.index == np.arange(len(self.index))).all():
-            return self.unique_values
-        return self.unique_values[self.index]
+        """The records x L matrix, built on demand."""
+        return self.dense(self.width, self.index)
 
     @property
     def rows(self) -> int:
         return len(self.index)
 
     @property
-    def cols(self) -> int:
-        return self.unique_values.shape[1]
+    def true_lengths(self) -> np.ndarray:
+        """Per record: its n-gram count, capped at L."""
+        return np.minimum(self.ngram_counts, self.width)[self.index]
+
+    @property
+    def truncated(self) -> np.ndarray:
+        """Per record: whether it has more than L n-grams."""
+        return (self.ngram_counts > self.width)[self.index]
 
 
 def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = None) -> FeatureMatrix:
@@ -275,7 +324,8 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
     keeps memory in check.  When ``table`` was fit on this same corpus
     object its n-gram codes and their counts are reused: each density is
     the code's count / total, the same float as a lookup by key.  Any other
-    table, loaded or fit on another corpus, is looked up by key.
+    table, loaded or fit on another corpus, is looked up by key; the
+    n-grams it has not seen have density 0, and trailing ones are not stored.
     """
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
@@ -289,23 +339,17 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
         grams = _encode(corpus, table.n, table.tokenizer)
         densities = np.array([table.density(k) for k in grams.keys()], dtype=np.float64)
 
-    L = int(grams.lengths.max(initial=0))
-    if l_cap is not None:
-        L = min(L, l_cap)
+    lengths, codes = grams.lengths, grams.codes
+    L = int(lengths.max(initial=0))
+    if l_cap is not None and l_cap < L:
+        L = l_cap
+        codes = codes[np.arange(len(codes)) - np.repeat(np.cumsum(lengths) - lengths, lengths) < L]
     if L < 1:
         raise FitError(f"corpus yields no n-grams at order {table.n}")
 
-    rows = np.repeat(np.arange(len(grams.lengths)), grams.lengths)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(grams.lengths) - grams.lengths, grams.lengths)
-    kept = cols < L
-    unique_values = np.zeros((len(grams.lengths), L), dtype=np.float64)
-    unique_values[rows[kept], cols[kept]] = densities[grams.codes[kept]]
-    return FeatureMatrix(
-        unique_values=unique_values,
-        index=grams.index,
-        true_lengths=np.minimum(grams.lengths, L)[grams.index],
-        truncated=(grams.lengths > L)[grams.index],
-    )
+    offsets = np.concatenate(([0], np.cumsum(np.minimum(lengths, L))))
+    content, offsets = _trim(densities[codes], offsets)
+    return FeatureMatrix(content, offsets, grams.index, width=L, ngram_counts=lengths)
 
 
 _DENSITY_HEADER = ("ngram_key", "count")

@@ -4,9 +4,11 @@ The model is the sample mean vector and 1/(n-1) covariance of the rows; an
 example's score is the squared Mahalanobis distance of its row from that
 distribution, the squared norm of the back substitution of the de-meaned
 row against an upper factor U, U U^T the (possibly shrunk) covariance.  The
-explicit inverse is never formed, and a row's zero padding costs nothing.
-All rows are substituted together in NumPy, block by block, but no operation
-mixes two rows, so a record's score depends only on its row and the model.
+explicit inverse is never formed.  Rows are ragged: a row is zero past its
+stored extent, and that padding is never built, neither to fit the moments,
+whose padding terms depend on the mean alone, nor to score.  All rows are
+substituted together in NumPy, block by block, but no operation mixes two
+rows, so a record's score depends only on its row and the model.
 
 Positional-density covariance is frequently singular, so factorization
 escalates a diagonal shrinkage epsilon through a fixed schedule until the
@@ -115,44 +117,98 @@ class ScoreVector:
         return np.asarray(self.scores, dtype=dtype)
 
 
-def _rows(matrix: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows and each record's row index; a plain array is its own distinct rows."""
-    if isinstance(matrix, FeatureMatrix):
-        return matrix.unique_values, matrix.index
-    values = np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("feature matrix must be 2-dimensional")
-    return values, np.arange(len(values))
+# Columns per block in _solve_upper.  16 was the fastest at d = 60, 700 and
+# 1,500 on 2 vCPUs with OpenBLAS; 8 and 32 ran within 20% of it, 64 slower.
+_BLOCK = 16
+
+
+def _groups(matrix: FeatureMatrix) -> tuple[np.ndarray, list[tuple[slice, int]]]:
+    """The distinct rows sorted stably by their count b of 16-column blocks, and each b's group.
+
+    A group is (rows, W): a slice of that order, and W = min(16 b, L), the
+    width that holds each of its rows and depends on nothing else.
+    """
+    blocks = -(-matrix.extents // _BLOCK)
+    counts = np.bincount(blocks)
+    ends = np.cumsum(counts)
+    groups = [(slice(e - c, e), min(b * _BLOCK, matrix.width))
+              for b, (c, e) in enumerate(zip(counts, ends)) if c]
+    return np.argsort(blocks, kind="stable"), groups
 
 
 def fit_moments(matrix: FeatureMatrix | np.ndarray) -> Moments:
-    """Column means and 1/(n-1) covariance of the rows.
+    """Column means and 1/(n-1) covariance of the rows, two-pass and exactly centered.
 
-    Two-pass: the mean is computed first, then the centered cross product,
-    a symmetric rank-k update whose result is exactly symmetric.  A
-    :class:`FeatureMatrix` is fit over its distinct rows, each weighted by
-    how many records share it (a plain array weights every row by one): the
-    centered rows are scaled in place by the square root of their weight, so
-    no records x L array is ever built.  This equals the fit over every
-    record up to rounding, and bitwise when every record has its own row.
+    A :class:`FeatureMatrix` is fit over its distinct rows, each weighted by
+    how many records share it; a plain array is stored ragged, every row
+    weighted by one.  The mean is a weighted ``bincount`` of the content.
+    Rows are grouped by width W (block-count groups, merged while a group's
+    buffer holds at most twice its content), and each group adds C^T C to
+    sigma[:W, :W], C its rows centered over [0, W) and scaled by the square
+    roots of their weights.  Past W a row centers to -mu, so the padding
+    adds terms in mu and in each group's summed weight and centered row
+    alone, in one mirrored pass over the 16-column blocks: sigma is exactly
+    symmetric, and no records x L array is built.
 
-    Sigma is one BLAS matrix product, whose summation order depends on the
-    BLAS thread count (``OPENBLAS_NUM_THREADS``), not on ``--threads``: the
-    artifacts are byte-identical at any ``--threads``, but golden files
-    need the BLAS thread count pinned.
+    Each product is a BLAS call, whose summation order depends on the BLAS
+    thread count (``OPENBLAS_NUM_THREADS``), not on ``--threads``: the
+    artifacts are byte-identical at any ``--threads``, but golden files need
+    the BLAS thread count pinned.
     """
-    X, index = _rows(matrix)
-    n = len(index)
+    m = matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix.from_values(matrix)
+    n, d = len(m.index), m.width
     if n < 2:
         raise FitError(f"need at least 2 rows to fit moments, got {n}")
-    weights = np.bincount(index, minlength=len(X)).astype(np.float64)
-    # The weighted rows and then the centered ones share one buffer, so at
-    # most one array the size of the distinct rows is allocated.
-    centered = X * weights[:, None]
-    mu = centered.sum(axis=0) / n
-    np.subtract(X, mu, out=centered)
-    centered *= np.sqrt(weights)[:, None]
-    sigma = centered.T @ centered / (n - 1)
+    weights = np.bincount(m.index, minlength=len(m.ngram_counts)).astype(np.float64)
+    extents = m.extents
+    cols = np.arange(len(m.content))
+    cols -= np.repeat(m.offsets[:-1], extents)
+    weighted = np.repeat(weights, extents)
+    weighted *= m.content
+    mu = np.bincount(cols, weights=weighted, minlength=d) / n
+    del cols, weighted
+
+    # Fewer, larger products are much faster; merging stops before a
+    # buffer would be mostly padding.
+    order, groups = _groups(m)
+    merged = groups[:1]
+    for rows, W in groups[1:]:
+        joined = slice(merged[-1][0].start, rows.stop)
+        if (joined.stop - joined.start) * W <= 2 * extents[order[joined]].sum():
+            merged[-1] = (joined, W)
+        else:
+            merged.append((rows, W))
+
+    sigma = np.zeros((d, d))
+    padded = []  # (W, summed weight, summed centered row over [0, W)), widest first
+    for rows, W in reversed(merged):
+        rows = None if len(merged) == 1 else order[rows]  # one group is read in place
+        weight = weights if rows is None else weights[rows]
+        root = np.sqrt(weight)
+        C = m.dense(W, rows)
+        C -= mu[:W]
+        C *= root[:, None]
+        if padded:
+            sigma[:W, :W] += C.T @ C
+        else:  # the widest product is written in place
+            np.matmul(C.T, C, out=sigma[:W, :W])
+        padded.append((W, weight.sum(), root @ C))
+
+    # On block k (columns p = 16 k on), s is the summed centered row over
+    # [0, p) of the N records at most p wide, each of them -mu on the block.
+    s, N = np.zeros(d), 0.0
+    for p in range(padded[-1][0], d, _BLOCK):
+        while padded and padded[-1][0] <= p:
+            W, weight, summed = padded.pop()
+            s[:W] += summed
+            N += weight
+        blk = slice(p, p + _BLOCK)
+        cross = np.outer(s[:p], mu[blk])
+        sigma[:p, blk] -= cross
+        sigma[blk, :p] -= cross.T
+        sigma[blk, blk] += np.outer(mu[blk], mu[blk]) * N
+        s[blk] = -N * mu[blk]
+    sigma /= n - 1
     return Moments(mu=mu, sigma=sigma, n=n)
 
 
@@ -194,36 +250,29 @@ def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolic
     )
 
 
-# Columns per block in _solve_upper.  16 was the fastest at d = 60, 700 and
-# 1,500 on 2 vCPUs with OpenBLAS; 8 and 32 ran within 20% of it, 64 slower.
-_BLOCK = 16
+def _solve_upper(factor: np.ndarray, buffers: list[np.ndarray]) -> None:
+    """Overwrite every row x of every buffer with U^-1 x, by blocked back substitution.
 
-
-def _solve_upper(factor: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U^-1 x for every row x of X, in a new array sorted by block count, and that order."""
-    d = X.shape[1]
-    ends = np.where(X.any(axis=1), d - np.argmax(X[:, ::-1] != 0, axis=1), 0)
-    blocks = -(-ends // _BLOCK)  # U^-1 x is zero past a row's last nonzero block
-    order = np.argsort(blocks, kind="stable")
-    Y = X[order]
-    counts = np.bincount(blocks)
-    starts = np.cumsum(counts) - counts  # the rows that span b blocks start at starts[b]
-    groups = [(b, slice(starts[b], starts[b] + counts[b])) for b in np.flatnonzero(counts)]
-    for k in range(len(counts) - 2, -1, -1):
-        s, e = k * _BLOCK, min((k + 1) * _BLOCK, d)
-        # A row's panel reaches to the end of its own last block, so its
-        # extent, like every other operation on the row, is independent of the batch.
-        for b, rows in groups:
-            if b > k + 1:
-                end = min(b * _BLOCK, d)
-                Y[rows, s:e] -= (Y[rows, None, e:end] @ factor[s:e, e:end].T)[:, 0, :]
-        active = slice(starts[k + 1], None)
-        T = Y[active, s:e].T.copy()
+    A buffer W wide (W a multiple of 16, or d) holds rows that are zero
+    past W, so each is solved against U[:W, :W].  Per block, from the last:
+    a stacked matmul (one gemv per row) against the factor panel from the
+    block to W, then elementwise updates, on a transposed copy of the block
+    of every buffer that spans it, to solve its small triangle.
+    """
+    d = len(factor)
+    for s in range((max(Y.shape[1] for Y in buffers) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        e = min(s + _BLOCK, d)
+        spanning = [Y for Y in buffers if Y.shape[1] > s]
+        for Y in spanning:
+            if Y.shape[1] > e:
+                Y[:, s:e] -= (Y[:, None, e:] @ factor[s:e, e : Y.shape[1]].T)[:, 0, :]
+        T = np.empty((e - s, sum(map(len, spanning))))  # C order: each T[i] is contiguous
+        np.concatenate([Y[:, s:e].T for Y in spanning], axis=1, out=T)
         for i in range(e - s - 1, -1, -1):
             T[i] /= factor[s + i, s + i]
             T[:i] -= factor[s : s + i, s + i, None] * T[i]
-        Y[active, s:e] = T.T
-    return Y, order
+        for Y, part in zip(spanning, np.split(T, np.cumsum(list(map(len, spanning)))[:-1], axis=1)):
+            Y[:, s:e] = part.T
 
 
 def score(model: MomentModel, row: np.ndarray) -> float:
@@ -243,31 +292,32 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     """Score every record of the matrix, one back substitution per distinct row.
 
     The score of x is ||z + U^-1 x||^2, with z = U^-1 (-mu) solved once per
-    call.  U is upper triangular, so U^-1 x is zero past x's last nonzero
-    column: each row is solved over its own length, not d.  The rows, sorted
-    by their number of 16-column blocks, are solved in one buffer by blocked
-    back substitution: per block, a stacked matmul (one gemv per row)
-    against the factor panel up to the end of the row's own last block,
-    then elementwise updates on a transposed copy of the block to solve its
-    small triangle.  No operation mixes two rows or depends on the batch, so
-    a row's score is bitwise the same alone, in any batch and at any
-    position.  A :class:`FeatureMatrix` is therefore scored once per distinct
-    context and the scores are broadcast to every record, bitwise equal to
-    scoring every record.  ``threads`` is accepted for compatibility and
-    changes nothing.
+    call.  U is upper triangular, so U^-1 x is zero past the end W of x's
+    last 16-column block: rows are solved in one buffer per block count, W
+    wide, and score ||z[:W] + U^-1 x||^2 plus the sum of z[W:]^2.  No
+    operation mixes two rows or depends on the batch, so a row's score is
+    bitwise the same alone, in any batch and at any position.  A
+    :class:`FeatureMatrix` is therefore scored once per distinct context and
+    the scores are broadcast to every record, bitwise equal to scoring every
+    record.  ``threads`` is accepted for compatibility and changes nothing.
     """
-    X, index = _rows(matrix)
-    if X.shape[1] != model.d:
-        raise ValueError(f"matrix has {X.shape[1]} columns, model dimension is {model.d}")
-    if X.size and not np.all(np.isfinite(X)):
+    m = matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix.from_values(matrix)
+    if m.width != model.d:
+        raise ValueError(f"matrix has {m.width} columns, model dimension is {model.d}")
+    if not np.isfinite(m.content).all():
         raise ValueError("matrix contains non-finite values")
 
-    (z,), _ = _solve_upper(model.factor, -model.mu[None, :])
-    Y, order = _solve_upper(model.factor, X)
-    Y += z
-    out = np.empty(len(Y))
-    out[order] = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
-    return ScoreVector(scores=out[index])
+    order, groups = _groups(m)
+    buffers = [m.dense(W, order[rows]) for rows, W in groups]
+    z = -model.mu[None, :]
+    _solve_upper(model.factor, [*buffers, z])
+    z = z[0]
+    tail = np.append(np.cumsum(z[::-1] ** 2)[::-1], 0.0)  # tail[W] = sum of z[W:]^2
+    out = np.empty(len(order))
+    for (rows, W), Y in zip(groups, buffers):
+        Y += z[:W]
+        out[order[rows]] = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0] + tail[W]
+    return ScoreVector(scores=out[m.index])
 
 
 def save_model(

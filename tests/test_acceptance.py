@@ -63,7 +63,7 @@ def test_mahalanobis_oracle_equivalence_at_positive_epsilon():
     for seed in range(3):
         corpus = long_tail_corpus(seed)
         matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.unique_values) < matrix.rows
+        assert len(matrix.ngram_counts) < matrix.rows
         model = regularized_factorize(fit_moments(matrix))
         epsilons.append(model.epsilon)
         ours = score_all(model, matrix).scores

@@ -106,7 +106,12 @@ class TestScoreCommand:
         ("squad", '{"data": [{"title": "T", "paragraphs": [{"context": 5, "qas": [{"id": "q"}]}]}]}'),
         ("squad", '{"data": ' + DEEP + "}"),
         ("jsonl", '{"context": ' + DEEP + "}\n"),
-    ], ids=["squad-context-not-string", "squad-deeply-nested", "jsonl-deeply-nested"])
+        ("squad", '{"data": [{"title": "T", "paragraphs": [{"context": "x", "qas": [{"id": null}]}]}]}'),
+        ("squad", '{"data": [{"title": 3, "paragraphs": [{"context": "x", "qas": [{"id": "q"}]}]}]}'),
+        ("jsonl", '{"context": "a b", "id": null}\n'),
+        ("jsonl", '{"context": "a b", "title": ["t"]}\n'),
+    ], ids=["squad-context-not-string", "squad-deeply-nested", "jsonl-deeply-nested", "squad-id-null",
+            "squad-title-not-string", "jsonl-id-null", "jsonl-title-not-string"])
     def test_malformed_corpus_exits_2_without_traceback(self, tmp_path, capsys, fmt, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

@@ -80,6 +80,21 @@ class TestIngestSquad:
             ingest_squad(json.dumps(doc).encode())
         assert exc.value.path == "data[0].paragraphs[0].context"
 
+    @pytest.mark.parametrize("value", [7, None, ["x"], {"text": "x"}, True])
+    @pytest.mark.parametrize("field", ["id", "title"])
+    def test_non_string_id_or_title_names_path(self, field, value):
+        # Two qas with "id": null must not both ingest as the id "None".
+        article = {"title": "T", "paragraphs": [{"context": "x", "qas": [{"id": "q0"}, {"id": "q1"}]}]}
+        if field == "title":
+            article["title"] = value
+            path = "data[0].title"
+        else:
+            article["paragraphs"][0]["qas"][1]["id"] = value
+            path = "data[0].paragraphs[0].qas[1].id"
+        with pytest.raises(SchemaError, match="not a string") as exc:
+            ingest_squad(json.dumps({"data": [article]}).encode())
+        assert exc.value.path == path
+
     @pytest.mark.parametrize("doc", [DEEP, '{"data": ' + DEEP + "}"], ids=["top-level", "data"])
     def test_deeply_nested_json_raises_parse_error(self, doc):
         with pytest.raises(ParseError, match="nested too deeply"):
@@ -134,6 +149,15 @@ class TestIngestJsonl:
         assert corpus[0].context == "hello world"
         assert corpus[0].title == "N"
         assert corpus[0].id == "d7"
+
+    @pytest.mark.parametrize("value", [7, None, ["x"], {"text": "x"}, False])
+    @pytest.mark.parametrize("field", ["docid", "name", "text"])
+    def test_non_string_field_names_line_and_field(self, field, value):
+        fields = JsonlFields(context="text", title="name", id="docid")
+        record = {"text": "a b", "name": "N", "docid": "d1", field: value}
+        with pytest.raises(SchemaError, match="not a string") as exc:
+            ingest_jsonl(b'{"text":"ok"}\n' + json.dumps(record).encode(), fields)
+        assert exc.value.path == f"line 2.{field}"
 
     def test_defaults_and_line_numbered_ids(self):
         corpus = ingest_jsonl(b'{"context":"a"}\n\n{"context":"b"}\n')

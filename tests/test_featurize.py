@@ -16,6 +16,7 @@ from abnormality.errors import FitError, SchemaError
 from abnormality.featurize import (
     NGRAM_SEP,
     DensityTable,
+    FeatureMatrix,
     TokenizerConfig,
     build_matrix,
     fit_density,
@@ -227,9 +228,9 @@ class TestBuildMatrix:
     def test_matches_row_by_row_oracle(self, n, cfg, l_cap):
         corpus = duplicate_heavy_corpus()
         m = assert_matches_oracle(corpus, fit_density(corpus, n, cfg), cfg, l_cap)
-        assert len(m.unique_values) < m.rows
+        assert len(m.ngram_counts) < m.rows
         if l_cap is not None:
-            assert m.truncated.any() and m.cols == l_cap
+            assert m.truncated.any() and m.width == l_cap
 
     def test_order5_beyond_int64_vocab_codes(self):
         # 8,192 distinct tokens, first seen in the order t0, t1, ...  Naive
@@ -259,26 +260,28 @@ class TestBuildMatrix:
         save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = load_density(tmp_path / "d.csv", tmp_path / "d.json")
         a, b = build_matrix(corpus, table), build_matrix(corpus, loaded)
-        assert a.unique_values.tobytes() == b.unique_values.tobytes()
+        assert a.content.tobytes() == b.content.tobytes()
+        assert a.offsets.tolist() == b.offsets.tolist()
         assert a.index.tolist() == b.index.tolist()
 
     def test_one_row_per_distinct_context(self):
         corpus = corpus_of("a b", "c", "a b", "c", "a b")
         m = build_matrix(corpus, fit_density(corpus, 1))
-        assert m.unique_values.shape == (2, 2)
+        assert m.dense(m.width).shape == (2, 2)
         assert m.index.tolist() == [0, 1, 0, 1, 0]
         assert m.values.shape == (5, 2)
 
-    def test_values_is_not_copied_when_contexts_are_distinct(self):
+    def test_values_are_the_distinct_rows_when_contexts_are_distinct(self):
         corpus = corpus_of("a b", "c", "d e f")
         m = build_matrix(corpus, fit_density(corpus, 1))
-        assert m.values is m.unique_values
+        assert m.values.tobytes() == m.dense(m.width).tobytes()
+        assert m.extents.tolist() == [2, 1, 3] and m.offsets.tolist() == [0, 2, 3, 6]
 
     def test_single_context_no_padding(self):
         corpus = corpus_of("a b c d")
         table = fit_density(corpus, 1)
         m = build_matrix(corpus, table)
-        assert m.cols == 4
+        assert m.width == 4
         assert m.true_lengths.tolist() == [4]
         assert (m.values[0] > 0).all()
 
@@ -286,7 +289,7 @@ class TestBuildMatrix:
         corpus = corpus_of("a b c", "a b c d e")
         table = fit_density(corpus, 1)
         m = build_matrix(corpus, table)
-        assert m.cols == 5
+        assert m.width == 5
         assert m.values[0, 3] == 0.0 and m.values[0, 4] == 0.0
         assert (m.values[0, :3] > 0).all()
 
@@ -294,7 +297,7 @@ class TestBuildMatrix:
         corpus = corpus_of("a b c", "a b c d e")
         table = fit_density(corpus, 1)
         m = build_matrix(corpus, table, l_cap=4)
-        assert m.cols == 4
+        assert m.width == 4
         assert m.truncated.tolist() == [False, True]
         assert m.true_lengths.tolist() == [3, 4]
 
@@ -312,6 +315,41 @@ class TestBuildMatrix:
         a = build_matrix(corpus, table)
         b = build_matrix(corpus, table)
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_trailing_unseen_ngrams_are_not_stored(self):
+        # Under a foreign table, unseen n-grams have density 0; a row is
+        # stored up to its last nonzero density, zeros inside it included.
+        table = fit_density(corpus_of("a b"), 1)
+        m = assert_matches_oracle(corpus_of("a zz b qq qq", "zz zz", "b a"), table)
+        assert m.extents.tolist() == [3, 0, 2]
+        assert m.true_lengths.tolist() == [5, 2, 2]
+        assert m.content.tolist() == [0.5, 0.0, 0.5, 0.5, 0.5]
+
+    def test_per_record_lengths_derive_from_distinct_ngram_counts(self):
+        corpus = corpus_of("a b c d e", "a b", "a b c d e", "")
+        m = build_matrix(corpus, fit_density(corpus, 1), l_cap=3)
+        assert m.ngram_counts.tolist() == [5, 2, 0]
+        assert m.true_lengths.tolist() == [3, 2, 3, 0]
+        assert m.truncated.tolist() == [True, False, True, False]
+
+    def test_from_values_stores_each_row_up_to_its_last_nonzero(self):
+        X = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        m = FeatureMatrix.from_values(X)
+        assert m.extents.tolist() == [3, 0, 2, 4]
+        assert m.content.tolist() == [1.0, 0.0, 2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+        assert m.values.tobytes() == X.tobytes()
+        assert m.dense(5, np.array([3, 0])).tolist() == [[1, 1, 1, 1, 0], [1, 0, 2, 0, 0]]
+
+    @pytest.mark.parametrize("change", [
+        {"offsets": np.array([0, 2, 1, 4])}, {"offsets": np.array([0, 2, 3])}, {"width": 1},
+        {"index": np.array([0, 3])}, {"ngram_counts": np.array([1, 1])}, {"content": np.zeros((2, 2))},
+    ])
+    def test_inconsistent_fields_raise_value_error(self, change):
+        fields = dict(content=np.ones(4), offsets=np.array([0, 2, 3, 4]), index=np.array([0, 2]), width=3,
+                      ngram_counts=np.array([2, 1, 1]))
+        FeatureMatrix(**fields)
+        with pytest.raises(ValueError):
+            FeatureMatrix(**{**fields, **change})
 
     def test_row_order_follows_ordinals(self):
         c1 = corpus_of("a a", "b b")

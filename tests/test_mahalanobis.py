@@ -14,6 +14,7 @@ from abnormality.errors import FitError, SchemaError, SingularityError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import (
     _BLOCK,
+    _groups,
     EpsilonPolicy,
     MomentModel,
     Moments,
@@ -94,7 +95,7 @@ class TestFitMoments:
         # distinct rows must equal the direct fit over every record.
         corpus = repeated_corpus(12, max_repeats=8, seed=13)
         matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.unique_values) == 12 < matrix.rows
+        assert len(matrix.ngram_counts) == 12 < matrix.rows
         model = fit_moments(matrix)
         X = matrix.values
         assert model.n == len(X)
@@ -103,24 +104,66 @@ class TestFitMoments:
         assert (model.sigma == model.sigma.T).all()
 
     def test_distinct_rows_bitwise_equal_unweighted_two_pass(self):
-        # When every record has its own context, every weight is one and the
-        # fit performs exactly the additions of the unweighted two-pass form.
+        # When every record has its own context, every weight is one: the fit
+        # of the matrix and of its plain values is the same computation, and
+        # the mean adds each column in row order, as the dense two-pass form.
         corpus = make_synthetic_corpus(30, vocab_size=25, min_tokens=3, max_tokens=20, seed=14)
         matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.unique_values) == matrix.rows
+        assert len(matrix.ngram_counts) == matrix.rows
         X = matrix.values
         mu = X.mean(axis=0)
         centered = X - mu
         sigma = centered.T @ centered / (len(X) - 1)
-        sigma = (sigma + sigma.T) / 2.0
-        for model in (fit_moments(matrix), fit_moments(X)):
-            assert model.mu.tobytes() == mu.tobytes()
-            assert model.sigma.tobytes() == sigma.tobytes()
+        ragged, plain = fit_moments(matrix), fit_moments(X)
+        assert ragged.mu.tobytes() == plain.mu.tobytes() == mu.tobytes()
+        assert ragged.sigma.tobytes() == plain.sigma.tobytes()
+        np.testing.assert_allclose(ragged.sigma, sigma, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ragged_fit_and_scores_match_dense_oracles(self, data):
+        # Random ragged rows: repeated contexts, n-gram counts on and around
+        # a block edge, an empty context (an all-zero row), a longest row of
+        # exactly L with L rarely a multiple of 16, a cap that truncates,
+        # and order 2.
+        n = data.draw(st.sampled_from([1, 2]), label="order")
+        edge = [_BLOCK - 1, _BLOCK, _BLOCK + 1]
+        counts = data.draw(st.lists(st.sampled_from([0, 1, 3, *edge, 2 * _BLOCK + 5]), min_size=3, max_size=12))
+        longest = data.draw(st.integers(2 * _BLOCK + 6, 4 * _BLOCK + 3), label="L")
+        l_cap = data.draw(st.sampled_from([None, longest - 3, 2 * _BLOCK + 1]), label="l_cap")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        contexts = [
+            " ".join(f"w{t}" for t in rng.integers(0, 9, size=c + n - 1 if c else 0))
+            for c in [*counts, 0, longest, longest - 1]
+        ]
+        corpus = corpus_of(*(c for c in contexts for _ in range(int(rng.integers(1, 4)))))
+        matrix = build_matrix(corpus, fit_density(corpus, n), l_cap=l_cap)
+        X = matrix.values
+        assert X.shape[1] == min(longest, l_cap or longest) and (X == 0).all(axis=1).any()
+        if l_cap is not None:
+            assert matrix.truncated.any()
+
+        moments = fit_moments(matrix)
+        assert (moments.sigma == moments.sigma.T).all()
+        mu = X.sum(axis=0) / len(X)
+        centered = X - mu
+        dense = centered.T @ centered / (len(X) - 1)
+        np.testing.assert_allclose(moments.mu, mu, rtol=1e-12, atol=0)
+        # Entries that cancel to zero are exact on one side and rounding residue
+        # (about 1e-17 of the largest entry) on the other, so rtol alone fails them.
+        np.testing.assert_allclose(moments.sigma, dense, rtol=1e-12, atol=1e-15 * np.abs(dense).max())
+
+        model = regularized_factorize(moments)
+        scores = score_all(model, matrix).scores
+        oracle = reference_triangular_scores(model.factor, model.mu, X)
+        np.testing.assert_allclose(scores, oracle, rtol=1e-9, atol=0)
 
     def test_peak_memory_below_one_records_matrix(self):
         # 150 distinct contexts of up to 200 tokens, each repeated 8 times:
-        # density fit, featurization and moments together must never hold a
-        # records x L float64 array.
+        # density fit, featurization and moments together hold sigma, at
+        # most one more L x L product, and a few arrays the size of the
+        # stored content; never a records x L array.
         contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
         tracemalloc.start()
@@ -130,9 +173,11 @@ class TestFitMoments:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        records_matrix = matrix.rows * matrix.cols * 8
-        assert matrix.rows == 1200 and matrix.cols > 150
-        assert peak < records_matrix, f"peak {peak} bytes >= records x L matrix {records_matrix} bytes"
+        d, content = matrix.width, matrix.content.nbytes
+        assert matrix.rows == 1200 and d > 150
+        bound = 2 * d * d * 8 + 4 * content
+        assert peak <= bound, f"peak {peak} bytes > {bound} (2 L x L + 4 x {content} content bytes)"
+        assert bound < matrix.rows * d * 8
 
 
 class TestRegularizedFactorize:
@@ -295,7 +340,7 @@ class TestScoreAll:
         records = [records[i] for i in rng.permutation(len(records))]
         corpus = corpus_of(*records)
         matrix = build_matrix(corpus, fit_density(corpus, 2))
-        assert len(matrix.unique_values) == 40 < matrix.rows
+        assert len(matrix.ngram_counts) == 40 < matrix.rows
         model = regularized_factorize(fit_moments(matrix))
         dedup = score_all(model, matrix).scores
         assert dedup.tobytes() == score_all(model, matrix.values).scores.tobytes()
@@ -372,14 +417,15 @@ class TestBlockedSubstitution:
         matrix = build_matrix(corpus, fit_density(corpus, 1))
         model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon > 0.0
-        self.assert_rows_independent(model, matrix.unique_values, np.random.default_rng(seed))
+        self.assert_rows_independent(model, matrix.dense(matrix.width), np.random.default_rng(seed))
         ref = reference_scores(matrix.values, epsilon=model.epsilon)
         np.testing.assert_allclose(score_all(model, matrix).scores, ref, rtol=1e-6, atol=0)
 
     def test_peak_memory_one_deviation_buffer(self):
         # 150 distinct contexts of up to 200 tokens, each repeated 8 times:
-        # scoring holds the de-meaned distinct rows and block-sized
-        # temporaries, never a records x d or a d x d array.
+        # scoring holds one buffer per block-count group, each as wide as its
+        # rows' last block, and block-sized temporaries; never a records x d
+        # or a d x d array.
         contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
         matrix = build_matrix(corpus, fit_density(corpus, 1))
@@ -390,10 +436,12 @@ class TestBlockedSubstitution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows, d = matrix.unique_values.shape
+        rows, d = len(matrix.ngram_counts), matrix.width
         assert rows == 150 and d > 150
-        bound = 8 * rows * d + 6 * 8 * _BLOCK * rows + 8 * matrix.rows
-        assert peak <= bound, f"peak {peak} bytes > {bound} (one {rows} x {d} buffer + block temporaries)"
+        buffers = sum(8 * (group.stop - group.start) * W for group, W in _groups(matrix)[1])
+        bound = buffers + 6 * 8 * _BLOCK * rows + 8 * matrix.rows
+        assert buffers < 8 * rows * d
+        assert peak <= bound, f"peak {peak} bytes > {bound} ({buffers} bytes of group buffers + block temporaries)"
 
 
 class TestProperties:
