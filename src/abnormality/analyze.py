@@ -58,15 +58,20 @@ class Histogram:
 
 
 def moments_stats(scores) -> DistributionStats:
-    """Mean, variance, and standardized third/fourth central moments."""
+    """Mean, variance, and standardized third/fourth central moments.
+
+    Every sum is a NumPy reduction, not a BLAS dot product, so the result
+    does not depend on the BLAS thread count.
+    """
     x = np.asarray(scores, dtype=np.float64)
     n = len(x)
     if n < 2:
         raise StatError(f"need at least 2 values for distribution stats, got {n}")
     mean = float(x.mean())
     dev = x - mean
-    m2 = float(np.mean(dev**2))
-    variance = float(dev @ dev / (n - 1))
+    squares = dev**2
+    m2 = float(squares.mean())
+    variance = float(squares.sum() / (n - 1))
     if m2 == 0.0:
         skewness = excess_kurtosis = None
     else:
@@ -106,7 +111,8 @@ def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) 
     """Product-moment correlation, clamped to [-1, 1].
 
     Raises StatError when either argument is constant (undefined correlation)
-    or fewer than two points are given.
+    or fewer than two points are given.  The sums are NumPy reductions, not
+    BLAS dot products, so the result does not depend on the BLAS thread count.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -116,11 +122,11 @@ def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) 
         raise StatError(f"need at least 2 points for correlation, got {len(x)}")
     xc = x - x.mean()
     yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
+    sxx = float(np.sum(xc * xc))
+    syy = float(np.sum(yc * yc))
     if sxx == 0.0 or syy == 0.0:
         raise StatError("correlation undefined: at least one input is constant")
-    r = float(xc @ yc) / float(np.sqrt(sxx * syy))
+    r = float(np.sum(xc * yc)) / float(np.sqrt(sxx * syy))
     return min(1.0, max(-1.0, r))
 
 

@@ -204,7 +204,7 @@ def run_score_pipeline(
     """ingest-free core: density fit, featurize, moments, factorize, score."""
     table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
     matrix = feat_mod.build_matrix(corpus, table, l_cap=cfg.l_cap)
-    # Sigma is unreachable once factorized, so it is freed before scoring.
+    # Sigma's buffer becomes the factor, so no covariance is held while scoring.
     model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_policy())
     scores = maha_mod.score_all(model, matrix)
     return scores, model, table
@@ -397,9 +397,10 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     # The persisted scores cover the order they were computed at; other
     # requested orders are recomputed in memory under the scored settings.
     # A degenerate corpus (all contexts equal length) reports the
-    # correlation as an undefined marker instead of failing.
+    # correlation as an undefined marker instead of failing.  A repeated
+    # order is rescored once.
     pearson_by_order: dict[int, float | None] = {}
-    for order in cfg.orders:
+    for order in dict.fromkeys(cfg.orders):
         if order == scored.ngram:
             vector = scores
         else:

@@ -13,7 +13,9 @@ rows, so a record's score depends only on its row and the model.
 Positional-density covariance is frequently singular, so factorization
 escalates a diagonal shrinkage epsilon through a fixed schedule until the
 factorization succeeds; the epsilon actually applied is recorded on the
-model and carried into every downstream report.
+model and carried into every downstream report.  U is computed panel by
+panel in the covariance's own buffer, which becomes the model's factor: the
+covariance is consumed, and no second d x d matrix is held.
 """
 
 from __future__ import annotations
@@ -121,6 +123,11 @@ class ScoreVector:
 # 1,500 on 2 vCPUs with OpenBLAS; 8 and 32 ran within 20% of it, 64 slower.
 _BLOCK = 16
 
+# Columns per panel in regularized_factorize.  64 was as fast as 32, 128 and
+# 256 at d = 300, 700 and 1,500 on 2 vCPUs with OpenBLAS, or faster; each
+# panel's temporaries are d x 64.
+_PANEL = 64
+
 
 def _groups(matrix: FeatureMatrix) -> tuple[np.ndarray, list[tuple[slice, int]]]:
     """The distinct rows sorted stably by their count b of 16-column blocks, and each b's group.
@@ -213,36 +220,54 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> Moments:
 
 
 def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
-    """Factor sigma + epsilon*I as U U^T, U upper triangular, escalating epsilon until it succeeds.
+    """Factor sigma + epsilon*I as U U^T, U upper triangular, in sigma's own buffer.
 
-    U is the Cholesky factor of the reversed sigma, reversed back in place,
-    so the last (zero-padded) positions are eliminated first.  Returns the
-    model with U and the first epsilon that factorized; raises
-    SingularityError naming the final epsilon tried when every attempt
-    fails (e.g. degenerate data with trace 0).  Epsilon is added to sigma's
-    own diagonal, restored exactly on return or raise, so no second d x d
-    matrix is allocated.
+    Epsilon escalates through the policy's schedule until the factorization
+    succeeds.  U is built from the last _PANEL-column panel to the first, so
+    the last (zero-padded) positions are eliminated first, as in a Cholesky
+    factorization of the reversed matrix: per panel, one gemm subtracts the
+    factored columns to its right, a Cholesky factorization of the reversed
+    diagonal block gives that block of U, and one solve gives the rows above.
+    U depends only on sigma's upper triangle, and only that is written, so a
+    failed attempt restores it from the strict lower triangle, panel by panel.
+
+    Sigma must be symmetric.  A float64 sigma is consumed: on success its
+    strict lower triangle is zeroed and it is the returned model's U, so no
+    second d x d matrix is allocated.  When every attempt fails (e.g.
+    degenerate data with trace 0), sigma is restored bit for bit and
+    SingularityError names the final epsilon tried.  Any other dtype is
+    factored in a float64 copy.
     """
-    # No copy for float64; any other dtype is shifted in a float64 copy.
     sigma = np.asarray(moments.sigma, dtype=np.float64)
     d = len(sigma)
     trace = float(np.trace(sigma))
     diag = sigma.diagonal().copy()
+    upper = np.triu(np.ones((_PANEL, _PANEL), dtype=bool))
+    panels = [(max(e - _PANEL, 0), e) for e in range(d, 0, -_PANEL)]  # the first holds the remainder
     eps = 0.0
-    try:
-        for eps in policy.schedule(trace, d):
-            sigma.flat[:: d + 1] = diag + eps
-            try:
-                factor = np.linalg.cholesky(sigma[::-1, ::-1])
-            except np.linalg.LinAlgError:
-                continue
-            for i in range((d + 1) // 2):  # factor[::-1, ::-1], a row pair at a time
-                top = factor[i, ::-1].copy()
-                factor[i] = factor[d - 1 - i, ::-1]
-                factor[d - 1 - i] = top
-            return MomentModel(mu=moments.mu, factor=factor, n=moments.n, epsilon=eps)
-    finally:
-        sigma.flat[:: d + 1] = diag
+    for eps in policy.schedule(trace, d):
+        sigma.flat[:: d + 1] = diag + eps
+        done = 0
+        try:
+            for s, e in panels:
+                A = sigma[:e, e:] @ sigma[s:e, e:].T
+                np.subtract(sigma[:e, s:e], A, out=A)
+                block = np.linalg.cholesky(A[s:][::-1, ::-1])[::-1, ::-1]
+                if s:
+                    sigma[:s, s:e] = np.linalg.solve(block, A[:s].T).T
+                np.copyto(sigma[s:e, s:e], block, where=upper[: e - s, : e - s])
+                done += 1
+        except np.linalg.LinAlgError:
+            for s, e in panels[:done]:
+                sigma[:s, s:e] = sigma[s:e, :s].T
+                square = sigma[s:e, s:e]
+                np.copyto(square, square.T, where=upper[: e - s, : e - s])  # copyto copies an overlapping source
+            continue
+        for s, e in panels:
+            sigma[s:e, :s] = 0.0
+            np.copyto(sigma[s:e, s:e], 0.0, where=~upper[: e - s, : e - s])
+        return MomentModel(mu=moments.mu, factor=sigma, n=moments.n, epsilon=eps)
+    sigma.flat[:: d + 1] = diag
     raise SingularityError(
         f"covariance (trace={trace:g}, d={d}) is not positive definite at any "
         f"epsilon tried (last: {eps:g})",

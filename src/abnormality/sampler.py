@@ -230,7 +230,8 @@ def select_bucketed(
     width = spec.bucket_width
 
     bucket_of = lengths // width
-    bucket_ids = sorted(int(b) for b in np.unique(bucket_of)) if n else []
+    # np.unique would import numpy.ma (15-19 ms) in NumPy 2.x; bincount gives the same sorted ids.
+    bucket_ids = np.flatnonzero(np.bincount(bucket_of)).tolist()
     groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
     picked, means, quota = _claim(s, groups, spec)
 

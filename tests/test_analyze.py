@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,40 @@ from abnormality.sampler import SelectionSpec, label_all, select_global
 
 from conftest import corpus_of
 from oracles import reference_histogram_counts, reference_moments
+
+
+# Prints, as hex, the moments and the correlation of 18,000 seeded values.
+# OpenBLAS threads a dot product above 10,000 elements, so a BLAS reduction
+# would print different bits at 1 and at 2 BLAS threads.
+_STATS_PROBE = """
+import json
+import numpy as np
+from abnormality.analyze import moments_stats, pearson
+rng = np.random.default_rng(17)
+x = rng.exponential(size=18_000)
+y = rng.integers(50, 900, size=18_000).astype(np.float64)
+stats = moments_stats(x)
+values = [stats.mean, stats.variance, stats.skewness, stats.excess_kurtosis, pearson(y, x)]
+print(json.dumps([v.hex() for v in values]))
+"""
+
+
+def stats_at_blas_threads(threads: int) -> list[float]:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+    done = subprocess.run([sys.executable, "-c", _STATS_PROBE], env=env, capture_output=True, text=True, check=True)
+    return [float.fromhex(v) for v in json.loads(done.stdout)]
+
+
+def test_stats_bitwise_equal_at_any_blas_thread_count():
+    one = stats_at_blas_threads(1)
+    assert stats_at_blas_threads(2) == one
+    rng = np.random.default_rng(17)
+    x = rng.exponential(size=18_000)
+    y = rng.integers(50, 900, size=18_000).astype(np.float64)
+    ref = reference_moments(x)
+    assert one[:4] == pytest.approx([ref["mean"], ref["variance"], ref["skewness"], ref["excess_kurtosis"]], rel=1e-12)
+    assert one[4] == pytest.approx(scipy_stats.pearsonr(y, x)[0], rel=1e-9)
 
 
 class TestMomentsStats:

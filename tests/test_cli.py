@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abnormality import cli
 from abnormality.analyze import pearson
 from abnormality.cli import RunConfig, _build_parser, main
 from abnormality.corpus import ingest_file, make_synthetic_corpus
@@ -229,6 +230,15 @@ class TestSampleCommand:
         assert manifest["policy_echo"]["strategy"] == "bucketed"
         assert manifest["policy_echo"]["bucket_width"] == 250
 
+    def test_bucketed_sample_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma in NumPy 2.x, 15-19 ms of every bucketed sample.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert run_fresh(
+            ["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1,
+             "--strategy", "bucketed", "--bucket-width", "20"],
+            module="numpy.ma",
+        ) == ([0], False)
+
     def test_stale_corpus_exits_2(self, tmp_path, capsys):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         out = run_score(tmp_path, corpus_path)
@@ -377,6 +387,16 @@ class TestAnalyzeCommand:
         assert code == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert set(summary["pearson_by_order"]) == {"1", "3"}
+
+    def test_repeated_order_rescored_once(self, tmp_path, monkeypatch):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl", n=15, seed=5))
+        rescored, pipeline = [], cli.run_score_pipeline
+        monkeypatch.setattr(cli, "run_score_pipeline", lambda corpus, cfg: rescored.append(cfg.ngram) or pipeline(corpus, cfg))
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
+                     "--orders", "2,1,2,3,2"]) == 0
+        assert rescored == [2, 3]
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        assert set(summary["pearson_by_order"]) == {"1", "2", "3"}
 
     def test_labels_rows_from_selection(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
@@ -536,24 +556,24 @@ class TestAnalyzeCommand:
 
 
 # Runs the CLI commands given as JSON in argv[1] and prints, as its last line,
-# their exit codes and whether SciPy was imported.  With "block" in argv[2],
-# importing SciPy raises ImportError.  It needs a fresh interpreter: the test
-# process has already imported scipy.stats.
-_SCIPY_PROBE = """
+# their exit codes and whether the module named in argv[3] was imported.  With
+# "block" in argv[2], importing SciPy raises ImportError.  It needs a fresh
+# interpreter: the test process has already imported scipy.stats.
+_MODULE_PROBE = """
 import json, sys
 if sys.argv[2] == "block":
     sys.modules["scipy"] = None
 from abnormality.cli import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps([codes, sys.modules.get("scipy") is not None]))
+print(json.dumps([codes, sys.modules.get(sys.argv[3]) is not None]))
 """
 
 
-def run_fresh(*commands: list[str], block_scipy: bool = False) -> tuple[list[int], bool]:
-    """Each command's exit code, and whether SciPy was loaded, from one fresh interpreter."""
+def run_fresh(*commands: list[str], block_scipy: bool = False, module: str = "scipy") -> tuple[list[int], bool]:
+    """Each command's exit code, and whether ``module`` was loaded, from one fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(list(commands)), "block" if block_scipy else "allow"],
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(list(commands)), "block" if block_scipy else "allow", module],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
     codes, loaded = json.loads(done.stdout.splitlines()[-1])

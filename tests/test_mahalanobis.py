@@ -14,6 +14,7 @@ from abnormality.errors import FitError, SchemaError, SingularityError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import (
     _BLOCK,
+    _PANEL,
     _groups,
     EpsilonPolicy,
     MomentModel,
@@ -218,33 +219,120 @@ class TestRegularizedFactorize:
         with pytest.raises(SingularityError):
             regularized_factorize(moments, EpsilonPolicy(fixed=0.0))
 
-    def test_sigma_unchanged_at_zero_epsilon(self):
+    def test_factor_is_sigma_at_zero_epsilon(self):
         moments = fit_moments(np.random.default_rng(41).normal(size=(30, 6)))
-        before = moments.sigma.tobytes()
+        oracle = reference_shifted_cholesky(moments.sigma, 0.0)
         out = regularized_factorize(moments)
         assert out.epsilon == 0.0
-        assert moments.sigma.tobytes() == before
-        assert out.factor.tobytes() == reference_shifted_cholesky(moments.sigma, 0.0).tobytes()
+        assert np.shares_memory(out.factor, moments.sigma)
+        assert out.factor.tobytes() == oracle.tobytes()
 
-    def test_shift_matches_copy_and_leaves_sigma_unchanged(self):
+    def test_shift_matches_copy_and_factor_is_sigma(self):
         # Epsilon = 0 fails on the zero row, so the factor comes from a
-        # shifted diagonal that must then be restored bit for bit.
+        # shifted diagonal, factored in sigma's own buffer.
         moments = singular_moments(np.random.default_rng(42), 40, 8)
         before = moments.sigma.copy()
         out = regularized_factorize(moments)
         assert out.epsilon > 0.0
-        assert moments.sigma.tobytes() == before.tobytes()
+        assert np.shares_memory(out.factor, moments.sigma)
         assert out.factor.tobytes() == reference_shifted_cholesky(before, out.epsilon).tobytes()
 
+    def test_sigma_restored_before_each_attempt(self, monkeypatch):
+        # Column 0 is eliminated last, in the third panel, so every failed
+        # attempt has overwritten the upper triangle of the two panels after
+        # it.  Its Schur complement is -30 base: epsilon = 0, base and 10 base
+        # fail there, and 100 base succeeds.
+        d = 2 * _PANEL + 22
+        sigma = fit_moments(np.random.default_rng(46).normal(size=(2 * d, d))).sigma
+        pivot = reference_shifted_cholesky(sigma, 0.0)[0, 0] ** 2
+        base = EpsilonPolicy().base_scale * (np.trace(sigma) - pivot) / d
+        sigma[0, 0] -= pivot + 30 * base
+        before = sigma.copy()
+        schedule = EpsilonPolicy().schedule(float(np.trace(sigma)), d)
+
+        snapshots, outcomes = [], []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):  # snapshots sigma as each attempt factors its first panel
+            if not outcomes or outcomes[-1] == "failed":
+                snapshots.append(sigma.copy())
+            try:
+                out = cholesky(a)
+            except np.linalg.LinAlgError:
+                outcomes.append("failed")
+                raise
+            outcomes.append("ok")
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        model = regularized_factorize(Moments(mu=np.zeros(d), sigma=sigma, n=2 * d))
+        monkeypatch.undo()
+        assert model.epsilon == schedule[3]
+        assert outcomes.count("failed") == 3 and len(snapshots) == 4
+        off = ~np.eye(d, dtype=bool)
+        for eps, seen in zip(schedule, snapshots):
+            assert seen[off].tobytes() == before[off].tobytes()
+            assert seen.diagonal().tobytes() == (before.diagonal() + eps).tobytes()
+        assert np.shares_memory(model.factor, sigma)
+        oracle = reference_shifted_cholesky(before, model.epsilon)
+        np.testing.assert_allclose(model.factor, oracle, rtol=1e-10, atol=1e-15 * np.abs(oracle).max())
+
     def test_sigma_unchanged_after_singularity_error(self):
-        A = np.random.default_rng(43).normal(size=(5, 5))
+        # No shrinkage in the schedule makes sigma positive definite, and each
+        # attempt fails in the last panel, after the others are overwritten.
+        d = 2 * _PANEL + 22
+        A = np.random.default_rng(43).normal(size=(d, d))
         sigma = A @ A.T
-        sigma[0, 0] = -1.0  # no shrinkage in the schedule makes this positive definite
+        sigma = np.triu(sigma) + np.triu(sigma, 1).T
+        sigma[0, 0] = -1.0
         before = sigma.tobytes()
         with pytest.raises(SingularityError) as exc:
-            regularized_factorize(Moments(mu=np.zeros(5), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
+            regularized_factorize(Moments(mu=np.zeros(d), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
         assert exc.value.last_epsilon > 0.0
         assert sigma.tobytes() == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1, 3 * _PANEL - 1, 200]),
+        kind=st.sampled_from(["full", "constant columns", "low rank"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_factor_matches_flipped_cholesky(self, d, kind, seed):
+        # Constant columns are the zero-padded positions of real corpora:
+        # epsilon > 0, and the rest of sigma is well conditioned, so U
+        # matches the oracle entry by entry.  A low-rank sigma + epsilon I
+        # has a condition number near 1e8 d, where no two factorizations
+        # agree to 1e-10 (this one and the oracle's differed by up to 2e-4
+        # relative), so there U U^T is checked against sigma + epsilon I.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(2 if kind == "low rank" else 2 * d + 8, d)) * rng.lognormal(0, 1, size=d)
+        if kind == "constant columns":
+            X[:, rng.random(d) < 0.2] = 1.0
+        moments = fit_moments(X)
+        sigma = moments.sigma.copy()
+        schedule = EpsilonPolicy().schedule(float(np.trace(sigma)), d)
+        expected = None
+        for eps in schedule:
+            try:
+                oracle = reference_shifted_cholesky(sigma, eps)
+            except np.linalg.LinAlgError:
+                continue
+            expected = eps
+            break
+        if expected is None:
+            with pytest.raises(SingularityError):
+                regularized_factorize(moments)
+            assert moments.sigma.tobytes() == sigma.tobytes()
+            return
+        model = regularized_factorize(moments)
+        assert model.epsilon == expected
+        assert (np.tril(model.factor, -1) == 0.0).all()
+        if kind == "low rank" and d > _PANEL:
+            shifted = sigma + expected * np.eye(d)
+            residual = model.factor @ model.factor.T - shifted
+            assert np.abs(residual).max() <= 1e-15 * d * np.abs(shifted).max()
+        else:  # an entry that cancels to near 0 keeps the rounding of the terms it came from
+            np.testing.assert_allclose(model.factor, oracle, rtol=1e-10, atol=1e-15 * np.abs(oracle).max())
 
     def test_integer_sigma_is_shifted_in_float64(self):
         # Writing epsilon onto an integer diagonal would truncate it to 0.
@@ -260,11 +348,16 @@ class TestRegularizedFactorize:
         assert [f.name for f in dataclasses.fields(model)] == ["mu", "factor", "n", "epsilon"]
         assert model.mu is moments.mu and model.n == 10 and model.epsilon == 0.0
 
-    def test_peak_memory_one_matrix_beyond_sigma(self):
-        # With epsilon > 0 the stage allocates the factor and a few vectors;
-        # a shifted copy of sigma beside the factor would be 2 * 8 d^2 bytes.
-        d = 300
-        moments = singular_moments(np.random.default_rng(45), 400, d)
+    def test_peak_memory_below_a_quarter_of_sigma(self):
+        # U is built in sigma's buffer.  Column 0 is constant, so epsilon = 0
+        # fails in the last panel and every other panel is restored from the
+        # lower triangle; the stage then allocates a panel's product, a
+        # solve's right-hand sides and a few vectors, never a d x d matrix.
+        d = 1000
+        X = np.random.default_rng(45).normal(size=(d + 100, d))
+        X[:, 0] = 1.0
+        moments = fit_moments(X)
+        del X
         tracemalloc.start()
         try:
             out = regularized_factorize(moments)
@@ -272,7 +365,7 @@ class TestRegularizedFactorize:
         finally:
             tracemalloc.stop()
         assert out.epsilon > 0.0
-        assert peak < 1.5 * 8 * d * d, f"peak {peak} bytes >= 1.5 d x d matrices"
+        assert peak < d * d * 8 / 4, f"peak {peak} bytes >= a quarter of a d x d matrix"
 
 
 class TestScore:
