@@ -18,7 +18,6 @@ import collections
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -81,18 +80,11 @@ class RunConfig:
             raise ValueError(f"ngram order must be >= 1, got {self.ngram}")
         if self.l_cap is not None and self.l_cap < 1:
             raise ValueError(f"l_cap must be >= 1, got {self.l_cap}")
-        if not 0 < self.epsilon_base_scale < math.inf:
-            raise ValueError("epsilon_base_scale must be finite and > 0")
-        if self.epsilon_fixed is not None and not 0 <= self.epsilon_fixed < math.inf:
-            raise ValueError(f"epsilon_fixed must be finite and >= 0, got {self.epsilon_fixed}")
-        if self.epsilon_max_exponent < 0:
-            raise ValueError("epsilon_max_exponent must be >= 0")
-        if min(self.k_low, self.k_high, self.k_mean) < 0:
-            raise ValueError("selection counts must be >= 0")
-        if self.strategy not in ("global", "bucketed"):
-            raise ValueError(f"strategy must be 'global' or 'bucketed', got {self.strategy!r}")
-        if self.bucket_width < 1:
-            raise ValueError(f"bucket_width must be >= 1, got {self.bucket_width}")
+        try:
+            self.epsilon_policy()
+        except ValueError as e:  # EpsilonPolicy names its fields without the epsilon_ prefix
+            raise ValueError(f"epsilon_{e}") from None
+        self.selection_spec()
         if self.subset_format not in ("jsonl", "squad"):
             raise ValueError(f"subset_format must be 'jsonl' or 'squad', got {self.subset_format!r}")
         if not self.orders or any(o < 1 for o in self.orders):

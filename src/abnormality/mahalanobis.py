@@ -66,7 +66,7 @@ class EpsilonPolicy:
         if not 0 < self.base_scale < math.inf:
             raise ValueError(f"base_scale must be finite and > 0, got {self.base_scale}")
         if self.fixed is not None and not 0 <= self.fixed < math.inf:
-            raise ValueError(f"fixed epsilon must be finite and >= 0, got {self.fixed}")
+            raise ValueError(f"fixed must be finite and >= 0, got {self.fixed}")
         if self.max_exponent < 0:
             raise ValueError(f"max_exponent must be >= 0, got {self.max_exponent}")
 

@@ -52,9 +52,11 @@ class SelectionSpec:
 
     def __post_init__(self) -> None:
         if self.k_low < 0 or self.k_high < 0 or self.k_mean < 0:
-            raise ValueError("selection counts must be >= 0")
+            raise ValueError(
+                f"k_low, k_high and k_mean must be >= 0, got {self.k_low}, {self.k_high}, {self.k_mean}"
+            )
         if self.strategy not in ("global", "bucketed"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"strategy must be 'global' or 'bucketed', got {self.strategy!r}")
         if self.bucket_width < 1:
             raise ValueError(f"bucket_width must be >= 1, got {self.bucket_width}")
 
@@ -73,58 +75,32 @@ class Selection:
     policy_echo: dict
 
 
-def _check_capacity(n: int, spec: SelectionSpec) -> None:
-    if spec.disjoint:
-        if spec.total > n:
-            raise CapacityError(
-                f"requested {spec.total} disjoint selections from {n} examples"
-            )
-    else:
-        biggest = max(spec.k_low, spec.k_high, spec.k_mean)
-        if biggest > n:
-            raise CapacityError(f"requested {biggest} selections from {n} examples")
-
-
-def _take(order: np.ndarray, k: int, blocked: set[int]) -> list[int]:
-    out: list[int] = []
-    for i in order:
-        if len(out) == k:
-            break
-        i = int(i)
-        if i in blocked:
-            continue
-        out.append(i)
-    return out
-
-
 def _mean(s: np.ndarray) -> float:
     """Correctly rounded mean of ``s``: the same float for every order of the scores."""
     return math.fsum(s.tolist()) / len(s)
 
 
 def _orders(s: np.ndarray, members: np.ndarray, mean: float):
-    """Per-category candidate orders over ``members`` (ties keep ordinal order)."""
-    low = members[np.argsort(s[members], kind="stable")]
-    high = members[np.argsort(-s[members], kind="stable")]
-    mean_prox = members[np.argsort(np.abs(s[members] - mean), kind="stable")]
-    return {"low": low, "high": high, "mutual": mean_prox}
+    """Candidate orders over ``members`` in low, high, mutual order (ties keep ordinal order)."""
+    return tuple(
+        members[np.argsort(key, kind="stable")]
+        for key in (s[members], -s[members], np.abs(s[members] - mean))
+    )
 
 
 def _largest_remainder(k: int, pops: list[int]) -> list[int]:
     """Apportion k units across buckets proportionally to population.
 
-    Floors of the exact quotas first; leftovers go to the largest fractional
-    remainders (ties: larger population, then lower list position).
+    Floors of the exact quotas k * p / total first; leftovers go to the
+    largest remainders (ties: larger population, then lower list position).
+    The remainders are integers k * p mod total, so equal ones tie exactly.
     """
     total = sum(pops)
     if total == 0 or k == 0:
         return [0] * len(pops)
-    exact = [k * p / total for p in pops]
-    floors = [int(q) for q in exact]
+    floors = [k * p // total for p in pops]
     leftover = k - sum(floors)
-    order = sorted(
-        range(len(pops)), key=lambda b: (-(exact[b] - floors[b]), -pops[b], b)
-    )
+    order = sorted(range(len(pops)), key=lambda b: (-(k * pops[b] % total), -pops[b], b))
     for b in order[:leftover]:
         floors[b] += 1
     return floors
@@ -137,57 +113,48 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec):
     apportionment.  Groups claim in descending-population order (ties:
     lower list position), each category in low, high, mutual order against
     the group's own score mean; a group's shortfall spills to the next
-    group, pass after pass, until every quota is placed.  Returns the picks
-    per category, each group's score mean, and each category's quotas.
+    group, pass after pass, until every quota is placed.  A pass that
+    places nothing raises CapacityError.  Returns a (3, n) boolean array of
+    claims and the quotas, one row each per category in low, high, mutual
+    order, and each group's score mean.
     """
     pops = [len(m) for m in groups]
     means = [_mean(s[m]) for m in groups]
     orders = [_orders(s, m, mean) for m, mean in zip(groups, means)]
-    quota = {
-        cat: _largest_remainder(k, pops)
-        for cat, k in zip(_CATEGORIES, (spec.k_low, spec.k_high, spec.k_mean))
-    }
+    ks = (spec.k_low, spec.k_high, spec.k_mean)
+    quota = [_largest_remainder(k, pops) for k in ks]
     process_order = sorted(range(len(groups)), key=lambda g: (-pops[g], g))
 
-    taken: set[int] = set()
-    picked: dict[str, list[int]] = {cat: [] for cat in _CATEGORIES}
-    picked_sets: dict[str, set[int]] = {cat: set() for cat in _CATEGORIES}
-    carry = {cat: 0 for cat in _CATEGORIES}
+    claimed = np.zeros((len(_CATEGORIES), len(s)), dtype=bool)
+    # Nonzero only without groups (n = 0): the first pass then places nothing and raises.
+    carry = [k - sum(q) for k, q in zip(ks, quota)]
     first_pass = True
     while True:
         placed_any = False
         for g in process_order:
-            for cat in _CATEGORIES:
-                want = carry[cat] + (quota[cat][g] if first_pass else 0)
+            for c, order in enumerate(orders[g]):
+                want = carry[c] + (quota[c][g] if first_pass else 0)
                 if want == 0:
                     continue
-                blocked = taken if spec.disjoint else picked_sets[cat]
-                got = _take(orders[g][cat], want, blocked)
-                if got:
-                    placed_any = True
-                    picked[cat].extend(got)
-                    picked_sets[cat].update(got)
-                    if spec.disjoint:
-                        taken.update(got)
-                carry[cat] = want - len(got)
+                blocked = claimed[:, order].any(axis=0) if spec.disjoint else claimed[c, order]
+                got = order[~blocked][:want]
+                claimed[c, got] = True
+                placed_any |= len(got) > 0
+                carry[c] = want - len(got)
         first_pass = False
-        if all(c == 0 for c in carry.values()):
+        if not any(carry):
             break
         if not placed_any:
             raise CapacityError(
-                f"could not place {sum(carry.values())} selections after spillover "
-                f"(n={len(s)}, requested={spec.total})"
+                f"could not place {sum(carry)} of the {spec.total} requested selections "
+                f"among {len(s)} examples"
             )
-    return picked, means, quota
+    return claimed, quota, means
 
 
-def _selection(picked: dict[str, list[int]], echo: dict) -> Selection:
-    return Selection(
-        low=tuple(sorted(picked["low"])),
-        high=tuple(sorted(picked["high"])),
-        mean_proximal=tuple(sorted(picked["mutual"])),
-        policy_echo=echo,
-    )
+def _selection(claimed: np.ndarray, echo: dict) -> Selection:
+    low, high, mutual = (tuple(np.flatnonzero(row).tolist()) for row in claimed)
+    return Selection(low=low, high=high, mean_proximal=mutual, policy_echo=echo)
 
 
 def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
@@ -199,11 +166,10 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     """
     s = np.asarray(scores, dtype=np.float64)
     n = len(s)
-    _check_capacity(n, spec)
     # An empty corpus has no group: a group must have a mean.
-    picked, means, _ = _claim(s, [np.arange(n)] if n else [], spec)
+    claimed, _, means = _claim(s, [np.arange(n)] if n else [], spec)
     echo = {"spec": asdict(spec), "strategy": "global", "score_mean": means[0] if n else None}
-    return _selection(picked, echo)
+    return _selection(claimed, echo)
 
 
 def select_bucketed(
@@ -226,14 +192,13 @@ def select_bucketed(
     n = len(s)
     if len(lengths) != n:
         raise ValueError(f"char_lengths size {len(lengths)} does not match scores size {n}")
-    _check_capacity(n, spec)
     width = spec.bucket_width
 
     bucket_of = lengths // width
     # np.unique would import numpy.ma (15-19 ms) in NumPy 2.x; bincount gives the same sorted ids.
     bucket_ids = np.flatnonzero(np.bincount(bucket_of)).tolist()
     groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
-    picked, means, quota = _claim(s, groups, spec)
+    claimed, quota, means = _claim(s, groups, spec)
 
     echo = {
         "spec": asdict(spec),
@@ -245,14 +210,14 @@ def select_bucketed(
                 "bucket": b,
                 "population": len(groups[g]),
                 "score_mean": means[g],
-                "quota_low": quota["low"][g],
-                "quota_high": quota["high"][g],
-                "quota_mean": quota["mutual"][g],
+                "quota_low": quota[0][g],
+                "quota_high": quota[1][g],
+                "quota_mean": quota[2][g],
             }
             for g, b in enumerate(bucket_ids)
         ],
     }
-    return _selection(picked, echo)
+    return _selection(claimed, echo)
 
 
 def label_all(scores, selection: Selection) -> list[str]:

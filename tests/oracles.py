@@ -6,7 +6,9 @@ formulas.  Nothing here shares code with the package under test.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -116,7 +118,7 @@ def reference_selection(
     """
     s = [float(v) for v in getattr(scores, "scores", scores)]
     n = len(s)
-    mean = sum(s) / n if n else 0.0
+    mean = math.fsum(s) / n if n else 0.0
     low_order = sorted(range(n), key=lambda i: (s[i], i))
     high_order = sorted(range(n), key=lambda i: (-s[i], i))
     mean_order = sorted(range(n), key=lambda i: (abs(s[i] - mean), i))
@@ -139,6 +141,77 @@ def reference_selection(
     high = take(high_order, k_high)
     mean_prox = take(mean_order, k_mean)
     return low, high, mean_prox
+
+
+def reference_bucketed_selection(
+    scores, char_lengths, k_low: int, k_high: int, k_mean: int, bucket_width: int,
+    disjoint: bool = True,
+):
+    """Three-way selection within character-length buckets, written out.
+
+    Bucket b holds the examples with char_length // bucket_width == b.  Each
+    k is apportioned by largest remainder: bucket b first gets the floor of
+    its exact quota k * pop_b / n, and the units left over go one each to
+    the largest remainders (ties: larger population, then smaller b).
+    Buckets then claim in descending population (ties: smaller b), each
+    category in low, high, mean order against the bucket's own mean, ties
+    by ascending index; a quota a bucket cannot fill carries to the next
+    bucket, pass after pass.  Returns (low, high, mean_proximal), each
+    sorted ascending, or None when a pass places nothing while a quota is
+    still open.
+    """
+    s = [float(v) for v in scores]
+    n = len(s)
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(char_lengths[i] // bucket_width, []).append(i)
+    buckets = sorted(members)
+    pop = {b: len(members[b]) for b in buckets}
+    cats = ("low", "high", "mean")
+    ks = dict(zip(cats, (k_low, k_high, k_mean)))
+
+    quota = {}
+    for cat in cats:
+        exact = {b: Fraction(ks[cat] * pop[b], n) for b in buckets}
+        share = {b: math.floor(exact[b]) for b in buckets}
+        by_remainder = sorted(buckets, key=lambda b: (-(exact[b] - share[b]), -pop[b], b))
+        for b in by_remainder[: ks[cat] - sum(share.values())]:
+            share[b] += 1
+        quota[cat] = share
+
+    orders = {}
+    for b in buckets:
+        mean = math.fsum(s[i] for i in members[b]) / pop[b]
+        orders[b] = {
+            "low": sorted(members[b], key=lambda i: (s[i], i)),
+            "high": sorted(members[b], key=lambda i: (-s[i], i)),
+            "mean": sorted(members[b], key=lambda i: (abs(s[i] - mean), i)),
+        }
+
+    picked: dict[str, set[int]] = {cat: set() for cat in cats}
+    # Without buckets (n = 0) nothing is apportioned, and all of k is still open.
+    open_ = {cat: ks[cat] - sum(quota[cat].values()) for cat in cats}
+    first_pass = True
+    while True:
+        placed = False
+        for b in sorted(buckets, key=lambda b: (-pop[b], b)):
+            for cat in cats:
+                want = open_[cat] + (quota[cat][b] if first_pass else 0)
+                taken = set().union(*picked.values()) if disjoint else picked[cat]
+                got = []
+                for i in orders[b][cat]:
+                    if len(got) == want:
+                        break
+                    if i not in taken:
+                        got.append(i)
+                picked[cat].update(got)
+                placed = placed or bool(got)
+                open_[cat] = want - len(got)
+        first_pass = False
+        if all(v == 0 for v in open_.values()):
+            return tuple(sorted(picked[cat]) for cat in cats)
+        if not placed:
+            return None
 
 
 def reference_moments(values) -> dict:

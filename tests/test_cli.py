@@ -638,6 +638,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon_base_scale", 0.0), ("epsilon_fixed", -1.0), ("epsilon_max_exponent", -1),
+        ("k_low", -1), ("k_high", -1), ("k_mean", -1), ("strategy", "random"), ("bucket_width", 0),
+    ])
+    def test_validation_names_the_config_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value}).validate()
+
     def test_every_option_sets_a_config_field(self):
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         parser = _build_parser()

@@ -17,10 +17,11 @@ from abnormality.sampler import (
 )
 
 from conftest import corpus_of
-from oracles import reference_selection
+from oracles import reference_bucketed_selection, reference_selection
 
 K1 = SelectionSpec(k_low=1, k_high=1, k_mean=1)
 K2 = SelectionSpec(k_low=2, k_high=2, k_mean=2)
+K0 = SelectionSpec(k_low=0, k_high=0, k_mean=0)
 
 
 class TestSelectGlobal:
@@ -81,6 +82,9 @@ class TestLargestRemainder:
         # exact quotas 1.5 / 1.5: the extra unit goes to the first by index
         assert _largest_remainder(3, [5, 5]) == [2, 1]
         assert _largest_remainder(3, [4, 8]) == [1, 2]
+        # quotas 30/39, 57/39, 18/39, 12/39: buckets 1 and 2 both have remainder 18/39,
+        # which floating-point quotas (1.4615... - 1 vs 0.4615...) round apart
+        assert _largest_remainder(3, [10, 19, 6, 4]) == [1, 2, 0, 0]
 
     def test_conserves_total(self):
         rng = np.random.default_rng(19)
@@ -152,6 +156,33 @@ class TestSelectBucketed:
     def test_length_size_mismatch(self):
         with pytest.raises(ValueError):
             select_bucketed([1.0, 2.0], [10], SelectionSpec(k_low=0, k_high=0, k_mean=0))
+
+
+@pytest.mark.parametrize("scores, lengths, spec, fits", [
+    pytest.param([], None, SelectionSpec(k_low=1, k_high=0, k_mean=0), False, id="global-empty"),
+    pytest.param([], [], SelectionSpec(k_low=0, k_high=0, k_mean=1, strategy="bucketed"), False,
+                 id="bucketed-empty"),
+    pytest.param([], None, K0, True, id="global-empty-zero-k"),
+    pytest.param([], [], K0, True, id="bucketed-empty-zero-k"),
+    pytest.param([1.0, 2.0], None, SelectionSpec(k_low=0, k_high=3, k_mean=0, disjoint=False), False,
+                 id="global-overlap-k-above-n"),
+    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(k_low=1, k_high=1, k_mean=3, disjoint=False), False,
+                 id="bucketed-overlap-k-above-n"),
+    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(k_low=2, k_high=2, k_mean=2, disjoint=False), True,
+                 id="bucketed-overlap-total-above-n"),
+])
+def test_capacity_edge_cases(scores, lengths, spec, fits):
+    def select():
+        return select_global(scores, spec) if lengths is None else select_bucketed(scores, lengths, spec)
+
+    if not fits:
+        with pytest.raises(CapacityError):
+            select()
+        return
+    sel = select()
+    assert [len(sel.low), len(sel.high), len(sel.mean_proximal)] == [spec.k_low, spec.k_high, spec.k_mean]
+    if not scores:
+        assert sel.policy_echo["score_mean"] is None
 
 
 class TestLabelAll:
@@ -268,6 +299,37 @@ class TestProperties:
         assume(len(set(raised)) == len(raised))
         sel2 = select_global(raised, spec)
         assert target in sel2.high
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 24).flatmap(lambda n: st.tuples(
+            # quarter-integer scores give plenty of ties
+            st.lists(st.integers(-12, 12).map(lambda v: v / 4), min_size=n, max_size=n),
+            st.lists(st.integers(0, 120), min_size=n, max_size=n),
+        )),
+        st.integers(1, 60),
+        st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+        st.booleans(),
+    )
+    def test_selection_matches_naive_references(self, data, width, ks, disjoint):
+        s, lengths = data
+        spec = SelectionSpec(*ks, strategy="bucketed", bucket_width=width, disjoint=disjoint)
+        expected = reference_bucketed_selection(s, lengths, *ks, width, disjoint=disjoint)
+        if expected is None:
+            with pytest.raises(CapacityError):
+                select_bucketed(s, lengths, spec)
+        else:
+            sel = select_bucketed(s, lengths, spec)
+            assert (list(sel.low), list(sel.high), list(sel.mean_proximal)) == expected
+
+        overlap = SelectionSpec(*ks, disjoint=False)
+        if max(ks) > len(s):
+            with pytest.raises(CapacityError):
+                select_global(s, overlap)
+        else:
+            sel = select_global(s, overlap)
+            expected = reference_selection(s, *ks, disjoint=False)
+            assert (list(sel.low), list(sel.high), list(sel.mean_proximal)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=9, max_size=40))
