@@ -11,7 +11,6 @@ correlation).
 from .analyze import DistributionStats, Histogram, emit_report, histogram, moments_stats, pearson
 from .corpus import (
     Corpus,
-    Example,
     JsonlFields,
     ingest_file,
     ingest_jsonl,
@@ -58,7 +57,6 @@ __all__ = [
     "DensityTable",
     "DistributionStats",
     "EpsilonPolicy",
-    "Example",
     "FeatureMatrix",
     "FitError",
     "Histogram",

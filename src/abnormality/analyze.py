@@ -131,8 +131,8 @@ def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) 
 
 
 def _exemplar(corpus: "Corpus", s: np.ndarray, i: int) -> dict:
-    ex = corpus[int(i)]
-    return {"ordinal": ex.ordinal, "id": ex.id, "title": ex.title, "score": float(s[i])}
+    i = int(i)
+    return {"ordinal": i, "id": corpus.ids[i], "title": corpus.titles[i], "score": float(s[i])}
 
 
 def emit_report(
@@ -170,8 +170,8 @@ def emit_report(
         scores_path,
         ["ordinal", "id", "title", "char_length", "score", "category"],
         (
-            [ex.ordinal, ex.id, ex.title, ex.char_length, repr(float(s[i])), labels[i]]
-            for i, ex in enumerate(corpus)
+            [i, ex_id, title, len(context), repr(float(s[i])), labels[i]]
+            for i, (ex_id, title, context) in enumerate(zip(corpus.ids, corpus.titles, corpus.contexts))
         ),
     )
 

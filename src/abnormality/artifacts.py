@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import sys
 import typing
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -20,11 +22,40 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .errors import SchemaError
 
 if typing.TYPE_CHECKING:
-    from .corpus import Example
+    from .corpus import Corpus
 
 __all__ = ["fits", "write_json", "write_csv", "read_json", "read_csv", "row_ordinal"]
 
 T = TypeVar("T")
+
+# A quoted field, or a bare one holding a carriage return.  Quoted fields come
+# first in the alternation, so a match never starts inside one.
+_FIELD_WITH_CR = re.compile(r'"(?:[^"]|"")*"|[^,"\n]*\r[^,"\n]*')
+
+# The csv module of Python 3.10 can neither write nor read a NUL, which later
+# ones treat as any other character.  There, a NUL crosses the csv module as a
+# lone surrogate, which no UTF-8 text holds; the bytes are the same.
+_NUL_STAND_IN = "\ud800" if sys.version_info < (3, 11) else None
+
+
+class _RowSink:
+    """A text sink for ``csv.writer`` that quotes each bare field holding a carriage return.
+
+    The writer quotes only for the delimiter, the quote and its "\n" line
+    terminator, so it leaves "\r" bare, and a reader ends the row there.  It
+    writes each row in one call, so a quoted field never spans two calls.  The
+    sink also turns the NUL stand-in, if any, back into NUL.
+    """
+
+    def __init__(self, f) -> None:
+        self._f = f
+
+    def write(self, row: str) -> int:
+        if "\r" in row:
+            row = _FIELD_WITH_CR.sub(lambda m: m[0] if m[0].startswith('"') else f'"{m[0]}"', row)
+        if _NUL_STAND_IN:
+            row = row.replace(_NUL_STAND_IN, "\0")
+        return self._f.write(row)
 
 
 def fits(value, hint) -> bool:
@@ -45,9 +76,15 @@ def write_json(path: str | Path, obj: dict) -> None:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header row, then ``rows``, as a CSV artifact."""
+    """A header row, then ``rows``, as a CSV artifact.
+
+    A field is quoted when it holds a comma, a quote, a newline or a carriage
+    return; without a carriage return the bytes are the ``csv`` module's own.
+    """
+    if _NUL_STAND_IN:
+        rows = ([v.replace("\0", _NUL_STAND_IN) if isinstance(v, str) else v for v in row] for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
+        w = csv.writer(_RowSink(f), lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
@@ -100,11 +137,13 @@ def read_csv(
     name = Path(path).name
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            rows = csv.reader(f)
+            rows = csv.reader(f if not _NUL_STAND_IN else (line.replace("\0", _NUL_STAND_IN) for line in f))
             head = next(rows, None)
             if head != list(header):
                 raise SchemaError(f"{name} line 1: header {head} is not {list(header)}", path=name)
             for row in rows:
+                if _NUL_STAND_IN:
+                    row = [field.replace(_NUL_STAND_IN, "\0") for field in row]
                 try:
                     value = parse(row)
                 except ValueError as e:
@@ -124,16 +163,16 @@ def read_csv(
         raise SchemaError(f"{name} line {rows.line_num} is not CSV: {e}", path=name) from e
 
 
-def row_ordinal(examples: Sequence[Example], ordinal: str, ex_id: str, char_length: str) -> int:
+def row_ordinal(corpus: Corpus, ordinal: str, ex_id: str, char_length: str) -> int:
     """The ordinal of the corpus example that a scores or selection CSV row names.
 
-    Raises ValueError unless ``examples`` (a corpus's) holds an example at
-    ``ordinal`` with that id and char length.
+    Raises ValueError unless ``corpus`` holds an example at ``ordinal`` with
+    that id and char length.
     """
     i = int(ordinal)
-    if not 0 <= i < len(examples):
-        raise ValueError(f"ordinal {i} is outside the corpus of {len(examples)} examples")
-    ex = examples[i]
-    if ex.id != ex_id or ex.char_length != int(char_length):
-        raise ValueError(f"example {i} has id {ex.id!r} and char length {ex.char_length}")
+    if not 0 <= i < len(corpus):
+        raise ValueError(f"ordinal {i} is outside the corpus of {len(corpus)} examples")
+    found, length = corpus.ids[i], len(corpus.contexts[i])
+    if found != ex_id or length != int(char_length):
+        raise ValueError(f"example {i} has id {found!r} and char length {length}")
     return i

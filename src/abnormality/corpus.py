@@ -1,7 +1,7 @@
 """Corpus ingestion and subset writing.
 
 Reads SQuAD v1.1 JSON (one example per question-answer record) and generic
-JSONL corpora into an immutable, deterministically ordered example list, and
+JSONL corpora into immutable, deterministically ordered columns, and
 writes pruned subsets back out as JSONL or reconstructed SQuAD JSON.
 
 Ingestion never mutates or normalizes context text; raw text survives so a
@@ -11,16 +11,16 @@ written subset is byte-faithful to its source.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping, Sequence
+from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
 
 __all__ = [
-    "Example",
     "Corpus",
     "JsonlFields",
     "ingest_squad",
@@ -32,48 +32,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Example:
-    """One corpus record.
+class Corpus:
+    """Ordered, immutable records as four equal-length columns, plus a source descriptor.
 
-    ``payload`` carries the original parsed record (e.g. a SQuAD qa object)
-    opaquely for subset writing; it plays no role in featurization.
+    Record i is ``ids[i]``, ``titles[i]``, ``contexts[i]`` and ``payloads[i]``,
+    and i is its ordinal.  A payload carries the original parsed record (e.g. a
+    SQuAD qa object), or None, opaquely for subset writing; payloads play no
+    role in featurization or equality.
     """
 
-    ordinal: int
-    id: str
-    title: str
-    context: str
-    payload: Mapping[str, Any] | None = field(default=None, compare=False)
-
-    @property
-    def char_length(self) -> int:
-        """Unicode code points in ``context``."""
-        return len(self.context)
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """Ordered, immutable sequence of examples plus a source descriptor."""
-
-    examples: tuple[Example, ...]
+    ids: tuple[str, ...]
+    titles: tuple[str, ...]
+    contexts: tuple[str, ...]
+    payloads: tuple[Mapping[str, Any] | None, ...] = field(compare=False)
     source_descriptor: str = ""
 
     def __post_init__(self) -> None:
-        for i, ex in enumerate(self.examples):
-            if ex.ordinal != i:
-                raise ValueError(f"ordinal gap: example at position {i} has ordinal {ex.ordinal}")
+        lengths = tuple(map(len, (self.ids, self.titles, self.contexts, self.payloads)))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns ids, titles, contexts and payloads have unequal lengths {lengths}")
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self) -> Iterator[Example]:
-        return iter(self.examples)
-
-    def __getitem__(self, i: int) -> Example:
-        return self.examples[i]
+        return len(self.ids)
 
     def char_lengths(self) -> np.ndarray:
-        return np.array([ex.char_length for ex in self.examples], dtype=np.int64)
+        """Unicode code points in each context."""
+        return np.fromiter(map(len, self.contexts), dtype=np.int64, count=len(self.contexts))
 
 
 @dataclass(frozen=True)
@@ -92,6 +76,30 @@ def _decode_utf8(data: bytes, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {e}", offset=e.start) from e
 
 
+# A JSON escape of a UTF-16 surrogate.  ``json.loads`` joins a pair into one
+# code point but keeps a lone surrogate, which UTF-8 cannot encode.  Strict
+# UTF-8 decoding admits no surrogate, so without such an escape no kept string
+# needs the walk.  A match that is half of a pair, or text after an escaped
+# backslash, costs only a walk.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _refuse_lone_surrogates(value: Any, path: str) -> None:
+    """Raise SchemaError at the path of the first string in ``value``, keys included, holding a surrogate."""
+    if isinstance(value, str):
+        if _SURROGATE.search(value):
+            raise SchemaError(f"{path} holds a lone surrogate, which UTF-8 cannot encode", path=path)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            child = f"{path}.{key.encode('utf-8', 'backslashreplace').decode()}"
+            _refuse_lone_surrogates(key, child)
+            _refuse_lone_surrogates(item, child)
+    elif isinstance(value, list):
+        for j, item in enumerate(value):
+            _refuse_lone_surrogates(item, f"{path}[{j}]")
+
+
 def _read_all(stream: bytes | IO[bytes]) -> bytes:
     if isinstance(stream, (bytes, bytearray)):
         return bytes(stream)
@@ -108,7 +116,9 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
 
     Raises ParseError (with byte offset) on malformed JSON, ParseError on
     JSON nested too deeply to parse, and SchemaError (naming the JSON path)
-    on missing required fields or a context that is not a string.
+    on missing required fields, an id, title or context that is not a
+    string, or a kept string (the version, a title, a context, or any string
+    of a qa object) that holds a lone surrogate.
     """
     raw = _read_all(stream)
     text = _decode_utf8(raw, "SQuAD input")
@@ -127,7 +137,13 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
         raise SchemaError("'data' is not an array", path="data")
 
     version = doc.get("version", "")
-    examples: list[Example] = []
+    walk = _SURROGATE_ESCAPE.search(text) is not None  # else no kept string needs the walk
+    if walk:
+        _refuse_lone_surrogates(version, "version")
+    ids: list[str] = []
+    titles: list[str] = []
+    contexts: list[str] = []
+    payloads: list[dict[str, Any]] = []
     for ai, article in enumerate(articles):
         apath = f"data[{ai}]"
         if not isinstance(article, dict) or "title" not in article:
@@ -137,6 +153,8 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
         title = article["title"]
         if not isinstance(title, str):
             raise SchemaError(f"'title' at {apath} is not a string", path=f"{apath}.title")
+        if walk:
+            _refuse_lone_surrogates(title, f"{apath}.title")
         for pi, para in enumerate(article["paragraphs"]):
             ppath = f"{apath}.paragraphs[{pi}]"
             if not isinstance(para, dict) or "context" not in para:
@@ -146,23 +164,22 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
             context = para["context"]
             if not isinstance(context, str):
                 raise SchemaError(f"'context' at {ppath} is not a string", path=f"{ppath}.context")
+            if walk:
+                _refuse_lone_surrogates(context, f"{ppath}.context")
             for qi, qa in enumerate(para["qas"]):
                 qpath = f"{ppath}.qas[{qi}]"
                 if not isinstance(qa, dict) or "id" not in qa:
                     raise SchemaError(f"missing 'id' at {qpath}", path=f"{qpath}.id")
                 if not isinstance(qa["id"], str):
                     raise SchemaError(f"'id' at {qpath} is not a string", path=f"{qpath}.id")
-                examples.append(
-                    Example(
-                        ordinal=len(examples),
-                        id=qa["id"],
-                        title=title,
-                        context=context,
-                        payload=qa,
-                    )
-                )
+                if walk:
+                    _refuse_lone_surrogates(qa, qpath)
+                ids.append(qa["id"])
+                titles.append(title)
+                contexts.append(context)
+                payloads.append(qa)
     descriptor = f"squad:{source};version={version};one example per qa record"
-    return Corpus(tuple(examples), source_descriptor=descriptor)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
 
 
 def ingest_jsonl(
@@ -176,14 +193,19 @@ def ingest_jsonl(
     Missing title defaults to "", missing id to ``line-<k>`` where k is the
     1-based physical line number.  Raises ParseError carrying the line
     number for an unparseable or too deeply nested line, SchemaError if the
-    configured context field is absent, or the context, id or title field
-    is present but not a JSON string.
+    configured context field is absent, the context, id or title field is
+    present but not a JSON string, or any string of the record holds a lone
+    surrogate.
     """
     fields = fields or JsonlFields()
     raw = _read_all(stream)
     text = _decode_utf8(raw, "JSONL input")
+    walk = _SURROGATE_ESCAPE.search(text) is not None  # else no record needs the walk
 
-    examples: list[Example] = []
+    ids: list[str] = []
+    titles: list[str] = []
+    contexts: list[str] = []
+    payloads: list[dict[str, Any]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -207,17 +229,14 @@ def ingest_jsonl(
             if not isinstance(value, str):
                 raise SchemaError(f"line {lineno}: {name} field '{key}' is not a string",
                                   path=f"line {lineno}.{key}")
-        examples.append(
-            Example(
-                ordinal=len(examples),
-                id=ex_id,
-                title=title,
-                context=context,
-                payload=obj,
-            )
-        )
+        if walk:
+            _refuse_lone_surrogates(obj, f"line {lineno}")
+        ids.append(ex_id)
+        titles.append(title)
+        contexts.append(context)
+        payloads.append(obj)
     descriptor = f"jsonl:{source};fields={fields.context}/{fields.title}/{fields.id}"
-    return Corpus(tuple(examples), source_descriptor=descriptor)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
 
 
 def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None = None) -> Corpus:
@@ -268,27 +287,27 @@ def write_subset(
     for i, category in enumerate(labels):
         if category == "unselected":
             continue
-        ex = corpus[i]
         count += 1
+        payload = corpus.payloads[i]
         if fmt == "jsonl":
             rec: dict[str, Any] = {
-                "id": ex.id,
-                "title": ex.title,
-                "context": ex.context,
-                "ordinal": ex.ordinal,
+                "id": corpus.ids[i],
+                "title": corpus.titles[i],
+                "context": corpus.contexts[i],
+                "ordinal": i,
                 "category": category,
             }
             if values is not None:
                 rec["score"] = float(values[i])
-            if ex.payload is not None:
-                rec["payload"] = ex.payload
+            if payload is not None:
+                rec["payload"] = payload
             sink.write((json.dumps(rec, ensure_ascii=False) + "\n").encode("utf-8"))
         else:
-            qa: dict[str, Any] = dict(ex.payload) if ex.payload is not None else {"id": ex.id}
+            qa: dict[str, Any] = dict(payload) if payload is not None else {"id": corpus.ids[i]}
             qa["category"] = category
             if values is not None:
                 qa["abnormality_score"] = float(values[i])
-            articles.setdefault(ex.title, {}).setdefault(ex.context, []).append(qa)
+            articles.setdefault(corpus.titles[i], {}).setdefault(corpus.contexts[i], []).append(qa)
     if fmt == "squad":
         doc = {
             "version": "v1.1-pruned",
@@ -324,16 +343,15 @@ def make_synthetic_corpus(
     vocab = [f"w{i:0{width}d}" for i in range(vocab_size)]
     weights = 1.0 / np.arange(1, vocab_size + 1) ** zipf_exponent
     weights /= weights.sum()
-    examples = []
-    for i in range(n_examples):
+    contexts = []
+    for _ in range(n_examples):
         length = int(rng.integers(min_tokens, max_tokens + 1))
         words = rng.choice(vocab_size, size=length, p=weights)
-        context = " ".join(vocab[w] for w in words)
-        examples.append(
-            Example(ordinal=i, id=f"synth-{i}", title=f"topic-{i % 25:02d}", context=context)
-        )
+        contexts.append(" ".join(vocab[w] for w in words))
     descriptor = (
         f"synthetic:seed={seed};n={n_examples};vocab={vocab_size};"
         f"tokens=[{min_tokens},{max_tokens}];zipf={zipf_exponent:g}"
     )
-    return Corpus(tuple(examples), source_descriptor=descriptor)
+    ids = tuple(f"synth-{i}" for i in range(n_examples))
+    titles = tuple(f"topic-{i % 25:02d}" for i in range(n_examples))
+    return Corpus(ids, titles, tuple(contexts), (None,) * n_examples, descriptor)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import unicodedata
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -113,12 +113,12 @@ class _Grams:
         return [NGRAM_SEP.join([words[t] for t in gram]) for gram in self.token_ids.tolist()]
 
 
-def _encode(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig) -> _Grams:
+def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
     """Intern contexts, tokenize each distinct one once, and code its n-grams."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     distinct: dict[str, int] = {}
-    index = np.array([distinct.setdefault(ex.context, len(distinct)) for ex in corpus], dtype=np.int64)
+    index = np.array([distinct.setdefault(c, len(distinct)) for c in corpus.contexts], dtype=np.int64)
     # Token strings are dropped once each context is mapped to ids: a list
     # of every token would outweigh the feature matrix.
     vocab: dict[str, int] = {}
@@ -203,7 +203,7 @@ class DensityTable:
         return len(self.counts)
 
 
-def fit_density(corpus: "Corpus | Iterable", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
+def fit_density(corpus: "Corpus", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
     """Count n-grams over all contexts (duplicates counted once per example).
 
     The table's ``counts`` keeps the corpus's n-gram codes, so

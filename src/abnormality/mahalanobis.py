@@ -406,7 +406,8 @@ def write_scores_csv(scores: ScoreVector, corpus: "Corpus", path: str | Path) ->
     if len(scores) != len(corpus):
         raise ValueError(f"scores length {len(scores)} does not match corpus size {len(corpus)}")
     write_csv(path, _SCORES_HEADER, (
-        [ex.ordinal, ex.id, ex.char_length, repr(float(s))] for ex, s in zip(corpus, scores.scores)
+        [i, ex_id, len(context), repr(float(s))]
+        for i, (ex_id, context, s) in enumerate(zip(corpus.ids, corpus.contexts, scores.scores))
     ))
 
 
@@ -418,12 +419,11 @@ def read_scores_csv(path: str | Path, corpus: "Corpus") -> np.ndarray:
     are not UTF-8, a wrong header, any other row, or a row count other than
     the corpus size.
     """
-    examples = corpus.examples
-    expected = iter(range(len(examples)))
+    expected = iter(range(len(corpus)))
 
     def parse(row: list[str]) -> float:
         ordinal, ex_id, char_length, text = row
-        if row_ordinal(examples, ordinal, ex_id, char_length) != next(expected, None):
+        if row_ordinal(corpus, ordinal, ex_id, char_length) != next(expected, None):
             raise ValueError("rows must list the corpus examples in ordinal order")
         value = float(text)
         if not 0.0 <= value < math.inf:

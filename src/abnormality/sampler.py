@@ -179,7 +179,7 @@ def select_bucketed(
 ) -> Selection:
     """Three-way selection within character-length buckets of fixed width.
 
-    Examples group by floor(char_length / bucket_width); each k is split
+    Records group by floor(char_length / bucket_width); each k is split
     across nonempty buckets by largest-remainder apportionment, the global
     selection rule runs inside each bucket against the bucket-local score
     mean, and quota shortfalls from buckets with too few free examples spill
@@ -244,7 +244,7 @@ def write_selection_csv(labels: Sequence[str], corpus: "Corpus", scores, path: s
     """
     s = np.asarray(scores, dtype=np.float64)
     write_csv(path, _SELECTION_HEADER, (
-        [i, corpus[i].id, label, repr(float(s[i])), corpus[i].char_length]
+        [i, corpus.ids[i], label, repr(float(s[i])), len(corpus.contexts[i])]
         for i, label in enumerate(labels)
         if label != "unselected"
     ))
@@ -267,7 +267,7 @@ def read_selection_csv(path: str | Path, corpus: "Corpus", scores) -> list[str]:
         ordinal, ex_id, category, score, char_length = row
         if category not in _CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
-        i = row_ordinal(corpus.examples, ordinal, ex_id, char_length)
+        i = row_ordinal(corpus, ordinal, ex_id, char_length)
         if labels[i] != "unselected":
             raise ValueError(f"example {i} is listed twice")
         if float(score) != s[i]:

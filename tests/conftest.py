@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from abnormality.corpus import Corpus, Example, make_synthetic_corpus
+from abnormality.corpus import Corpus, make_synthetic_corpus
 
 SQUAD_DOC = {
     "version": "1.1",
@@ -40,16 +40,10 @@ def squad_bytes() -> bytes:
 
 
 def corpus_of(*contexts: str, titles: list[str] | None = None) -> Corpus:
-    examples = tuple(
-        Example(
-            ordinal=i,
-            id=f"ex-{i}",
-            title=titles[i] if titles else f"t{i}",
-            context=ctx,
-        )
-        for i, ctx in enumerate(contexts)
-    )
-    return Corpus(examples, source_descriptor="inline")
+    n = len(contexts)
+    ids = tuple(f"ex-{i}" for i in range(n))
+    titles = tuple(titles) if titles else tuple(f"t{i}" for i in range(n))
+    return Corpus(ids, titles, contexts, (None,) * n, source_descriptor="inline")
 
 
 def long_tail_corpus(seed: int) -> Corpus:
@@ -61,8 +55,9 @@ def long_tail_corpus(seed: int) -> Corpus:
     rng = np.random.default_rng(seed)
     short = make_synthetic_corpus(300, vocab_size=60, min_tokens=5, max_tokens=40, seed=seed)
     long = make_synthetic_corpus(3, vocab_size=60, min_tokens=60, max_tokens=90, seed=seed + 100)
-    contexts = [ex.context for ex in (*short, *long)]
+    contexts = short.contexts + long.contexts
     records = [c for c in contexts for _ in range(int(rng.integers(1, 4)))]
     records = [records[i] for i in rng.permutation(len(records))]
-    examples = tuple(Example(ordinal=i, id=f"tail-{i}", title="t", context=c) for i, c in enumerate(records))
-    return Corpus(examples, source_descriptor=f"long-tail:seed={seed}")
+    n = len(records)
+    ids = tuple(f"tail-{i}" for i in range(n))
+    return Corpus(ids, ("t",) * n, tuple(records), (None,) * n, source_descriptor=f"long-tail:seed={seed}")

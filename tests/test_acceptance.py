@@ -222,9 +222,8 @@ def test_squad_scale_smoke(tmp_path):
         ("highest", int(np.argmax(s))),
         ("mean-nearest", int(np.argmin(np.abs(s - mean)))),
     ):
-        ex = corpus[idx]
         # report-only: tokenization upstream of these indices is unspecified
-        print(f"  {label}: ordinal #{ex.ordinal} title {ex.title!r} score {s[idx]:.4f}")
+        print(f"  {label}: ordinal #{idx} title {corpus.titles[idx]!r} score {s[idx]:.4f}")
     print(f"  epsilon applied: {model.epsilon:g}, dimension: {model.d}")
 
     check("squad-scale smoke (default sampling emits 10,500)", written == 10500, f"wrote {written}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abnormality.artifacts import read_csv, read_json, write_json
+from abnormality import artifacts
+from abnormality.artifacts import read_csv, read_json, write_csv, write_json
 from abnormality.cli import main
 from abnormality.errors import SchemaError
 from abnormality.featurize import load_density
@@ -142,7 +144,65 @@ def int_pair(row: list[str]) -> tuple[int, int]:
     return int(a), int(b)
 
 
+class NulRefusingCsv:
+    """The csv module as Python 3.10 has it: its writer and its reader refuse a NUL."""
+
+    Error = csv.Error
+
+    @staticmethod
+    def writer(f, **kwargs):
+        inner = csv.writer(f, **kwargs)
+
+        class Writer:
+            def writerow(self, row):
+                if any("\0" in str(v) for v in row):
+                    raise csv.Error("need to escape, but no escapechar set")
+                return inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        return Writer()
+
+    @staticmethod
+    def reader(lines):
+        def refuse_nul(lines):
+            for line in lines:
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+
+        return csv.reader(refuse_nul(lines))
+
+
 class TestReadersAndWriters:
+    def test_nul_crosses_a_csv_module_that_refuses_it(self, tmp_path, monkeypatch):
+        rows = [["a\0b", "\0"], ["\r\0", 'x,"\0"'], ["", "\0\n\0"]]
+        write_csv(tmp_path / "native.csv", ("a", "b"), rows)
+        monkeypatch.setattr(artifacts, "csv", NulRefusingCsv)
+        monkeypatch.setattr(artifacts, "_NUL_STAND_IN", None)
+        with pytest.raises(SchemaError, match="NUL"):
+            list(read_csv(tmp_path / "native.csv", ("a", "b"), list))
+        monkeypatch.setattr(artifacts, "_NUL_STAND_IN", "\ud800")
+        write_csv(tmp_path / "stand-in.csv", ("a", "b"), rows)
+        assert (tmp_path / "stand-in.csv").read_bytes() == (tmp_path / "native.csv").read_bytes()
+        assert list(read_csv(tmp_path / "stand-in.csv", ("a", "b"), list)) == rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text(alphabet=st.sampled_from(["\r", "\n", ",", '"', "a", "é"]), max_size=6),
+                             min_size=2, max_size=2), max_size=4))
+    def test_write_csv_fields_read_back(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            write_csv(path, ("a", "b"), rows)
+            assert list(read_csv(path, ("a", "b"), list)) == rows
+            if not any("\r" in field for row in rows for field in row):
+                # Without a carriage return, the bytes are the csv module's own.
+                plain = io.StringIO()
+                csv.writer(plain, lineterminator="\n").writerows([("a", "b"), *rows])
+                assert path.read_bytes() == plain.getvalue().encode("utf-8")
+
     def test_write_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"epsilon": math.nan})

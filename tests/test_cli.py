@@ -7,10 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abnormality import cli
 from abnormality.analyze import pearson
@@ -202,9 +205,10 @@ class TestSampleCommand:
         # 52 of the 80 mean-proximal examples are also low or high, so only
         # 28 are labelled mutual, and the manifest and stdout must say 28.
         corpus_path = tmp_path / "c.jsonl"
+        synthetic = make_synthetic_corpus(200)
         corpus_path.write_text("".join(
-            json.dumps({"context": ex.context, "id": ex.id, "title": ex.title}) + "\n"
-            for ex in make_synthetic_corpus(200)
+            json.dumps({"context": context, "id": ex_id, "title": title}) + "\n"
+            for ex_id, title, context in zip(synthetic.ids, synthetic.titles, synthetic.contexts)
         ), encoding="utf-8")
         out = run_score(tmp_path, corpus_path)
         capsys.readouterr()
@@ -799,3 +803,61 @@ class TestRunConfig:
     def test_usage_error_exit_code(self):
         assert main([]) == 1
         assert main(["sample"]) == 1  # missing required --scores
+
+
+# Text that a CSV field or a line reader could split on, mixed into drawn
+# text: line ends, the delimiter, the quote, U+2028 and non-ASCII letters.
+# st.text() draws no surrogate, but it draws NUL, which the csv module of
+# Python 3.10 cannot carry by itself.
+AWKWARD = st.lists(
+    st.one_of(st.text(max_size=4), st.sampled_from(["\r", "\n", "\r\n", ",", '"', "\u2028", "é", "ß", "Ж"])),
+    max_size=5,
+).map("".join)
+
+
+class TestOutputsReadBack:
+    @settings(max_examples=30, deadline=None)
+    @given(names=st.lists(st.tuples(AWKWARD, AWKWARD), min_size=12, max_size=12))
+    def test_score_outputs_are_read_by_sample_and_analyze(self, names):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus_path = write_jsonl_fixture(Path(tmp) / "c.jsonl")
+            records = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+            with open(corpus_path, "w", encoding="utf-8") as f:
+                for record, (ex_id, title) in zip(records, names):
+                    f.write(json.dumps({**record, "id": ex_id, "title": title}) + "\n")
+            out = Path(tmp) / "out"
+            common = ["--input", str(corpus_path), "--format", "jsonl", "--out-dir", str(out)]
+            scores = ["--scores", str(out / "scores.csv")]
+            for args in (["score", *common], ["sample", *scores, *common, *K1], ["analyze", *scores, *common]):
+                assert main(args) == 0, args[0]
+            with open(out / "report" / "scores.csv", newline="", encoding="utf-8") as f:
+                rows = list(csv.DictReader(f))
+            assert [(r["id"], r["title"]) for r in rows] == [tuple(pair) for pair in names]
+
+    @pytest.mark.parametrize("fmt, field, path", [
+        ("jsonl", "id", "line 2.id"),
+        ("jsonl", "title", "line 2.title"),
+        ("jsonl", "context", "line 2.context"),
+        ("jsonl", "payload", "line 2.question"),
+        ("squad", "id", "data[0].paragraphs[0].qas[1].id"),
+        ("squad", "title", "data[0].title"),
+        ("squad", "context", "data[0].paragraphs[0].context"),
+        ("squad", "payload", "data[0].paragraphs[0].qas[1].question"),
+    ])
+    @pytest.mark.parametrize("lone", ["\ud800", "\udfff"], ids=["high", "low"])
+    def test_lone_surrogate_exits_2_naming_the_path(self, tmp_path, capsys, fmt, field, path, lone):
+        # json.dumps spells a lone surrogate as an escape, which json.loads accepts.
+        value = {"id": "q1", "title": "T", "context": "a b c", "payload": "why?", field: "x" + lone}
+        qa = {"id": value["id"], "question": value["payload"]}
+        if fmt == "jsonl":
+            records = [{"context": "a b", "id": "q0"}, {"context": value["context"], "title": value["title"], **qa}]
+            text = "".join(json.dumps(r) + "\n" for r in records)
+        else:
+            paragraph = {"context": value["context"], "qas": [{"id": "q0"}, qa]}
+            text = json.dumps({"data": [{"title": value["title"], "paragraphs": [paragraph]}]})
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code = main(["score", "--input", str(bad), "--format", fmt, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: {path} holds a lone surrogate" in err and "Traceback" not in err

@@ -3,13 +3,13 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abnormality.corpus import (
     Corpus,
-    Example,
     JsonlFields,
     ingest_jsonl,
     ingest_squad,
@@ -35,24 +35,23 @@ class TestIngestSquad:
 
     def test_one_paragraph_three_qas(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
-        first_three = corpus.examples[:3]
-        assert [ex.ordinal for ex in first_three] == [0, 1, 2]
-        assert len({ex.context for ex in first_three}) == 1
-        assert all(ex.title == "Alpha" for ex in first_three)
+        assert corpus.ids[:3] == ("a1", "a2", "a3")
+        assert len(set(corpus.contexts[:3])) == 1
+        assert corpus.titles[:3] == ("Alpha",) * 3
 
     def test_document_order(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
-        assert [ex.id for ex in corpus] == ["a1", "a2", "a3", "b1", "b2"]
-        assert [ex.title for ex in corpus] == ["Alpha"] * 3 + ["Beta"] * 2
-        assert corpus[3].context == "b c"
+        assert corpus.ids == ("a1", "a2", "a3", "b1", "b2")
+        assert corpus.titles == ("Alpha",) * 3 + ("Beta",) * 2
+        assert corpus.contexts[3] == "b c"
 
     def test_qa_payload_carried(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
-        assert corpus[0].payload["question"] == "what?"
+        assert corpus.payloads[0]["question"] == "what?"
 
     def test_char_length(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
-        assert corpus[0].char_length == len("The brain, the brain.")
+        assert corpus.char_lengths()[0] == len("The brain, the brain.")
 
     def test_malformed_json_reports_byte_offset(self):
         # the bad token follows a two-byte character, shifting bytes past chars
@@ -125,7 +124,7 @@ class TestIngestJsonl:
     def test_two_lines_char_lengths(self):
         corpus = ingest_jsonl(b'{"context":"a b"}\n{"context":"c"}\n')
         assert len(corpus) == 2
-        assert [ex.char_length for ex in corpus] == [3, 1]
+        assert corpus.char_lengths().tolist() == [3, 1]
 
     def test_bad_line_names_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -146,9 +145,9 @@ class TestIngestJsonl:
     def test_custom_field_map(self):
         fields = JsonlFields(context="text", title="name", id="docid")
         corpus = ingest_jsonl(b'{"text":"hello world","name":"N","docid":"d7"}\n', fields)
-        assert corpus[0].context == "hello world"
-        assert corpus[0].title == "N"
-        assert corpus[0].id == "d7"
+        assert corpus.contexts == ("hello world",)
+        assert corpus.titles == ("N",)
+        assert corpus.ids == ("d7",)
 
     @pytest.mark.parametrize("value", [7, None, ["x"], {"text": "x"}, False])
     @pytest.mark.parametrize("field", ["docid", "name", "text"])
@@ -159,11 +158,28 @@ class TestIngestJsonl:
             ingest_jsonl(b'{"text":"ok"}\n' + json.dumps(record).encode(), fields)
         assert exc.value.path == f"line 2.{field}"
 
+    def test_surrogate_pair_escape_is_one_code_point(self):
+        corpus = ingest_jsonl(b'{"context": "a \\ud83d\\ude00", "id": "\\\\ud800"}\n')
+        assert corpus.contexts == ("a \U0001F600",)
+        assert corpus.ids == ("\\ud800",)  # an escaped backslash, then text
+
+    @pytest.mark.parametrize("text, path", [
+        (b'{"context": "a", "id": "\\ud83d\\ud83d\\ude00"}', "line 1.id"),
+        (b'{"context": "a", "meta": {"\\udc00": 1}}', "line 1.meta.\\udc00"),
+        (b'{"context": "a", "tags": ["x", "\\ude00y"]}', "line 1.tags[1]"),
+        # An escaped backslash, the text "ud800", then a lone low surrogate.
+        (b'{"context": "a", "id": "\\\\ud800\\udc00"}', "line 1.id"),
+    ])
+    def test_lone_surrogate_names_path(self, text, path):
+        with pytest.raises(SchemaError, match="lone surrogate") as exc:
+            ingest_jsonl(text)
+        assert exc.value.path == path
+
     def test_defaults_and_line_numbered_ids(self):
         corpus = ingest_jsonl(b'{"context":"a"}\n\n{"context":"b"}\n')
-        assert [ex.id for ex in corpus] == ["line-1", "line-3"]
-        assert [ex.title for ex in corpus] == ["", ""]
-        assert [ex.ordinal for ex in corpus] == [0, 1]
+        assert corpus.ids == ("line-1", "line-3")
+        assert corpus.titles == ("", "")
+        assert corpus.contexts == ("a", "b")
 
 
 class TestWriteSubset:
@@ -203,9 +219,9 @@ class TestWriteSubset:
         sink = io.BytesIO()
         write_subset(corpus, everything_selected(3), sink, scores=[1.0, 2.0, 3.0])
         back = ingest_jsonl(sink.getvalue())
-        assert [ex.context for ex in back] == [ex.context for ex in corpus]
-        assert [ex.title for ex in back] == [ex.title for ex in corpus]
-        assert [ex.id for ex in back] == [ex.id for ex in corpus]
+        assert back.contexts == corpus.contexts
+        assert back.titles == corpus.titles
+        assert back.ids == corpus.ids
 
     def test_squad_reconstruction(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
@@ -220,7 +236,7 @@ class TestWriteSubset:
         assert alpha["paragraphs"][0]["qas"][0]["question"] == "what?"  # payload passthrough
         assert alpha["paragraphs"][0]["qas"][0]["abnormality_score"] == 1.0
         back = ingest_squad(sink.getvalue())
-        assert [ex.context for ex in back] == [ex.context for ex in corpus]
+        assert back.contexts == corpus.contexts
 
     @pytest.mark.parametrize("fmt, scores, expected", [
         ("jsonl", None,
@@ -242,10 +258,12 @@ class TestWriteSubset:
     ], ids=["jsonl", "jsonl-scores", "squad", "squad-scores"])
     def test_exact_bytes(self, fmt, scores, expected):
         # Key order is part of the format: these are the bytes a subset file holds.
-        corpus = Corpus((
-            Example(ordinal=0, id="q0", title="Alpha", context="a b", payload={"id": "q0", "question": "why?"}),
-            Example(ordinal=1, id="r1", title="Alpha", context="c é"),
-        ))
+        corpus = Corpus(
+            ids=("q0", "r1"),
+            titles=("Alpha", "Alpha"),
+            contexts=("a b", "c é"),
+            payloads=({"id": "q0", "question": "why?"}, None),
+        )
         sink = io.BytesIO()
         assert write_subset(corpus, ["high", "low"], sink, fmt, scores) == 2
         assert sink.getvalue() == expected
@@ -256,16 +274,17 @@ class TestWriteSubset:
 
 
 class TestInvariants:
-    def test_example_char_length_counts_code_points(self):
-        ex = Example(ordinal=0, id="x", title="", context="\u00e9\U0001F600a")
-        assert ex.char_length == 3
-        with pytest.raises(TypeError):
-            Example(ordinal=0, id="x", title="", context="abc", char_length=3)
+    def test_char_lengths_count_code_points(self):
+        corpus = corpus_of("\u00e9\U0001F600a", "", "e\u0301")
+        assert corpus.char_lengths().tolist() == [3, 0, 2]
+        assert corpus.char_lengths().dtype == np.int64
 
-    def test_ordinal_gap_rejected(self):
-        ex = Example(ordinal=1, id="x", title="", context="abc")
-        with pytest.raises(ValueError):
-            Corpus((ex,))
+    def test_unequal_column_lengths_rejected(self):
+        columns = {"ids": ("a", "b"), "titles": ("", ""), "contexts": ("x", "y"), "payloads": (None, None)}
+        assert len(Corpus(**columns)) == 2
+        for name, column in columns.items():
+            with pytest.raises(ValueError, match="unequal lengths"):
+                Corpus(**{**columns, name: column[:1]})
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.text(max_size=40), st.text(max_size=10)), max_size=8))
@@ -274,11 +293,14 @@ class TestInvariants:
         sink = io.BytesIO()
         write_subset(corpus, everything_selected(len(corpus)), sink)
         back = ingest_jsonl(sink.getvalue())
-        assert [(ex.context, ex.title) for ex in back] == [(ex.context, ex.title) for ex in corpus]
+        assert (back.contexts, back.titles) == (corpus.contexts, corpus.titles)
 
     def test_ordinals_dense(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
-        assert [ex.ordinal for ex in corpus] == list(range(len(corpus)))
+        sink = io.BytesIO()
+        write_subset(corpus, everything_selected(len(corpus)), sink)
+        recs = [json.loads(line) for line in sink.getvalue().decode().splitlines()]
+        assert [r["ordinal"] for r in recs] == list(range(len(corpus)))
 
 
 class TestSyntheticCorpus:
@@ -289,8 +311,8 @@ class TestSyntheticCorpus:
 
     def test_token_length_bounds(self):
         corpus = make_synthetic_corpus(30, min_tokens=5, max_tokens=9, seed=1)
-        for ex in corpus:
-            assert 5 <= len(ex.context.split()) <= 9
+        for context in corpus.contexts:
+            assert 5 <= len(context.split()) <= 9
 
     def test_seed_changes_content(self):
         assert make_synthetic_corpus(5, seed=0) != make_synthetic_corpus(5, seed=1)

@@ -45,7 +45,7 @@ def duplicate_heavy_corpus(seed: int = 0):
 
 def oracle_matrix(corpus, table, cfg=TokenizerConfig(), l_cap=None):
     """Rows built one record at a time with the per-example reference featurizer."""
-    token_lists = [tokenize(ex.context, cfg) for ex in corpus]
+    token_lists = [tokenize(c, cfg) for c in corpus.contexts]
     L = max(len(t) - table.n + 1 for t in token_lists)
     if l_cap is not None:
         L = min(L, l_cap)
@@ -175,7 +175,7 @@ class TestFitDensity:
     def test_matches_reference_counts(self, n, cfg):
         corpus = duplicate_heavy_corpus()
         table = fit_density(corpus, n, cfg)
-        want = reference_ngram_counts([tokenize(ex.context, cfg) for ex in corpus], n)
+        want = reference_ngram_counts([tokenize(c, cfg) for c in corpus.contexts], n)
         assert table.counts == dict(want)
         assert table.total == sum(want.values())
 
@@ -244,7 +244,7 @@ class TestBuildMatrix:
         corpus = corpus_of(*contexts, *contexts[1:8])
         assert 8192**5 > np.iinfo(np.int64).max
         table = fit_density(corpus, 5)
-        want = reference_ngram_counts([tokenize(ex.context) for ex in corpus], 5)
+        want = reference_ngram_counts([tokenize(c) for c in corpus.contexts], 5)
         assert table.counts == dict(want)
         assert table.density(NGRAM_SEP.join(["t4096", "t1", "t2", "t3", "t4"])) == 2 / table.total
         assert_matches_oracle(corpus, table)
@@ -381,7 +381,7 @@ class TestPersistence:
             run_score_pipeline(corpus, RunConfig(ngram=2, lowercase=cfg.lowercase,
                                                  strip_edge_punctuation=cfg.strip_edge_punctuation))
         save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
-        want = reference_ngram_counts([tokenize(ex.context, cfg) for ex in corpus], 2)
+        want = reference_ngram_counts([tokenize(c, cfg) for c in corpus.contexts], 2)
         with open(tmp_path / "d.csv", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
         assert rows == [["ngram_key", "count"]] + [[k, str(want[k])] for k in sorted(want)]

@@ -42,7 +42,7 @@ from oracles import (
 def repeated_corpus(distinct: int, max_repeats: int, seed: int):
     """``distinct`` short contexts, each repeated 1..max_repeats times, shuffled."""
     rng = np.random.default_rng(seed)
-    contexts = [ex.context for ex in make_synthetic_corpus(distinct, vocab_size=25, min_tokens=3, max_tokens=8, seed=seed)]
+    contexts = list(make_synthetic_corpus(distinct, vocab_size=25, min_tokens=3, max_tokens=8, seed=seed).contexts)
     records = [c for c in contexts for _ in range(int(rng.integers(1, max_repeats + 1)))]
     return corpus_of(*(records[i] for i in rng.permutation(len(records))))
 
@@ -165,7 +165,7 @@ class TestFitMoments:
         # density fit, featurization and moments together hold sigma, at
         # most one more L x L product, and a few arrays the size of the
         # stored content; never a records x L array.
-        contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
+        contexts = list(make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15).contexts)
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
         tracemalloc.start()
         try:
@@ -428,7 +428,7 @@ class TestScoreAll:
     def test_deduplicated_matrix_matches_expanded(self):
         # 40 distinct contexts, each repeated 1-5 times in shuffled order.
         rng = np.random.default_rng(9)
-        distinct = [ex.context for ex in make_synthetic_corpus(40, vocab_size=25, min_tokens=3, max_tokens=30, seed=9)]
+        distinct = list(make_synthetic_corpus(40, vocab_size=25, min_tokens=3, max_tokens=30, seed=9).contexts)
         records = [c for c in distinct for _ in range(int(rng.integers(1, 6)))]
         records = [records[i] for i in rng.permutation(len(records))]
         corpus = corpus_of(*records)
@@ -519,7 +519,7 @@ class TestBlockedSubstitution:
         # scoring holds one buffer per block-count group, each as wide as its
         # rows' last block, and block-sized temporaries; never a records x d
         # or a d x d array.
-        contexts = [ex.context for ex in make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15)]
+        contexts = list(make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15).contexts)
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
         matrix = build_matrix(corpus, fit_density(corpus, 1))
         model = regularized_factorize(fit_moments(matrix))
