@@ -15,7 +15,6 @@ from .corpus import (
     ingest_file,
     ingest_jsonl,
     ingest_squad,
-    make_synthetic_corpus,
     write_subset,
 )
 from .errors import (
@@ -43,7 +42,6 @@ from .mahalanobis import (
     ScoreVector,
     fit_moments,
     regularized_factorize,
-    score,
     score_all,
 )
 from .sampler import Selection, SelectionSpec, label_all, select_bucketed, select_global
@@ -81,11 +79,9 @@ __all__ = [
     "ingest_jsonl",
     "ingest_squad",
     "label_all",
-    "make_synthetic_corpus",
     "moments_stats",
     "pearson",
     "regularized_factorize",
-    "score",
     "score_all",
     "select_bucketed",
     "select_global",

@@ -7,6 +7,7 @@ shaped for direct use by standard plotting tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -61,7 +62,9 @@ def moments_stats(scores) -> DistributionStats:
     """Mean, variance, and standardized third/fourth central moments.
 
     Every sum is a NumPy reduction, not a BLAS dot product, so the result
-    does not depend on the BLAS thread count.
+    does not depend on the BLAS thread count.  Raises StatError when a
+    moment overflows float64, as finite scores near 1e154 and above make
+    it.
     """
     x = np.asarray(scores, dtype=np.float64)
     n = len(x)
@@ -69,14 +72,20 @@ def moments_stats(scores) -> DistributionStats:
         raise StatError(f"need at least 2 values for distribution stats, got {n}")
     mean = float(x.mean())
     dev = x - mean
-    squares = dev**2
-    m2 = float(squares.mean())
-    variance = float(squares.sum() / (n - 1))
-    if m2 == 0.0:
-        skewness = excess_kurtosis = None
-    else:
-        skewness = float(np.mean(dev**3) / m2**1.5)
-        excess_kurtosis = float(np.mean(dev**4) / m2**2 - 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        squares = dev**2
+        m2 = float(squares.mean())
+        variance = float(squares.sum() / (n - 1))
+        try:
+            if m2 == 0.0:
+                skewness = excess_kurtosis = None
+            else:
+                skewness = float(np.mean(dev**3) / m2**1.5)
+                excess_kurtosis = float(np.mean(dev**4) / m2**2 - 3.0)
+        except OverflowError:  # a Python float power
+            skewness = excess_kurtosis = math.inf
+    if not np.isfinite([variance, skewness or 0.0, excess_kurtosis or 0.0]).all():
+        raise StatError(f"score moments overflow float64 (largest score {x.max():g})")
     return DistributionStats(
         n=n,
         mean=mean,

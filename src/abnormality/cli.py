@@ -184,6 +184,10 @@ def _writing(*paths: Path) -> typing.Iterator[None]:
 def _ingest(cfg: RunConfig) -> corpus_mod.Corpus:
     if not cfg.input:
         raise ValueError("no input file configured (use --input or a config file)")
+    try:  # the path is recorded in scores.meta.json, which is UTF-8
+        cfg.input.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"input path {cfg.input!r} is not valid UTF-8") from None
     path = Path(cfg.input)
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")

@@ -27,7 +27,6 @@ __all__ = [
     "ingest_jsonl",
     "ingest_file",
     "write_subset",
-    "make_synthetic_corpus",
 ]
 
 
@@ -318,40 +317,3 @@ def write_subset(
         }
         sink.write((json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8"))
     return count
-
-
-def make_synthetic_corpus(
-    n_examples: int,
-    vocab_size: int = 200,
-    min_tokens: int = 20,
-    max_tokens: int = 400,
-    seed: int = 0,
-    zipf_exponent: float = 1.0,
-) -> Corpus:
-    """Deterministic synthetic corpus: i.i.d. words, uniform token lengths.
-
-    Intended for tests and benchmarks; contexts are space-joined words from
-    a ``w000``-style vocabulary with token counts uniform in
-    [min_tokens, max_tokens].  Word frequencies follow a Zipf law with the
-    given exponent (0 for uniform), matching the heavy-tailed frequency
-    structure of natural text.
-    """
-    if n_examples < 0 or vocab_size < 1 or min_tokens < 1 or max_tokens < min_tokens:
-        raise ValueError("invalid synthetic corpus parameters")
-    rng = np.random.default_rng(seed)
-    width = len(str(vocab_size - 1))
-    vocab = [f"w{i:0{width}d}" for i in range(vocab_size)]
-    weights = 1.0 / np.arange(1, vocab_size + 1) ** zipf_exponent
-    weights /= weights.sum()
-    contexts = []
-    for _ in range(n_examples):
-        length = int(rng.integers(min_tokens, max_tokens + 1))
-        words = rng.choice(vocab_size, size=length, p=weights)
-        contexts.append(" ".join(vocab[w] for w in words))
-    descriptor = (
-        f"synthetic:seed={seed};n={n_examples};vocab={vocab_size};"
-        f"tokens=[{min_tokens},{max_tokens}];zipf={zipf_exponent:g}"
-    )
-    ids = tuple(f"synth-{i}" for i in range(n_examples))
-    titles = tuple(f"topic-{i % 25:02d}" for i in range(n_examples))
-    return Corpus(ids, titles, tuple(contexts), (None,) * n_examples, descriptor)

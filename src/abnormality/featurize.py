@@ -9,10 +9,11 @@ nonzero density.
 Contexts repeat (a SQuAD paragraph appears once per question), so a corpus
 is featurized once per distinct context: each distinct context is tokenized
 once, its tokens are mapped to integer ids, and every n-gram occurrence gets
-an integer code.  Densities are counted with ``np.bincount`` weighted by how
-often each context repeats, and the feature matrix keeps one ragged row per
-distinct context plus the row of every record.  String n-gram keys are
-spelled out only when the density table's ``counts`` are read by key.
+an integer code.  N-grams are counted with ``np.bincount`` weighted by how
+often each context repeats, and the feature matrix keeps one ragged row of
+counts per distinct context, over one total, plus the row of every record.
+String n-gram keys are spelled out only when the density table's
+``counts`` are read by key.
 """
 
 from __future__ import annotations
@@ -238,12 +239,13 @@ def _trim(content: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndar
 class FeatureMatrix:
     """Positional-density rows of a corpus, stored ragged, once per distinct context.
 
-    Distinct row r is ``content[offsets[r]:offsets[r + 1]]``, its densities
-    up to its last nonzero one (its extent), then zeros up to ``width`` (L)
-    that are never built.  ``index[t]`` is the row of record t, and
-    ``ngram_counts[r]`` the n-gram count of distinct context r before the
-    cap to L, from which each record's ``true_lengths`` and ``truncated``
-    are derived.
+    Every density is an n-gram's corpus count over one ``total``, and the
+    rows hold the counts: distinct row r is ``content[offsets[r]:offsets[r
+    + 1]]``, int64 counts up to its last nonzero one (its extent), then
+    zeros up to ``width`` (L) that are never built.  ``index[t]`` is the row
+    of record t, and ``ngram_counts[r]`` the n-gram count of distinct
+    context r before the cap to L, from which each record's
+    ``true_lengths`` and ``truncated`` are derived.
     """
 
     content: np.ndarray
@@ -251,9 +253,12 @@ class FeatureMatrix:
     index: np.ndarray
     width: int
     ngram_counts: np.ndarray
+    total: int
 
     def __post_init__(self) -> None:
         extents = np.diff(self.offsets)
+        if self.content.dtype != np.int64 or self.total < 1:
+            raise ValueError("content must be int64 counts over a total >= 1")
         if self.content.ndim != 1 or self.index.ndim != 1 or len(self.ngram_counts) != len(extents):
             raise ValueError("content and index must be 1-dimensional, one n-gram count per row")
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.content) or not (
@@ -263,30 +268,22 @@ class FeatureMatrix:
         if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(extents)):
             raise ValueError("record index points outside the distinct rows")
 
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> FeatureMatrix:
-        """The ragged form of a records x L array, each record its own row."""
-        X = np.asarray(values, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("feature matrix must be 2-dimensional")
-        content, offsets = _trim(X.ravel(), np.arange(len(X) + 1) * X.shape[1])
-        return cls(content, offsets, np.arange(len(X)), X.shape[1], np.diff(offsets))
-
     @property
     def extents(self) -> np.ndarray:
         """Per distinct row: its stored length, just past its last nonzero value."""
         return np.diff(self.offsets)
 
-    def dense(self, width: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Distinct rows ``rows`` (default: all, in order) as a new array, ``width`` >= their extents."""
-        extents = self.extents if rows is None else self.extents[rows]
+    def dense(self, width: int, rows: np.ndarray) -> np.ndarray:
+        """The counts of distinct rows ``rows`` as a new float64 array, ``width`` >= their extents.
+
+        Counts below 2**53 are exact in float64.
+        """
+        extents = self.extents[rows]
         out = np.zeros((len(extents), width))
-        if rows is None:
-            out[np.arange(width) < extents[:, None]] = self.content
-            return out
-        # A slice of rows at a time, at most 16 values per distinct row, so
-        # the gather's temporaries stay block-sized.
-        step = max(1, 16 * len(self.ngram_counts) // max(width, 1))
+        # A slice of rows at a time, at most 8 values per distinct row, so
+        # the gather's temporaries (its index, the int64 counts and their
+        # float64 cast) stay block-sized.
+        step = max(1, 8 * len(self.ngram_counts) // max(width, 1))
         for start in range(0, len(rows), step):
             part, ends = rows[start : start + step], extents[start : start + step]
             gather = np.repeat(self.offsets[part] - (np.cumsum(ends) - ends), ends)
@@ -296,8 +293,10 @@ class FeatureMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The records x L matrix, built on demand."""
-        return self.dense(self.width, self.index)
+        """The records x L matrix of densities, built on demand."""
+        out = self.dense(self.width, self.index)
+        out /= self.total
+        return out
 
     @property
     def rows(self) -> int:
@@ -321,11 +320,11 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
     per-example n-gram count, reduced to ``l_cap`` when set (longer rows are
     truncated and flagged).  Downstream covariance is L x L, so for corpora
     with extreme length outliers capping near the 99.9th percentile length
-    keeps memory in check.  When ``table`` was fit on this same corpus
-    object its n-gram codes and their counts are reused: each density is
-    the code's count / total, the same float as a lookup by key.  Any other
+    keeps memory in check.  Each position holds its n-gram's count in the
+    table, over the table's total.  When ``table`` was fit on this same
+    corpus object its n-gram codes and their counts are reused.  Any other
     table, loaded or fit on another corpus, is looked up by key; the
-    n-grams it has not seen have density 0, and trailing ones are not stored.
+    n-grams it has not seen have count 0, and trailing ones are not stored.
     """
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
@@ -333,11 +332,10 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
     counts = table.counts
     if isinstance(counts, _CodeCounts) and counts.grams.source is corpus:
         grams = counts.grams
-        # Counts and total are exact in float64, so the division rounds as int / int does.
-        densities = counts.by_code / table.total
+        by_code = counts.by_code
     else:
         grams = _encode(corpus, table.n, table.tokenizer)
-        densities = np.array([table.density(k) for k in grams.keys()], dtype=np.float64)
+        by_code = np.array([counts.get(k, 0) for k in grams.keys()], dtype=np.int64)
 
     lengths, codes = grams.lengths, grams.codes
     L = int(lengths.max(initial=0))
@@ -348,8 +346,8 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
         raise FitError(f"corpus yields no n-grams at order {table.n}")
 
     offsets = np.concatenate(([0], np.cumsum(np.minimum(lengths, L))))
-    content, offsets = _trim(densities[codes], offsets)
-    return FeatureMatrix(content, offsets, grams.index, width=L, ngram_counts=lengths)
+    content, offsets = _trim(by_code[codes], offsets)
+    return FeatureMatrix(content, offsets, grams.index, width=L, ngram_counts=lengths, total=table.total)
 
 
 _DENSITY_HEADER = ("ngram_key", "count")

@@ -6,9 +6,10 @@ distribution, the squared norm of the back substitution of the de-meaned
 row against an upper factor U, U U^T the (possibly shrunk) covariance.  The
 explicit inverse is never formed.  Rows are ragged: a row is zero past its
 stored extent, and that padding is never built, neither to fit the moments,
-whose padding terms depend on the mean alone, nor to score.  All rows are
-substituted together in NumPy, block by block, but no operation mixes two
-rows, so a record's score depends only on its row and the model.
+which are integer sums of the stored counts that padding adds nothing to,
+nor to score.  All rows are substituted together in NumPy, block by block,
+but no operation mixes two rows, so a record's score depends only on its
+row and the model.
 
 Positional-density covariance is frequently singular, so factorization
 escalates a diagonal shrinkage epsilon through a fixed schedule until the
@@ -41,7 +42,6 @@ __all__ = [
     "ScoreVector",
     "fit_moments",
     "regularized_factorize",
-    "score",
     "score_all",
     "save_model",
     "load_model",
@@ -123,6 +123,11 @@ class ScoreVector:
 # 1,500 on 2 vCPUs with OpenBLAS; 8 and 32 ran within 20% of it, 64 slower.
 _BLOCK = 16
 
+# Bound on a piece's summed row bounds in fit_moments: half of 2**53, the
+# limit of exact float64 integers, so the rounding of the running float64
+# bound cannot let a piece over 2**53 through.
+_EXACT = 2.0**52
+
 # Columns per panel in regularized_factorize.  64 was as fast as 32, 128 and
 # 256 at d = 300, 700 and 1,500 on 2 vCPUs with OpenBLAS, or faster; each
 # panel's temporaries are d x 64.
@@ -143,41 +148,33 @@ def _groups(matrix: FeatureMatrix) -> tuple[np.ndarray, list[tuple[slice, int]]]
     return np.argsort(blocks, kind="stable"), groups
 
 
-def fit_moments(matrix: FeatureMatrix | np.ndarray) -> Moments:
-    """Column means and 1/(n-1) covariance of the rows, two-pass and exactly centered.
+def fit_moments(matrix: FeatureMatrix) -> Moments:
+    """Column means and 1/(n-1) covariance of the rows, from exact integer sums.
 
-    A :class:`FeatureMatrix` is fit over its distinct rows, each weighted by
-    how many records share it; a plain array is stored ragged, every row
-    weighted by one.  The mean is a weighted ``bincount`` of the content.
-    Rows are grouped by width W (block-count groups, merged while a group's
-    buffer holds at most twice its content), and each group adds C^T C to
-    sigma[:W, :W], C its rows centered over [0, W) and scaled by the square
-    roots of their weights.  Past W a row centers to -mu, so the padding
-    adds terms in mu and in each group's summed weight and centered row
-    alone, in one mirrored pass over the 16-column blocks: sigma is exactly
-    symmetric, and no records x L array is built.
-
-    Each product is a BLAS call, whose summation order depends on the BLAS
-    thread count (``OPENBLAS_NUM_THREADS``), not on ``--threads``: the
-    artifacts are byte-identical at any ``--threads``, but golden files need
-    the BLAS thread count pinned.
+    Each distinct row is weighted by how many records share it.  A row is
+    integer counts c over the matrix's total T, so with s = sum_r w_r c_r
+    and the weighted Gram matrix G = sum_r w_r c_r c_r^T, mu = s / (n T)
+    and sigma = (G - s s^T / n) / (T^2 (n - 1)), both elementwise.  Padded
+    positions hold count 0 and add nothing to G or s, so no padding term is
+    built.  Rows are grouped by width W (block-count groups, merged while a
+    group's buffer holds at most twice its content), and each group adds to
+    G[:W, :W] and s[:W] one piece of its rows at a time.  A piece's rows
+    have sum_r w_r max_i c_ri^2 below 2**52, and c_rj <= c_rj^2 and
+    c_rj c_rk <= max_i c_ri^2, so every partial sum of its products is an
+    integer that float64 holds exactly: they are the same in any summation
+    order, at any BLAS thread count
+    (``OPENBLAS_NUM_THREADS``), and pieces are added in a fixed order.
+    Sigma is exactly symmetric, and no records x L array is built.
     """
-    m = matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix.from_values(matrix)
-    n, d = len(m.index), m.width
+    n, d, T = len(matrix.index), matrix.width, matrix.total
     if n < 2:
         raise FitError(f"need at least 2 rows to fit moments, got {n}")
-    weights = np.bincount(m.index, minlength=len(m.ngram_counts)).astype(np.float64)
-    extents = m.extents
-    cols = np.arange(len(m.content))
-    cols -= np.repeat(m.offsets[:-1], extents)
-    weighted = np.repeat(weights, extents)
-    weighted *= m.content
-    mu = np.bincount(cols, weights=weighted, minlength=d) / n
-    del cols, weighted
+    weights = np.bincount(matrix.index, minlength=len(matrix.ngram_counts))
+    extents = matrix.extents
 
     # Fewer, larger products are much faster; merging stops before a
     # buffer would be mostly padding.
-    order, groups = _groups(m)
+    order, groups = _groups(matrix)
     merged = groups[:1]
     for rows, W in groups[1:]:
         joined = slice(merged[-1][0].start, rows.stop)
@@ -186,37 +183,35 @@ def fit_moments(matrix: FeatureMatrix | np.ndarray) -> Moments:
         else:
             merged.append((rows, W))
 
-    sigma = np.zeros((d, d))
-    padded = []  # (W, summed weight, summed centered row over [0, W)), widest first
+    s, sigma = np.zeros(d), np.zeros((d, d))
+    first = True
     for rows, W in reversed(merged):
-        rows = None if len(merged) == 1 else order[rows]  # one group is read in place
-        weight = weights if rows is None else weights[rows]
-        root = np.sqrt(weight)
-        C = m.dense(W, rows)
-        C -= mu[:W]
-        C *= root[:, None]
-        if padded:
-            sigma[:W, :W] += C.T @ C
-        else:  # the widest product is written in place
-            np.matmul(C.T, C, out=sigma[:W, :W])
-        padded.append((W, weight.sum(), root @ C))
+        rows = order[rows]
+        C, weight = matrix.dense(W, rows), weights[rows].astype(np.float64)
+        # w_r times the largest count of row r squared bounds every entry of w_r c_r c_r^T.
+        bound = np.cumsum(weight * C.max(axis=1, initial=0.0) ** 2)
+        start = 0
+        while start < len(C):
+            # A row whose own bound is over the limit is a piece alone: each
+            # entry of its product is one rounded multiplication, not a sum.
+            floor = bound[start - 1] if start else 0.0
+            stop = max(start + 1, int(np.searchsorted(bound, floor + _EXACT)))
+            piece, w = C[start:stop], weight[start:stop]
+            s[:W] += w @ piece
+            weighted = piece if (w == 1).all() else piece * w[:, None]  # unit weights need no copy
+            product = np.matmul(weighted.T, piece, out=sigma[:W, :W] if first else None)  # the widest in place
+            if not first:
+                sigma[:W, :W] += product
+            first, start = False, stop
 
-    # On block k (columns p = 16 k on), s is the summed centered row over
-    # [0, p) of the N records at most p wide, each of them -mu on the block.
-    s, N = np.zeros(d), 0.0
-    for p in range(padded[-1][0], d, _BLOCK):
-        while padded and padded[-1][0] <= p:
-            W, weight, summed = padded.pop()
-            s[:W] += summed
-            N += weight
-        blk = slice(p, p + _BLOCK)
-        cross = np.outer(s[:p], mu[blk])
-        sigma[:p, blk] -= cross
-        sigma[blk, :p] -= cross.T
-        sigma[blk, blk] += np.outer(mu[blk], mu[blk]) * N
-        s[blk] = -N * mu[blk]
-    sigma /= n - 1
-    return Moments(mu=mu, sigma=sigma, n=n)
+    # s s^T / n one block of rows at a time, so no second d x d array is held.
+    scale = float(T * T * (n - 1))
+    for p in range(0, d, _BLOCK):
+        block = np.outer(s[p : p + _BLOCK], s)
+        block /= n
+        sigma[p : p + _BLOCK] -= block
+        sigma[p : p + _BLOCK] /= scale
+    return Moments(mu=s / (n * T), sigma=sigma, n=n)
 
 
 def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
@@ -300,20 +295,7 @@ def _solve_upper(factor: np.ndarray, buffers: list[np.ndarray]) -> None:
             Y[:, s:e] = part.T
 
 
-def score(model: MomentModel, row: np.ndarray) -> float:
-    """Squared Mahalanobis distance of one feature row from the model.
-
-    This is :func:`score_all` of the one-row matrix ``row[None, :]``: the
-    squared norm of the triangular solve of the de-meaned row, always >= 0
-    and exactly 0 at the mean.  No square root is applied.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (model.d,):
-        raise ValueError(f"row has shape {row.shape}, model dimension is {model.d}")
-    return float(score_all(model, row[None, :]).scores[0])
-
-
-def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: int = 1) -> ScoreVector:
+def score_all(model: MomentModel, matrix: FeatureMatrix, threads: int = 1) -> ScoreVector:
     """Score every record of the matrix, one back substitution per distinct row.
 
     The score of x is ||z + U^-1 x||^2, with z = U^-1 (-mu) solved once per
@@ -321,19 +303,20 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     last 16-column block: rows are solved in one buffer per block count, W
     wide, and score ||z[:W] + U^-1 x||^2 plus the sum of z[W:]^2.  No
     operation mixes two rows or depends on the batch, so a row's score is
-    bitwise the same alone, in any batch and at any position.  A
-    :class:`FeatureMatrix` is therefore scored once per distinct context and
-    the scores are broadcast to every record, bitwise equal to scoring every
-    record.  ``threads`` is accepted for compatibility and changes nothing.
+    bitwise the same alone, in any batch and at any position.  The matrix
+    is therefore scored once per distinct context and the scores are
+    broadcast to every record, bitwise equal to scoring every record.  Each
+    buffer holds counts until it is divided by the total, which rounds each
+    density as count / total does.  ``threads`` is accepted for
+    compatibility and changes nothing.
     """
-    m = matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix.from_values(matrix)
-    if m.width != model.d:
-        raise ValueError(f"matrix has {m.width} columns, model dimension is {model.d}")
-    if not np.isfinite(m.content).all():
-        raise ValueError("matrix contains non-finite values")
+    if matrix.width != model.d:
+        raise ValueError(f"matrix has {matrix.width} columns, model dimension is {model.d}")
 
-    order, groups = _groups(m)
-    buffers = [m.dense(W, order[rows]) for rows, W in groups]
+    order, groups = _groups(matrix)
+    buffers = [matrix.dense(W, order[rows]) for rows, W in groups]
+    for Y in buffers:
+        Y /= matrix.total
     z = -model.mu[None, :]
     _solve_upper(model.factor, [*buffers, z])
     z = z[0]
@@ -342,7 +325,7 @@ def score_all(model: MomentModel, matrix: FeatureMatrix | np.ndarray, threads: i
     for (rows, W), Y in zip(groups, buffers):
         Y += z[:W]
         out[order[rows]] = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0] + tail[W]
-    return ScoreVector(scores=out[m.index])
+    return ScoreVector(scores=out[matrix.index])
 
 
 def save_model(

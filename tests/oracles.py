@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: explicit inverses, full sorts, direct-definition
-formulas.  Nothing here shares code with the package under test.
+formulas.  Nothing here shares code with the package under test;
+``count_matrix`` and ``dense_moments`` only put their results into the
+package's types.
 """
 
 from __future__ import annotations
@@ -57,6 +59,47 @@ def featurize_example(tokens: list[str], table, L: int) -> FeatureRow:
     for i in range(true_length):
         row[i] = table.counts.get(grams[i], 0) / table.total
     return FeatureRow(values=row, true_length=true_length, truncated=len(grams) > L)
+
+
+def count_matrix(counts, total: int, index=None):
+    """The package's FeatureMatrix of integer ``counts`` (rows x L) over ``total``.
+
+    Row r is stored up to its last nonzero count, and ``index[t]`` is the
+    row of record t (default: one record per row).
+    """
+    # Imported here so that the benchmark, which imports this module, does not load the package.
+    from abnormality.featurize import FeatureMatrix
+
+    C = np.asarray(counts, dtype=np.int64)
+    extents = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in C]
+    content = np.array([v for row, e in zip(C, extents) for v in row[:e]], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(extents, dtype=np.int64)))
+    index = np.arange(len(C)) if index is None else np.asarray(index)
+    return FeatureMatrix(content, offsets, index, C.shape[1], np.array(extents), total)
+
+
+def dense_moments(X: np.ndarray):
+    """The package's Moments of the rows of X: two-pass mean and centered 1/(n-1) covariance."""
+    from abnormality.mahalanobis import Moments
+
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    mu = X.sum(axis=0) / n
+    centered = X - mu
+    sigma = centered.T @ centered / (n - 1)
+    sigma = np.triu(sigma) + np.triu(sigma, 1).T  # exactly symmetric
+    return Moments(mu=mu, sigma=sigma, n=n)
+
+
+def reference_exact_covariance(X) -> list[list[Fraction]]:
+    """1/(n-1) covariance of the rows of X in exact rational arithmetic."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(X, dtype=np.float64)]
+    n, d = len(rows), len(rows[0])
+    mu = [sum(row[j] for row in rows) / n for j in range(d)]
+    return [
+        [sum((row[j] - mu[j]) * (row[k] - mu[k]) for row in rows) / (n - 1) for k in range(d)]
+        for j in range(d)
+    ]
 
 
 def reference_scores(X: np.ndarray, epsilon: float = 0.0) -> np.ndarray:

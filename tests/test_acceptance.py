@@ -8,8 +8,11 @@ train file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,13 +22,13 @@ from scipy import stats as scipy_stats
 
 from abnormality.analyze import pearson
 from abnormality.cli import main
-from abnormality.corpus import ingest_file, make_synthetic_corpus, write_subset
+from abnormality.corpus import ingest_file, write_subset
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import fit_moments, regularized_factorize, score_all
 from abnormality.sampler import SelectionSpec, label_all, select_global
 
-from conftest import long_tail_corpus
-from oracles import reference_scores, reference_selection
+from conftest import corpus_of, long_tail_corpus, make_synthetic_corpus
+from oracles import count_matrix, reference_scores, reference_selection
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -33,10 +36,15 @@ def check(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
-def full_rank_instance(rng) -> np.ndarray:
+# Divisible by 3 and by 100, so that the scale test can divide it by both.
+TOTAL = 3000
+
+
+def full_rank_instance(rng):
+    """n random counts in each of d columns, over TOTAL."""
     d = int(rng.integers(2, 9))
     n = int(rng.integers(max(5, d + 2), 51))
-    return rng.normal(size=(n, d))
+    return count_matrix(rng.integers(0, 1000, size=(n, d)), TOTAL)
 
 
 def test_mahalanobis_oracle_equivalence():
@@ -44,10 +52,10 @@ def test_mahalanobis_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        X = full_rank_instance(rng)
-        model = regularized_factorize(fit_moments(X))
-        ours = score_all(model, X).scores
-        ref = reference_scores(X)
+        matrix = full_rank_instance(rng)
+        model = regularized_factorize(fit_moments(matrix))
+        ours = score_all(model, matrix).scores
+        ref = reference_scores(matrix.values)
         worst = max(worst, float(np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1e-300))))
     elapsed = time.perf_counter() - start
     check(
@@ -81,11 +89,11 @@ def test_trace_identity():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        X = full_rank_instance(rng)
-        n, d = X.shape
-        model = regularized_factorize(fit_moments(X))
+        matrix = full_rank_instance(rng)
+        n, d = matrix.rows, matrix.width
+        model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon == 0.0, "instance unexpectedly rank-deficient"
-        total = float(score_all(model, X).scores.sum())
+        total = float(score_all(model, matrix).scores.sum())
         expected = d * (n - 1)
         worst = max(worst, abs(total - expected) / expected)
     elapsed = time.perf_counter() - start
@@ -100,13 +108,14 @@ def test_scale_invariance_at_zero_epsilon():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(20):
-        X = full_rank_instance(rng)
-        base_model = regularized_factorize(fit_moments(X))
+        matrix = full_rank_instance(rng)
+        base_model = regularized_factorize(fit_moments(matrix))
         assert base_model.epsilon == 0.0
-        base = score_all(base_model, X).scores
-        for c in (0.5, 3.0, 100.0):
-            model = regularized_factorize(fit_moments(c * X))
-            scaled = score_all(model, c * X).scores
+        base = score_all(base_model, matrix).scores
+        for total in (2 * TOTAL, TOTAL // 3, TOTAL // 100):  # every density times 0.5, 3 and 100
+            scaled_matrix = dataclasses.replace(matrix, total=total)
+            model = regularized_factorize(fit_moments(scaled_matrix))
+            scaled = score_all(model, scaled_matrix).scores
             worst = max(worst, float(np.max(np.abs(scaled - base) / np.maximum(np.abs(base), 1e-300))))
     check(
         "scale invariance at epsilon 0 (c in {0.5, 3, 100}, rtol 1e-8)",
@@ -174,6 +183,52 @@ def test_pipeline_determinism_across_threads(tmp_path):
         "pipeline determinism (500-example fixture, threads 1/2/8, rerun)",
         not mismatches,
         f"{len(baseline)} artifacts compared" + (f"; mismatches: {mismatches}" if mismatches else ""),
+    )
+
+
+# Runs score, bucketed sample and analyze --orders 1,2 in one fresh
+# interpreter, since OpenBLAS reads its thread count when NumPy loads.
+_PIPELINE_PROBE = """
+import sys
+from abnormality.cli import main
+corpus, out = sys.argv[1:3]
+common = ["--input", corpus, "--format", "jsonl", "--out-dir", out]
+scores = out + "/scores.csv"
+assert main(["score", *common]) == 0
+assert main(["sample", "--scores", scores, *common, "--strategy", "bucketed", "--bucket-width", "400",
+             "--k-low", "100", "--k-high", "100", "--k-mean", "100"]) == 0
+assert main(["analyze", "--scores", scores, *common, "--orders", "1,2"]) == 0
+"""
+
+
+def test_artifacts_byte_identical_at_any_blas_thread_count(tmp_path):
+    # 2,000 short contexts and outliers of 1,200, 1,350 and 1,500 tokens, as
+    # the longtail-unique bench workload: epsilon > 0, and the Gram products
+    # are large enough for OpenBLAS to split them across threads.  Fit by
+    # float products of centered densities, model.bin differed here between
+    # 1 and 2 threads.
+    short = make_synthetic_corpus(2000, vocab_size=5000, min_tokens=20, max_tokens=200, seed=1)
+    outliers = [make_synthetic_corpus(1, vocab_size=5000, min_tokens=t, max_tokens=t, seed=101 + t).contexts[0]
+                for t in (1200, 1350, 1500)]
+    corpus = corpus_of(*short.contexts, *outliers)
+    corpus_path = tmp_path / "longtail.jsonl"
+    with open(corpus_path, "wb") as sink:
+        write_subset(corpus, ["low"] * len(corpus), sink)
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-c", _PIPELINE_PROBE, str(corpus_path), str(out)],
+                       env=env, capture_output=True, check=True)
+        runs[threads] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    epsilon = json.loads(runs[1]["scores.meta.json"])["epsilon"]
+    mismatches = sorted(name for name in runs[1].keys() | runs[2].keys() if runs[1].get(name) != runs[2].get(name))
+    check(
+        "artifacts byte-identical at OPENBLAS_NUM_THREADS 1 and 2 (long-tail fixture, L = 1,500)",
+        not mismatches and epsilon > 0 and len(runs[1]) == 13,
+        f"{len(runs[1])} files, epsilon {epsilon:.3e}" + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
 
 

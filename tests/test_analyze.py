@@ -11,13 +11,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from abnormality.analyze import emit_report, histogram, moments_stats, pearson
-from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import StatError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import ScoreVector, fit_moments, regularized_factorize, score_all
 from abnormality.sampler import SelectionSpec, label_all, select_global
 
-from conftest import corpus_of
+from conftest import corpus_of, make_synthetic_corpus
 from oracles import reference_histogram_counts, reference_moments
 
 
@@ -94,6 +93,13 @@ class TestMomentsStats:
     def test_too_few(self):
         with pytest.raises(StatError):
             moments_stats([1.0])
+
+    @pytest.mark.parametrize("largest", [2e80, 1e200])
+    def test_overflowing_moments_raise_stat_error(self, largest):
+        # A damaged scores.csv can hold any finite score.  At 2e80 the
+        # variance is finite but m2**2 overflows; at 1e200 the squares do.
+        with pytest.raises(StatError, match="overflow"):
+            moments_stats([0.0, largest])
 
     def test_min_max(self):
         stats = moments_stats([5.0, -2.0, 3.0])

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from abnormality import cli
 from abnormality.analyze import pearson
 from abnormality.cli import RunConfig, _build_parser, main
-from abnormality.corpus import ingest_file, make_synthetic_corpus
+from abnormality.corpus import ingest_file
 from abnormality.featurize import TokenizerConfig, build_matrix, fit_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
 from abnormality.sampler import SelectionSpec, select_global
+
+from conftest import make_synthetic_corpus
 
 
 def write_jsonl_fixture(path: Path, n: int = 12, seed: int = 3) -> Path:
@@ -60,6 +62,25 @@ class TestScoreCommand:
         code = main(["score", "--input", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_non_utf8_input_path_exits_1_naming_it(self, tmp_path, capsys):
+        # The path is recorded in scores.meta.json, which is UTF-8: every
+        # command refuses it before writing anything.
+        good = write_jsonl_fixture(tmp_path / "c.jsonl")
+        bad = tmp_path / os.fsdecode(b"bad\xffname.jsonl")
+        bad.write_bytes(good.read_bytes())
+        out = run_score(tmp_path, good)
+        before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        scores = str(out / "scores.csv")
+        for command in (["score", "--out-dir", str(tmp_path / "fresh")],
+                        ["sample", "--scores", scores, "--out-dir", str(out)],
+                        ["analyze", "--scores", scores, "--out-dir", str(out)]):
+            capsys.readouterr()
+            assert main([*command, "--input", str(bad), "--format", "jsonl"]) == 1, command
+            err = capsys.readouterr().err
+            assert repr(str(bad)) in err and "not valid UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "fresh").exists()
+        assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_three_example_fixture_matches_library(self, tmp_path):
         corpus_path = tmp_path / "c.jsonl"

@@ -13,12 +13,11 @@ from abnormality.corpus import (
     JsonlFields,
     ingest_jsonl,
     ingest_squad,
-    make_synthetic_corpus,
     write_subset,
 )
 from abnormality.errors import ParseError, SchemaError
 
-from conftest import corpus_of
+from conftest import corpus_of, make_synthetic_corpus
 
 # Deeper than any recursion limit: the JSON decoder raises RecursionError.
 DEEP = "[" * 100_000 + "]" * 100_000

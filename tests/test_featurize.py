@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from abnormality import featurize
 from abnormality.cli import RunConfig, run_score_pipeline
-from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError, SchemaError
 from abnormality.featurize import (
     NGRAM_SEP,
@@ -25,7 +24,7 @@ from abnormality.featurize import (
     tokenize,
 )
 
-from conftest import corpus_of
+from conftest import corpus_of, make_synthetic_corpus
 from oracles import featurize_example, ngrams, reference_ngram_counts
 
 # Mixed case, edge and interior punctuation, a punctuation-only token.
@@ -267,14 +266,14 @@ class TestBuildMatrix:
     def test_one_row_per_distinct_context(self):
         corpus = corpus_of("a b", "c", "a b", "c", "a b")
         m = build_matrix(corpus, fit_density(corpus, 1))
-        assert m.dense(m.width).shape == (2, 2)
+        assert m.dense(m.width, np.arange(len(m.ngram_counts))).shape == (2, 2)
         assert m.index.tolist() == [0, 1, 0, 1, 0]
         assert m.values.shape == (5, 2)
 
     def test_values_are_the_distinct_rows_when_contexts_are_distinct(self):
         corpus = corpus_of("a b", "c", "d e f")
         m = build_matrix(corpus, fit_density(corpus, 1))
-        assert m.values.tobytes() == m.dense(m.width).tobytes()
+        assert m.values.tobytes() == (m.dense(m.width, np.arange(len(m.ngram_counts))) / m.total).tobytes()
         assert m.extents.tolist() == [2, 1, 3] and m.offsets.tolist() == [0, 2, 3, 6]
 
     def test_single_context_no_padding(self):
@@ -323,7 +322,7 @@ class TestBuildMatrix:
         m = assert_matches_oracle(corpus_of("a zz b qq qq", "zz zz", "b a"), table)
         assert m.extents.tolist() == [3, 0, 2]
         assert m.true_lengths.tolist() == [5, 2, 2]
-        assert m.content.tolist() == [0.5, 0.0, 0.5, 0.5, 0.5]
+        assert m.content.tolist() == [1, 0, 1, 1, 1] and m.total == 2
 
     def test_per_record_lengths_derive_from_distinct_ngram_counts(self):
         corpus = corpus_of("a b c d e", "a b", "a b c d e", "")
@@ -332,21 +331,23 @@ class TestBuildMatrix:
         assert m.true_lengths.tolist() == [3, 2, 3, 0]
         assert m.truncated.tolist() == [True, False, True, False]
 
-    def test_from_values_stores_each_row_up_to_its_last_nonzero(self):
-        X = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        m = FeatureMatrix.from_values(X)
+    def test_dense_rows_are_counts_and_values_are_densities(self):
+        counts = np.array([[1, 0, 2, 0], [0, 0, 0, 0], [0, 3, 0, 0], [1, 1, 1, 1]])
+        m = FeatureMatrix(np.array([1, 0, 2, 0, 3, 1, 1, 1, 1]), np.array([0, 3, 3, 5, 9]), np.array([3, 0, 2]), 4,
+                          np.array([3, 0, 2, 4]), 7)
         assert m.extents.tolist() == [3, 0, 2, 4]
-        assert m.content.tolist() == [1.0, 0.0, 2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 1.0]
-        assert m.values.tobytes() == X.tobytes()
+        assert m.dense(4, np.arange(4)).tobytes() == counts.astype(np.float64).tobytes()
         assert m.dense(5, np.array([3, 0])).tolist() == [[1, 1, 1, 1, 0], [1, 0, 2, 0, 0]]
+        assert m.values.tobytes() == (counts[[3, 0, 2]] / 7).tobytes()
 
     @pytest.mark.parametrize("change", [
         {"offsets": np.array([0, 2, 1, 4])}, {"offsets": np.array([0, 2, 3])}, {"width": 1},
-        {"index": np.array([0, 3])}, {"ngram_counts": np.array([1, 1])}, {"content": np.zeros((2, 2))},
+        {"index": np.array([0, 3])}, {"ngram_counts": np.array([1, 1])},
+        {"content": np.zeros((2, 2), dtype=np.int64)}, {"total": 0},
     ])
     def test_inconsistent_fields_raise_value_error(self, change):
-        fields = dict(content=np.ones(4), offsets=np.array([0, 2, 3, 4]), index=np.array([0, 2]), width=3,
-                      ngram_counts=np.array([2, 1, 1]))
+        fields = dict(content=np.ones(4, dtype=np.int64), offsets=np.array([0, 2, 3, 4]), index=np.array([0, 2]),
+                      width=3, ngram_counts=np.array([2, 1, 1]), total=5)
         FeatureMatrix(**fields)
         with pytest.raises(ValueError):
             FeatureMatrix(**{**fields, **change})

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abnormality.corpus import make_synthetic_corpus
 from abnormality.errors import FitError, SchemaError, SingularityError
-from abnormality.featurize import build_matrix, fit_density
+from abnormality.featurize import FeatureMatrix, build_matrix, fit_density
 from abnormality.mahalanobis import (
     _BLOCK,
     _PANEL,
@@ -25,18 +24,23 @@ from abnormality.mahalanobis import (
     read_scores_csv,
     regularized_factorize,
     save_model,
-    score,
     score_all,
     write_scores_csv,
 )
 
-from conftest import corpus_of, long_tail_corpus
+from conftest import corpus_of, long_tail_corpus, make_synthetic_corpus
 from oracles import (
+    count_matrix,
+    dense_moments,
     reference_covariance,
+    reference_exact_covariance,
     reference_scores,
     reference_shifted_cholesky,
     reference_triangular_scores,
 )
+
+# Odd, so that most count / TOTAL densities are rounded.
+TOTAL = 997
 
 
 def repeated_corpus(distinct: int, max_repeats: int, seed: int):
@@ -51,25 +55,27 @@ def singular_moments(rng, n, d):
     """Moments of n normal rows whose last column is constant: sigma's last row is 0, so epsilon > 0."""
     X = rng.normal(size=(n, d))
     X[:, -1] = 1.0
-    return fit_moments(X)
+    return dense_moments(X)
+
+
+def random_counts(rng, n, d, low=0):
+    return rng.integers(low, 40, size=(n, d))
 
 
 def random_model(rng, n, d):
-    X = rng.normal(size=(n, d))
-    model = regularized_factorize(fit_moments(X))
-    return X, model
+    """n records of d random counts over TOTAL, and the model fit to them."""
+    matrix = count_matrix(random_counts(rng, n, d), TOTAL)
+    return matrix, regularized_factorize(fit_moments(matrix))
 
 
 class TestFitMoments:
     def test_identical_rows_zero_variance(self):
-        X = np.array([[1.0, 2.0], [1.0, 2.0]])
-        model = fit_moments(X)
+        model = fit_moments(count_matrix([[1, 2], [1, 2]], 3))
         assert (model.sigma == 0).all()
-        assert model.mu.tolist() == [1.0, 2.0]
+        assert model.mu.tolist() == [1 / 3, 2 / 3]
 
     def test_hand_computed_two_rows(self):
-        X = np.array([[0.0, 0.0], [2.0, 2.0]])
-        model = fit_moments(X)
+        model = fit_moments(count_matrix([[0, 0], [2, 2]], 1))
         assert model.mu.tolist() == [1.0, 1.0]
         assert model.sigma.tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
@@ -77,19 +83,19 @@ class TestFitMoments:
         rng = np.random.default_rng(11)
         for _ in range(10):
             n, d = int(rng.integers(3, 20)), int(rng.integers(2, 6))
-            X = rng.normal(size=(n, d))
-            model = fit_moments(X)
-            np.testing.assert_allclose(model.sigma, reference_covariance(X), rtol=1e-10, atol=1e-12)
+            matrix = count_matrix(random_counts(rng, n, d), TOTAL)
+            sigma = fit_moments(matrix).sigma
+            np.testing.assert_allclose(sigma, reference_covariance(matrix.values), rtol=1e-12,
+                                       atol=1e-15 * np.abs(sigma).max())
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(12)
-        X = rng.normal(size=(30, 7))
-        model = fit_moments(X)
+        model = fit_moments(count_matrix(random_counts(rng, 30, 7), TOTAL))
         assert (model.sigma == model.sigma.T).all()
 
     def test_too_few_rows(self):
         with pytest.raises(FitError):
-            fit_moments(np.ones((1, 3)))
+            fit_moments(count_matrix(np.ones((1, 3)), TOTAL))
 
     def test_weighted_unique_rows_match_every_record(self):
         # 12 distinct contexts, repeated 1-8 times: the weighted fit over the
@@ -100,25 +106,83 @@ class TestFitMoments:
         model = fit_moments(matrix)
         X = matrix.values
         assert model.n == len(X)
+        # Every sum is an exact integer, so the fit equals the unweighted one bit for bit.
+        expanded = fit_moments(count_matrix(matrix.dense(matrix.width, matrix.index), matrix.total))
+        assert expanded.mu.tobytes() == model.mu.tobytes()
+        assert expanded.sigma.tobytes() == model.sigma.tobytes()
         np.testing.assert_allclose(model.mu, X.mean(axis=0), rtol=1e-10, atol=0)
         np.testing.assert_allclose(model.sigma, reference_covariance(X), rtol=1e-10, atol=1e-16)
         assert (model.sigma == model.sigma.T).all()
 
-    def test_distinct_rows_bitwise_equal_unweighted_two_pass(self):
-        # When every record has its own context, every weight is one: the fit
-        # of the matrix and of its plain values is the same computation, and
-        # the mean adds each column in row order, as the dense two-pass form.
+    def test_distinct_rows_within_rounding_of_the_exact_covariance(self):
+        # The Gram matrix and column sums are exact integers, so sigma is
+        # within a few roundings of the rational covariance of the densities.
         corpus = make_synthetic_corpus(30, vocab_size=25, min_tokens=3, max_tokens=20, seed=14)
         matrix = build_matrix(corpus, fit_density(corpus, 1))
         assert len(matrix.ngram_counts) == matrix.rows
-        X = matrix.values
-        mu = X.mean(axis=0)
-        centered = X - mu
-        sigma = centered.T @ centered / (len(X) - 1)
-        ragged, plain = fit_moments(matrix), fit_moments(X)
-        assert ragged.mu.tobytes() == plain.mu.tobytes() == mu.tobytes()
-        assert ragged.sigma.tobytes() == plain.sigma.tobytes()
-        np.testing.assert_allclose(ragged.sigma, sigma, rtol=1e-12, atol=0)
+        moments = fit_moments(matrix)
+        exact = np.array(reference_exact_covariance(matrix.values), dtype=np.float64)
+        peak = np.abs(exact).max()
+        assert np.abs(moments.sigma - exact).max() <= 4e-16 * peak
+        counts = matrix.dense(matrix.width, np.arange(len(matrix.ngram_counts)))
+        assert moments.mu.tobytes() == (counts.sum(axis=0) / (matrix.rows * matrix.total)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_permuting_records_leaves_moments_and_epsilon_bitwise(self, data):
+        # Ragged rows of random counts, repeated 1-3 times: reordering the
+        # distinct rows and the records changes every summation order.
+        d = data.draw(st.integers(2, 3 * _BLOCK + 5), label="d")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(2, 40))
+        counts = rng.integers(0, 60, size=(rows, d))
+        counts[np.arange(d) >= rng.integers(0, d + 1, size=rows)[:, None]] = 0
+        index = rng.permutation(np.repeat(np.arange(rows), rng.integers(1, 4, size=rows)))
+        order = rng.permutation(rows)
+        records = rng.permutation(len(index))
+        a = count_matrix(counts, TOTAL, index)
+        b = count_matrix(counts[order], TOTAL, np.argsort(order)[index[records]])
+        fit_a, fit_b = fit_moments(a), fit_moments(b)
+        assert fit_a.mu.tobytes() == fit_b.mu.tobytes()
+        assert fit_a.sigma.tobytes() == fit_b.sigma.tobytes()
+        try:
+            eps = regularized_factorize(fit_a).epsilon
+        except SingularityError:
+            with pytest.raises(SingularityError):
+                regularized_factorize(fit_b)
+            return
+        assert np.float64(regularized_factorize(fit_b).epsilon).tobytes() == np.float64(eps).tobytes()
+
+    @pytest.mark.parametrize("k", [5_003, 1_000_003])
+    def test_scaled_counts_take_the_chunked_path(self, k, monkeypatch):
+        # Every count and the total times an odd k: the densities are the same
+        # rationals, but the Gram matrix's largest diagonal entry is above
+        # 2**53, so its rows are summed in pieces (of about ten rows at
+        # k = 5,003, one row each at k = 1,000,003), and the pieces round
+        # when they are added.
+        matrix = build_matrix(corpus := long_tail_corpus(1), fit_density(corpus, 1))
+        scaled = dataclasses.replace(matrix, content=matrix.content * k, total=matrix.total * k)
+        assert scaled.total < 2**53
+        assert scaled.values.tobytes() == matrix.values.tobytes()
+        counts = matrix.dense(matrix.width, np.arange(len(matrix.ngram_counts))).astype(np.int64).astype(object)
+        gram_diagonal = (np.bincount(matrix.index)[:, None] * counts**2).sum(axis=0) * k * k
+        assert max(gram_diagonal) > 2**53
+
+        base, big = fit_moments(matrix), fit_moments(scaled)
+        assert (big.sigma == big.sigma.T).all()
+        # Each piece's product is exact, so summing its rows in reverse changes no bit.
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out=None: matmul(a[:, ::-1], b[::-1], out=out))
+        assert fit_moments(scaled).sigma.tobytes() == big.sigma.tobytes()
+        monkeypatch.undo()
+        np.testing.assert_allclose(big.mu, base.mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(big.sigma / np.abs(big.sigma).max(), base.sigma / np.abs(base.sigma).max(),
+                                   rtol=0, atol=1e-12)
+        base_model, big_model = regularized_factorize(base), regularized_factorize(big)
+        assert big_model.epsilon > 0.0
+        np.testing.assert_allclose(score_all(big_model, scaled).scores, score_all(base_model, matrix).scores,
+                                   rtol=1e-12, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -220,7 +284,7 @@ class TestRegularizedFactorize:
             regularized_factorize(moments, EpsilonPolicy(fixed=0.0))
 
     def test_factor_is_sigma_at_zero_epsilon(self):
-        moments = fit_moments(np.random.default_rng(41).normal(size=(30, 6)))
+        moments = dense_moments(np.random.default_rng(41).normal(size=(30, 6)))
         oracle = reference_shifted_cholesky(moments.sigma, 0.0)
         out = regularized_factorize(moments)
         assert out.epsilon == 0.0
@@ -243,7 +307,7 @@ class TestRegularizedFactorize:
         # it.  Its Schur complement is -30 base: epsilon = 0, base and 10 base
         # fail there, and 100 base succeeds.
         d = 2 * _PANEL + 22
-        sigma = fit_moments(np.random.default_rng(46).normal(size=(2 * d, d))).sigma
+        sigma = dense_moments(np.random.default_rng(46).normal(size=(2 * d, d))).sigma
         pivot = reference_shifted_cholesky(sigma, 0.0)[0, 0] ** 2
         base = EpsilonPolicy().base_scale * (np.trace(sigma) - pivot) / d
         sigma[0, 0] -= pivot + 30 * base
@@ -308,7 +372,7 @@ class TestRegularizedFactorize:
         X = rng.normal(size=(2 if kind == "low rank" else 2 * d + 8, d)) * rng.lognormal(0, 1, size=d)
         if kind == "constant columns":
             X[:, rng.random(d) < 0.2] = 1.0
-        moments = fit_moments(X)
+        moments = dense_moments(X)
         sigma = moments.sigma.copy()
         schedule = EpsilonPolicy().schedule(float(np.trace(sigma)), d)
         expected = None
@@ -356,7 +420,7 @@ class TestRegularizedFactorize:
         d = 1000
         X = np.random.default_rng(45).normal(size=(d + 100, d))
         X[:, 0] = 1.0
-        moments = fit_moments(X)
+        moments = dense_moments(X)
         del X
         tracemalloc.start()
         try:
@@ -369,60 +433,65 @@ class TestRegularizedFactorize:
 
 
 class TestScore:
+    """score_all on hand-made models and one-row matrices."""
+
     def test_row_at_mean_is_zero(self):
-        rng = np.random.default_rng(3)
-        _, model = random_model(rng, 25, 4)
-        assert score(model, model.mu) == 0.0
+        # The third row is the mean, 2 / T, which s / (n T) = 6 / (3 T) rounds to.
+        matrix = count_matrix([[1, 3], [3, 1], [2, 2]], TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
+        assert score_all(model, matrix).scores[2] == 0.0
 
     def test_identity_covariance_is_squared_euclidean(self):
         model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
-        assert score(model, np.array([3.0, 4.0])) == pytest.approx(25.0, rel=1e-12)
+        assert score_all(model, count_matrix([[3, 4]], 1)).scores[0] == pytest.approx(25.0, rel=1e-12)
 
     def test_diagonal_covariance_hand_oracle(self):
         model = regularized_factorize(
             Moments(mu=np.array([1.0, 1.0]), sigma=np.diag([2.0, 8.0]), n=10)
         )
         # (2^2)/2 + (4^2)/8 = 4
-        assert score(model, np.array([3.0, 5.0])) == pytest.approx(4.0, rel=1e-12)
+        assert score_all(model, count_matrix([[3, 5]], 1)).scores[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
         with pytest.raises(ValueError):
-            score(model, np.zeros(3))
+            score_all(model, count_matrix(np.ones((1, 3)), 1))
 
     def test_non_finite_rejected(self):
-        model = regularized_factorize(Moments(mu=np.zeros(2), sigma=np.eye(2), n=10))
-        with pytest.raises(ValueError):
-            score(model, np.array([np.nan, 0.0]))
+        # A matrix holds int64 counts, which cannot be NaN; float content is refused.
+        with pytest.raises(ValueError, match="int64 counts"):
+            FeatureMatrix(np.array([np.nan, 0.0]), np.array([0, 2]), np.array([0]), 2, np.array([2]), 1)
 
 
 class TestScoreAll:
     def test_identical_rows_all_zero(self):
-        X = np.tile([2.0, 3.0], (6, 1))
-        model = regularized_factorize(fit_moments(X), EpsilonPolicy(fixed=0.5))
-        sv = score_all(model, X)
+        matrix = count_matrix(np.tile([2, 3], (6, 1)), TOTAL)
+        model = regularized_factorize(fit_moments(matrix), EpsilonPolicy(fixed=0.5))
+        sv = score_all(model, matrix)
         assert (sv.scores == 0).all()
         assert model.epsilon == 0.5
 
     def test_trace_identity(self):
         rng = np.random.default_rng(5)
-        X, model = random_model(rng, 40, 6)
+        matrix, model = random_model(rng, 40, 6)
         assert model.epsilon == 0.0
-        sv = score_all(model, X)
+        sv = score_all(model, matrix)
         assert sv.scores.mean() == pytest.approx(6 * 39 / 40, rel=1e-8)
 
     def test_matches_per_row_score_exactly(self):
         rng = np.random.default_rng(6)
-        X, model = random_model(rng, 30, 5)
-        sv = score_all(model, X)
-        per_row = np.array([score(model, X[t]) for t in range(30)])
+        counts = random_counts(rng, 30, 5)
+        matrix = count_matrix(counts, TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
+        sv = score_all(model, matrix)
+        per_row = np.array([score_all(model, count_matrix(counts[t : t + 1], TOTAL)).scores[0] for t in range(30)])
         assert (sv.scores == per_row).all()
 
     def test_threads_bitwise_identical(self):
         rng = np.random.default_rng(7)
-        X, model = random_model(rng, 3000, 4)
-        a = score_all(model, X, threads=1)
-        b = score_all(model, X, threads=4)
+        matrix, model = random_model(rng, 3000, 4)
+        a = score_all(model, matrix, threads=1)
+        b = score_all(model, matrix, threads=4)
         assert a.scores.tobytes() == b.scores.tobytes()
 
     def test_deduplicated_matrix_matches_expanded(self):
@@ -436,7 +505,8 @@ class TestScoreAll:
         assert len(matrix.ngram_counts) == 40 < matrix.rows
         model = regularized_factorize(fit_moments(matrix))
         dedup = score_all(model, matrix).scores
-        assert dedup.tobytes() == score_all(model, matrix.values).scores.tobytes()
+        expanded = count_matrix(matrix.dense(matrix.width, matrix.index), matrix.total)
+        assert dedup.tobytes() == score_all(model, expanded).scores.tobytes()
         for context in distinct:
             shared = dedup[[i for i, c in enumerate(records) if c == context]]
             assert (shared == shared[0]).all()
@@ -445,27 +515,28 @@ class TestScoreAll:
         rng = np.random.default_rng(8)
         _, model = random_model(rng, 10, 3)
         with pytest.raises(ValueError):
-            score_all(model, np.zeros((4, 2)))
+            score_all(model, count_matrix(np.ones((4, 2)), TOTAL))
 
 
 class TestBlockedSubstitution:
     """score_all substitutes all rows at once; each row's bits must not depend on the others."""
 
     @staticmethod
-    def assert_rows_independent(model, X, rng) -> np.ndarray:
-        # Alone, in a permuted batch, in a random subset and from a buffer
-        # offset by one float64, every row gets the same bits.
-        full = score_all(model, X).scores
-        n = len(X)
+    def assert_rows_independent(model, counts, total, rng) -> np.ndarray:
+        # Alone, in a permuted batch, in a random subset and from a content
+        # buffer offset by one int64, every row gets the same bits.
+        matrix = count_matrix(counts, total)
+        full = score_all(model, matrix).scores
+        n = len(counts)
         for r in rng.choice(n, size=min(n, 3), replace=False):
-            assert score_all(model, X[r : r + 1]).scores.tobytes() == full[r : r + 1].tobytes()
+            assert score_all(model, count_matrix(counts[r : r + 1], total)).scores.tobytes() == full[r : r + 1].tobytes()
         perm = rng.permutation(n)
-        assert score_all(model, X[perm]).scores.tobytes() == full[perm].tobytes()
+        assert score_all(model, count_matrix(counts[perm], total)).scores.tobytes() == full[perm].tobytes()
         subset = np.flatnonzero(rng.random(n) < 0.5)
-        assert score_all(model, X[subset]).scores.tobytes() == full[subset].tobytes()
-        shifted = np.empty(X.size + 1)[1:].reshape(X.shape)
-        shifted[:] = X
-        assert score_all(model, shifted).scores.tobytes() == full.tobytes()
+        assert score_all(model, count_matrix(counts[subset], total)).scores.tobytes() == full[subset].tobytes()
+        shifted = np.empty(len(matrix.content) + 1, dtype=np.int64)[1:]
+        shifted[:] = matrix.content
+        assert score_all(model, dataclasses.replace(matrix, content=shifted)).scores.tobytes() == full.tobytes()
         return full
 
     @pytest.mark.parametrize("d", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 61, 401])
@@ -473,10 +544,12 @@ class TestBlockedSubstitution:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_rows_independent_and_match_triangular_oracle(self, d, seed):
         rng = np.random.default_rng(seed)
-        X, model = random_model(rng, 2 * d + 8, d)
+        counts = random_counts(rng, 2 * d + 8, d)
+        matrix = count_matrix(counts, TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon == 0.0
-        full = self.assert_rows_independent(model, X, rng)
-        oracle = reference_triangular_scores(model.factor, model.mu, X)
+        full = self.assert_rows_independent(model, counts, TOTAL, rng)
+        oracle = reference_triangular_scores(model.factor, model.mu, matrix.values)
         np.testing.assert_allclose(full, oracle, rtol=1e-10, atol=0)
 
     @settings(max_examples=12, deadline=None)
@@ -494,12 +567,14 @@ class TestBlockedSubstitution:
         rng = np.random.default_rng(seed)
         lengths = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
         lengths = rng.permutation(np.append(rng.choice(lengths, size=3 * d - 3), [d, d, d]))
-        X = rng.normal(size=(3 * d, d))
-        X[np.arange(d) >= lengths[:, None]] = 0.0
-        X[rng.random(X.shape) < interior_zeros] = 0.0
-        model = regularized_factorize(fit_moments(X))
+        counts = random_counts(rng, 3 * d, d, low=1)
+        counts[np.arange(d) >= lengths[:, None]] = 0
+        counts[rng.random(counts.shape) < interior_zeros] = 0
+        matrix = count_matrix(counts, TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon > 0.0
-        full = self.assert_rows_independent(model, X, rng)
+        full = self.assert_rows_independent(model, counts, TOTAL, rng)
+        X = matrix.values
         np.testing.assert_allclose(full, reference_triangular_scores(model.factor, model.mu, X), rtol=1e-10, atol=0)
         np.testing.assert_allclose(full, reference_scores(X, epsilon=model.epsilon), rtol=1e-6, atol=0)
 
@@ -510,7 +585,8 @@ class TestBlockedSubstitution:
         matrix = build_matrix(corpus, fit_density(corpus, 1))
         model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon > 0.0
-        self.assert_rows_independent(model, matrix.dense(matrix.width), np.random.default_rng(seed))
+        counts = matrix.dense(matrix.width, np.arange(len(matrix.ngram_counts))).astype(np.int64)
+        self.assert_rows_independent(model, counts, matrix.total, np.random.default_rng(seed))
         ref = reference_scores(matrix.values, epsilon=model.epsilon)
         np.testing.assert_allclose(score_all(model, matrix).scores, ref, rtol=1e-6, atol=0)
 
@@ -542,41 +618,47 @@ class TestProperties:
         rng = np.random.default_rng(21)
         for _ in range(20):
             n, d = int(rng.integers(5, 40)), int(rng.integers(2, 8))
-            X, model = random_model(rng, n, d)
-            assert (score_all(model, X).scores >= 0).all()
+            matrix, model = random_model(rng, n, d)
+            assert (score_all(model, matrix).scores >= 0).all()
 
     def test_scale_invariance_at_zero_epsilon(self):
+        # Counts times c, over the same total, scale every density by c.
         rng = np.random.default_rng(22)
-        X, model = random_model(rng, 35, 5)
+        counts = random_counts(rng, 35, 5)
+        matrix = count_matrix(counts, TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon == 0.0
-        base = score_all(model, X).scores
-        for c in (0.5, 3.0, 100.0):
-            scaled_model = regularized_factorize(fit_moments(c * X))
+        base = score_all(model, matrix).scores
+        for c in (2, 3, 100):
+            scaled_matrix = count_matrix(c * counts, TOTAL)
+            scaled_model = regularized_factorize(fit_moments(scaled_matrix))
             assert scaled_model.epsilon == 0.0
-            scaled = score_all(scaled_model, c * X).scores
+            scaled = score_all(scaled_model, scaled_matrix).scores
             np.testing.assert_allclose(scaled, base, rtol=1e-8, atol=1e-12)
 
     def test_rank_order_invariant_under_translation(self):
         rng = np.random.default_rng(23)
-        X, model = random_model(rng, 30, 4)
-        shift = rng.normal(size=4) * 10
-        shifted_model = regularized_factorize(fit_moments(X + shift))
-        a = score_all(model, X).scores
-        b = score_all(shifted_model, X + shift).scores
+        counts = random_counts(rng, 30, 4, low=1)
+        matrix = count_matrix(counts, TOTAL)
+        model = regularized_factorize(fit_moments(matrix))
+        shifted = count_matrix(counts + rng.integers(0, 1000, size=4), TOTAL)
+        shifted_model = regularized_factorize(fit_moments(shifted))
+        a = score_all(model, matrix).scores
+        b = score_all(shifted_model, shifted).scores
         assert np.argsort(a, kind="stable").tolist() == np.argsort(b, kind="stable").tolist()
 
     def test_matches_explicit_inverse_oracle(self):
         rng = np.random.default_rng(24)
         for _ in range(25):
             n, d = int(rng.integers(5, 50)), int(rng.integers(2, 8))
-            X, model = random_model(rng, max(n, d + 2), d)
-            ours = score_all(model, X).scores
-            np.testing.assert_allclose(ours, reference_scores(X), rtol=1e-8, atol=1e-12)
+            matrix, model = random_model(rng, max(n, d + 2), d)
+            ours = score_all(model, matrix).scores
+            np.testing.assert_allclose(ours, reference_scores(matrix.values), rtol=1e-8, atol=1e-12)
 
 
 class TestPersistence:
     def test_model_bytes_are_mu_then_factor(self, tmp_path):
-        model = regularized_factorize(fit_moments(np.random.default_rng(33).normal(size=(12, 4))))
+        model = regularized_factorize(dense_moments(np.random.default_rng(33).normal(size=(12, 4))))
         save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
         parts = [model.mu, model.factor]
         want = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts)
@@ -638,7 +720,7 @@ class TestPersistence:
 
     def test_layout_with_sigma_and_factor_raises_schema_error(self, tmp_path):
         # The earlier layout, mu then sigma then factor, is 8 * (d + 2 d^2) bytes.
-        unfactorized = fit_moments(np.random.default_rng(35).normal(size=(20, 3)))
+        unfactorized = dense_moments(np.random.default_rng(35).normal(size=(20, 3)))
         sigma = unfactorized.sigma.copy()
         model = regularized_factorize(unfactorized)
         bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
