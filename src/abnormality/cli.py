@@ -268,9 +268,13 @@ _MANIFEST_KEYS = (
 )
 
 
-def _check_hash(path: Path, recorded: str | None, where: str) -> None:
-    """StaleScoresError unless ``path`` is a file with the hash that ``where`` records."""
-    actual = sha256_file(path) if path.is_file() else None
+def _check_hash(path: Path, recorded: str | None, where: str, actual: str | None = None) -> None:
+    """StaleScoresError unless ``path`` is a file with the hash that ``where`` records.
+
+    ``actual`` is the hash of ``path`` when it was verified already; the file
+    is then not read again.
+    """
+    actual = actual or (sha256_file(path) if path.is_file() else None)
     if actual != recorded:
         raise StaleScoresError(
             f"{path} hash {actual} does not match {recorded} recorded in {where}"
@@ -314,19 +318,20 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
 
 
 def _load_selection(
-    out: Path, corpus: corpus_mod.Corpus, scores: np.ndarray, scores_path: Path
+    out: Path, corpus: corpus_mod.Corpus, scores: np.ndarray, scores_path: Path, scores_hash: str
 ) -> list[str]:
     """The per-example labels `sample` wrote into ``out``, checked against its manifest.
 
-    Every example is unselected when ``out`` holds no selection manifest.  A
-    manifest written for other scores, or a selection.csv whose hash it does
-    not record, raises StaleScoresError.
+    ``scores_hash`` is the verified hash of ``scores_path``.  Every example is
+    unselected when ``out`` holds no selection manifest.  A manifest written
+    for other scores, or a selection.csv whose hash it does not record,
+    raises StaleScoresError.
     """
     manifest_path = out / "selection_manifest.json"
     if not manifest_path.is_file():
         return ["unselected"] * len(corpus)
     manifest = read_json(manifest_path, _MANIFEST_KEYS)
-    _check_hash(scores_path, manifest["inputs"]["scores.csv"], manifest_path.name)
+    _check_hash(scores_path, manifest["inputs"]["scores.csv"], manifest_path.name, scores_hash)
     selection_csv = out / "selection.csv"
     _check_hash(selection_csv, manifest["artifacts"]["selection.csv"], manifest_path.name)
     return sampler_mod.read_selection_csv(selection_csv, corpus, scores)
@@ -386,7 +391,8 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     scores_path = Path(scores_path)
     scored, corpus, scores, meta = _load_scores_with_meta(cfg, scores_path)
 
-    labels = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path)
+    scores_hash = meta["artifacts"][scores_path.name]  # checked by _load_scores_with_meta
+    labels = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path, scores_hash)
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)
 

@@ -99,14 +99,31 @@ def _refuse_lone_surrogates(value: Any, path: str) -> None:
             _refuse_lone_surrogates(item, f"{path}[{j}]")
 
 
-def _read_all(stream: bytes | IO[bytes]) -> bytes:
-    if isinstance(stream, (bytes, bytearray)):
-        return bytes(stream)
-    return stream.read()
+_ABSENT = object()
 
 
-def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corpus:
-    """Parse SQuAD v1.1 JSON into a Corpus, one example per qa record.
+def _field(obj: Any, key: str, path: str, kind: type = str, default: Any = _ABSENT) -> Any:
+    """``obj[key]`` when it is a ``kind`` (str or list), or ``default`` if given and the key is absent.
+
+    Otherwise raises SchemaError at ``path`` when ``obj`` is not a JSON
+    object, and at ``path.key`` when the key is missing or holds another type.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path} is not a JSON object", path=path)
+    value = obj.get(key, _ABSENT)
+    if isinstance(value, kind):
+        return value
+    if value is not _ABSENT:
+        what = f"'{key}' at {path} is not {'a string' if kind is str else 'an array'}"
+    elif default is not _ABSENT:
+        return default
+    else:
+        what = f"missing '{key}' at {path}"
+    raise SchemaError(what, path=f"{path}.{key}")
+
+
+def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
+    """Parse SQuAD v1.1 JSON bytes into a Corpus, one example per qa record.
 
     Document order is preserved: articles, then paragraphs, then qas.  Each
     example's context is the enclosing paragraph's context (contexts repeat
@@ -115,12 +132,13 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
 
     Raises ParseError (with byte offset) on malformed JSON, ParseError on
     JSON nested too deeply to parse, and SchemaError (naming the JSON path)
-    on missing required fields, an id, title or context that is not a
-    string, or a kept string (the version, a title, a context, or any string
-    of a qa object) that holds a lone surrogate.
+    on an article, paragraph or qa that is not an object, a missing title,
+    paragraphs, context, qas or id, a title, context or id that is not a
+    string, paragraphs or qas that are not an array, or a kept string (the
+    version, a title, a context, or any string of a qa object) that holds a
+    lone surrogate.
     """
-    raw = _read_all(stream)
-    text = _decode_utf8(raw, "SQuAD input")
+    text = _decode_utf8(data, "SQuAD input")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -145,35 +163,21 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
     payloads: list[dict[str, Any]] = []
     for ai, article in enumerate(articles):
         apath = f"data[{ai}]"
-        if not isinstance(article, dict) or "title" not in article:
-            raise SchemaError(f"missing 'title' at {apath}", path=f"{apath}.title")
-        if "paragraphs" not in article or not isinstance(article["paragraphs"], list):
-            raise SchemaError(f"missing 'paragraphs' at {apath}", path=f"{apath}.paragraphs")
-        title = article["title"]
-        if not isinstance(title, str):
-            raise SchemaError(f"'title' at {apath} is not a string", path=f"{apath}.title")
+        title = _field(article, "title", apath)
+        paragraphs = _field(article, "paragraphs", apath, list)
         if walk:
             _refuse_lone_surrogates(title, f"{apath}.title")
-        for pi, para in enumerate(article["paragraphs"]):
+        for pi, para in enumerate(paragraphs):
             ppath = f"{apath}.paragraphs[{pi}]"
-            if not isinstance(para, dict) or "context" not in para:
-                raise SchemaError(f"missing 'context' at {ppath}", path=f"{ppath}.context")
-            if "qas" not in para or not isinstance(para["qas"], list):
-                raise SchemaError(f"missing 'qas' at {ppath}", path=f"{ppath}.qas")
-            context = para["context"]
-            if not isinstance(context, str):
-                raise SchemaError(f"'context' at {ppath} is not a string", path=f"{ppath}.context")
+            context = _field(para, "context", ppath)
+            qas = _field(para, "qas", ppath, list)
             if walk:
                 _refuse_lone_surrogates(context, f"{ppath}.context")
-            for qi, qa in enumerate(para["qas"]):
+            for qi, qa in enumerate(qas):
                 qpath = f"{ppath}.qas[{qi}]"
-                if not isinstance(qa, dict) or "id" not in qa:
-                    raise SchemaError(f"missing 'id' at {qpath}", path=f"{qpath}.id")
-                if not isinstance(qa["id"], str):
-                    raise SchemaError(f"'id' at {qpath} is not a string", path=f"{qpath}.id")
+                ids.append(_field(qa, "id", qpath))
                 if walk:
                     _refuse_lone_surrogates(qa, qpath)
-                ids.append(qa["id"])
                 titles.append(title)
                 contexts.append(context)
                 payloads.append(qa)
@@ -181,24 +185,18 @@ def ingest_squad(stream: bytes | IO[bytes], *, source: str = "<stream>") -> Corp
     return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
 
 
-def ingest_jsonl(
-    stream: bytes | IO[bytes],
-    fields: JsonlFields | None = None,
-    *,
-    source: str = "<stream>",
-) -> Corpus:
-    """Parse JSONL (one JSON object per nonempty line) into a Corpus.
+def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str = "<stream>") -> Corpus:
+    """Parse JSONL bytes (one JSON object per nonempty line) into a Corpus.
 
     Missing title defaults to "", missing id to ``line-<k>`` where k is the
     1-based physical line number.  Raises ParseError carrying the line
-    number for an unparseable or too deeply nested line, SchemaError if the
-    configured context field is absent, the context, id or title field is
-    present but not a JSON string, or any string of the record holds a lone
-    surrogate.
+    number for an unparseable or too deeply nested line, and SchemaError
+    (at path ``line <k>``) for a line that is not a JSON object, a missing
+    context field, a context, id or title field that is present but not a
+    JSON string, or a string of the record that holds a lone surrogate.
     """
     fields = fields or JsonlFields()
-    raw = _read_all(stream)
-    text = _decode_utf8(raw, "JSONL input")
+    text = _decode_utf8(data, "JSONL input")
     walk = _SURROGATE_ESCAPE.search(text) is not None  # else no record needs the walk
 
     ids: list[str] = []
@@ -214,25 +212,12 @@ def ingest_jsonl(
             raise ParseError(f"line {lineno}: malformed JSON: {e.msg}", line=lineno) from e
         except RecursionError as e:
             raise ParseError(f"line {lineno}: JSON nested too deeply to parse: {e}", line=lineno) from e
-        if not isinstance(obj, dict):
-            raise SchemaError(f"line {lineno}: record is not a JSON object", path=f"line {lineno}")
-        if fields.context not in obj:
-            raise SchemaError(
-                f"line {lineno}: missing context field '{fields.context}'",
-                path=f"line {lineno}.{fields.context}",
-            )
-        context = obj[fields.context]
-        ex_id, title = obj.get(fields.id, f"line-{lineno}"), obj.get(fields.title, "")
-        for name, key, value in (("context", fields.context, context), ("id", fields.id, ex_id),
-                                 ("title", fields.title, title)):
-            if not isinstance(value, str):
-                raise SchemaError(f"line {lineno}: {name} field '{key}' is not a string",
-                                  path=f"line {lineno}.{key}")
+        lpath = f"line {lineno}"
+        contexts.append(_field(obj, fields.context, lpath))
+        ids.append(_field(obj, fields.id, lpath, default=f"line-{lineno}"))
+        titles.append(_field(obj, fields.title, lpath, default=""))
         if walk:
-            _refuse_lone_surrogates(obj, f"line {lineno}")
-        ids.append(ex_id)
-        titles.append(title)
-        contexts.append(context)
+            _refuse_lone_surrogates(obj, lpath)
         payloads.append(obj)
     descriptor = f"jsonl:{source};fields={fields.context}/{fields.title}/{fields.id}"
     return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
@@ -240,13 +225,12 @@ def ingest_jsonl(
 
 def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None = None) -> Corpus:
     """Ingest a corpus file by path; ``fmt`` is ``squad`` or ``jsonl``."""
+    if fmt not in ("squad", "jsonl"):
+        raise ValueError(f"unknown corpus format {fmt!r} (expected 'squad' or 'jsonl')")
     path = Path(path)
-    with open(path, "rb") as f:
-        if fmt == "squad":
-            return ingest_squad(f, source=str(path))
-        if fmt == "jsonl":
-            return ingest_jsonl(f, fields, source=str(path))
-    raise ValueError(f"unknown corpus format {fmt!r} (expected 'squad' or 'jsonl')")
+    if fmt == "squad":
+        return ingest_squad(path.read_bytes(), source=str(path))
+    return ingest_jsonl(path.read_bytes(), fields, source=str(path))
 
 
 def write_subset(

@@ -3,8 +3,8 @@
 Feature i of an example is the corpus-wide relative frequency of the i-th
 n-gram of its context, and 0 past its last n-gram up to a common length L,
 so one covariance matrix can be fit over the whole corpus.  That zero
-padding is implied, never built: each row is stored only up to its last
-nonzero density.
+padding is implied, never built: each row stores its n-gram counts, capped
+at L.
 
 Contexts repeat (a SQuAD paragraph appears once per question), so a corpus
 is featurized once per distinct context: each distinct context is tokenized
@@ -197,9 +197,6 @@ class DensityTable:
         if self.counts is None:
             raise ValueError("DensityTable needs counts")
 
-    def density(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.total
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -223,62 +220,50 @@ def fit_density(corpus: "Corpus", n: int, cfg: TokenizerConfig = TokenizerConfig
     return DensityTable(n=n, counts=_CodeCounts(grams, code_counts), total=total, tokenizer=cfg)
 
 
-def _trim(content: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut the trailing zeros of every row ``content[offsets[r]:offsets[r + 1]]``."""
-    if content.all():
-        return content, offsets
-    nonzero = np.flatnonzero(content)
-    # Just past the last nonzero value before each row's end, or 0.
-    last = np.concatenate(([0], nonzero + 1))[np.searchsorted(nonzero, offsets[1:])]
-    extents, stored = np.maximum(last - offsets[:-1], 0), np.diff(offsets)
-    keep = np.arange(len(content)) - np.repeat(offsets[:-1], stored) < np.repeat(extents, stored)
-    return content[keep], np.concatenate(([0], np.cumsum(extents)))
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Positional-density rows of a corpus, stored ragged, once per distinct context.
 
     Every density is an n-gram's corpus count over one ``total``, and the
     rows hold the counts: distinct row r is ``content[offsets[r]:offsets[r
-    + 1]]``, int64 counts up to its last nonzero one (its extent), then
-    zeros up to ``width`` (L) that are never built.  ``index[t]`` is the row
-    of record t, and ``ngram_counts[r]`` the n-gram count of distinct
-    context r before the cap to L, from which each record's
-    ``true_lengths`` and ``truncated`` are derived.
+    + 1]]``, the int64 counts of its first min(``ngram_counts[r]``, L) n-grams
+    (its extent), then zeros up to ``width`` (L) that are never built.
+    ``index[t]`` is the row of record t, and each record's ``true_lengths``
+    and ``truncated`` are derived from ``ngram_counts``.
     """
 
     content: np.ndarray
-    offsets: np.ndarray
     index: np.ndarray
     width: int
     ngram_counts: np.ndarray
     total: int
 
     def __post_init__(self) -> None:
-        extents = np.diff(self.offsets)
         if self.content.dtype != np.int64 or self.total < 1:
             raise ValueError("content must be int64 counts over a total >= 1")
-        if self.content.ndim != 1 or self.index.ndim != 1 or len(self.ngram_counts) != len(extents):
-            raise ValueError("content and index must be 1-dimensional, one n-gram count per row")
-        if self.offsets[0] != 0 or self.offsets[-1] != len(self.content) or not (
-            (0 <= extents) & (extents <= self.width)
-        ).all():
-            raise ValueError("offsets do not split the content into rows of at most width values")
-        if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(extents)):
+        if self.content.ndim != 1 or self.index.ndim != 1 or self.ngram_counts.ndim != 1:
+            raise ValueError("content, index and ngram_counts must be 1-dimensional")
+        if self.ngram_counts.min(initial=0) < 0 or len(self.content) != self.extents.sum():
+            raise ValueError("content does not hold every row's n-gram counts capped at width")
+        if len(self.index) and not (0 <= self.index.min() and self.index.max() < len(self.ngram_counts)):
             raise ValueError("record index points outside the distinct rows")
 
     @property
     def extents(self) -> np.ndarray:
-        """Per distinct row: its stored length, just past its last nonzero value."""
-        return np.diff(self.offsets)
+        """Per distinct row: its stored length, its n-gram count capped at L."""
+        return np.minimum(self.ngram_counts, self.width)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Per distinct row, where it starts in ``content``; then ``len(content)``."""
+        return np.concatenate(([0], np.cumsum(self.extents)))
 
     def dense(self, width: int, rows: np.ndarray) -> np.ndarray:
         """The counts of distinct rows ``rows`` as a new float64 array, ``width`` >= their extents.
 
         Counts below 2**53 are exact in float64.
         """
-        extents = self.extents[rows]
+        offsets, extents = self.offsets, self.extents[rows]
         out = np.zeros((len(extents), width))
         # A slice of rows at a time, at most 8 values per distinct row, so
         # the gather's temporaries (its index, the int64 counts and their
@@ -286,7 +271,7 @@ class FeatureMatrix:
         step = max(1, 8 * len(self.ngram_counts) // max(width, 1))
         for start in range(0, len(rows), step):
             part, ends = rows[start : start + step], extents[start : start + step]
-            gather = np.repeat(self.offsets[part] - (np.cumsum(ends) - ends), ends)
+            gather = np.repeat(offsets[part] - (np.cumsum(ends) - ends), ends)
             gather += np.arange(len(gather))
             out[start : start + step][np.arange(width) < ends[:, None]] = self.content[gather]
         return out
@@ -305,7 +290,7 @@ class FeatureMatrix:
     @property
     def true_lengths(self) -> np.ndarray:
         """Per record: its n-gram count, capped at L."""
-        return np.minimum(self.ngram_counts, self.width)[self.index]
+        return self.extents[self.index]
 
     @property
     def truncated(self) -> np.ndarray:
@@ -324,7 +309,7 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
     table, over the table's total.  When ``table`` was fit on this same
     corpus object its n-gram codes and their counts are reused.  Any other
     table, loaded or fit on another corpus, is looked up by key; the
-    n-grams it has not seen have count 0, and trailing ones are not stored.
+    n-grams it has not seen have count 0.
     """
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
@@ -345,9 +330,7 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
     if L < 1:
         raise FitError(f"corpus yields no n-grams at order {table.n}")
 
-    offsets = np.concatenate(([0], np.cumsum(np.minimum(lengths, L))))
-    content, offsets = _trim(by_code[codes], offsets)
-    return FeatureMatrix(content, offsets, grams.index, width=L, ngram_counts=lengths, total=table.total)
+    return FeatureMatrix(by_code[codes], grams.index, width=L, ngram_counts=lengths, total=table.total)
 
 
 _DENSITY_HEADER = ("ngram_key", "count")

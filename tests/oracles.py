@@ -64,8 +64,8 @@ def featurize_example(tokens: list[str], table, L: int) -> FeatureRow:
 def count_matrix(counts, total: int, index=None):
     """The package's FeatureMatrix of integer ``counts`` (rows x L) over ``total``.
 
-    Row r is stored up to its last nonzero count, and ``index[t]`` is the
-    row of record t (default: one record per row).
+    Row r has an n-gram at each position up to its last nonzero count, and
+    ``index[t]`` is the row of record t (default: one record per row).
     """
     # Imported here so that the benchmark, which imports this module, does not load the package.
     from abnormality.featurize import FeatureMatrix
@@ -73,9 +73,8 @@ def count_matrix(counts, total: int, index=None):
     C = np.asarray(counts, dtype=np.int64)
     extents = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in C]
     content = np.array([v for row, e in zip(C, extents) for v in row[:e]], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(extents, dtype=np.int64)))
     index = np.arange(len(C)) if index is None else np.asarray(index)
-    return FeatureMatrix(content, offsets, index, C.shape[1], np.array(extents), total)
+    return FeatureMatrix(content, index, C.shape[1], np.array(extents), total)
 
 
 def dense_moments(X: np.ndarray):

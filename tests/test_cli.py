@@ -135,8 +135,13 @@ class TestScoreCommand:
         ("squad", '{"data": [{"title": 3, "paragraphs": [{"context": "x", "qas": [{"id": "q"}]}]}]}'),
         ("jsonl", '{"context": "a b", "id": null}\n'),
         ("jsonl", '{"context": "a b", "title": ["t"]}\n'),
+        ("squad", '{"data": [{"title": "T", "paragraphs": 5}]}'),
+        ("squad", '{"data": [{"title": "T", "paragraphs": [{"context": "x", "qas": ["q"]}]}]}'),
+        ("jsonl", '["a b"]\n'),
+        ("jsonl", '{"context": "a b", "id": 7}\n'),
     ], ids=["squad-context-not-string", "squad-deeply-nested", "jsonl-deeply-nested", "squad-id-null",
-            "squad-title-not-string", "jsonl-id-null", "jsonl-title-not-string"])
+            "squad-title-not-string", "jsonl-id-null", "jsonl-title-not-string", "squad-paragraphs-not-array",
+            "squad-qa-not-object", "jsonl-line-not-object", "jsonl-id-not-string"])
     def test_malformed_corpus_exits_2_without_traceback(self, tmp_path, capsys, fmt, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
@@ -493,6 +498,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "data error" in capsys.readouterr().err
         assert not (out / "report" / "summary.json").exists()
+
+    def test_analyze_hashes_scores_once(self, tmp_path, monkeypatch):
+        # The manifest's scores.csv hash is compared with the one just checked against scores.meta.json.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 0
+        hashed = []
+        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(Path(path).name) or sha256_file(path))
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
+        assert hashed.count("scores.csv") == 1
 
     @pytest.mark.parametrize("name", ["scores.meta.json", "selection_manifest.json"])
     def test_deeply_nested_metadata_exits_2(self, tmp_path, capsys, name):

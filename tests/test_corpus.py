@@ -27,6 +27,83 @@ def everything_selected(n: int) -> list[str]:
     return ["low"] * n
 
 
+NON_STRINGS = [5, 2.5, None, True, ["x"], {"k": "v"}]
+NON_ARRAYS = [5, None, "x", {"k": "v"}]
+NON_OBJECTS = [5, None, "x", ["x"]]
+
+
+@st.composite
+def damaged_squad(draw):
+    """A small valid SQuAD document with one article, paragraph or qa, or one of its fields, damaged.
+
+    Returns the document, the path of the damaged site and what its error says.
+    """
+    shape = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=3))
+    data = [
+        {"title": f"T{a}", "paragraphs": [
+            {"context": f"c {a} {p}", "qas": [{"id": f"q{a}.{p}.{q}", "question": "?"} for q in range(qas)]}
+            for p, qas in enumerate(paragraphs)
+        ]}
+        for a, paragraphs in enumerate(shape)
+    ]
+    sites = []  # (container, slot, path, the object's required fields and their types)
+    for a, article in enumerate(data):
+        apath = f"data[{a}]"
+        sites.append((data, a, apath, {"title": str, "paragraphs": list}))
+        for p, para in enumerate(article["paragraphs"]):
+            ppath = f"{apath}.paragraphs[{p}]"
+            sites.append((article["paragraphs"], p, ppath, {"context": str, "qas": list}))
+            sites += [(para["qas"], q, f"{ppath}.qas[{q}]", {"id": str}) for q in range(len(para["qas"]))]
+    container, slot, path, fields = draw(st.sampled_from(sites))
+    key = draw(st.sampled_from(sorted(fields)))
+    damage = draw(st.sampled_from(["object", "delete", "retype"]))
+    if damage == "object":
+        container[slot] = draw(st.sampled_from(NON_OBJECTS))
+        want = path, "is not a JSON object"
+    elif damage == "delete":
+        del container[slot][key]
+        want = f"{path}.{key}", "missing"
+    elif fields[key] is str:
+        container[slot][key] = draw(st.sampled_from(NON_STRINGS))
+        want = f"{path}.{key}", "is not a string"
+    else:
+        container[slot][key] = draw(st.sampled_from(NON_ARRAYS))
+        want = f"{path}.{key}", "is not an array"
+    return {"version": "1.1", "data": data}, *want
+
+
+@st.composite
+def damaged_jsonl(draw):
+    """Small valid JSONL, blank lines included, with one line or one of its fields damaged.
+
+    Returns the text, the path of the damaged site and what its error says.
+    """
+    blanks = draw(st.lists(st.booleans(), min_size=1, max_size=4))  # a blank line before record i?
+    lines, linenos = [], []
+    for i, blank in enumerate(blanks):
+        lines += [""] * blank
+        record = {"context": f"c {i}", "id": f"r{i}", "title": "T"}
+        for key in draw(st.sets(st.sampled_from(["id", "title"]))):
+            del record[key]  # each defaults when absent
+        lines.append(record)
+        linenos.append(len(lines))
+    lineno = draw(st.sampled_from(linenos))
+    path, record = f"line {lineno}", lines[lineno - 1]
+    damage = draw(st.sampled_from(["object", "delete", "retype"]))
+    if damage == "object":
+        lines[lineno - 1] = draw(st.sampled_from(NON_OBJECTS))
+        want = path, "is not a JSON object"
+    elif damage == "delete":
+        del record["context"]
+        want = f"{path}.context", "missing"
+    else:
+        key = draw(st.sampled_from(["context", "id", "title"]))
+        record[key] = draw(st.sampled_from(NON_STRINGS))
+        want = f"{path}.{key}", "is not a string"
+    text = "".join(("" if line == "" else json.dumps(line)) + "\n" for line in lines)
+    return text, *want
+
+
 class TestIngestSquad:
     def test_empty_data(self):
         corpus = ingest_squad(b'{"data":[]}')
@@ -111,9 +188,23 @@ class TestIngestSquad:
     def test_deterministic(self, squad_bytes):
         assert ingest_squad(squad_bytes) == ingest_squad(squad_bytes)
 
-    def test_accepts_file_object(self, squad_bytes):
-        corpus = ingest_squad(io.BytesIO(squad_bytes))
-        assert len(corpus) == 5
+
+class TestDamagedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_squad())
+    def test_squad_error_names_the_damaged_site(self, case):
+        doc, path, message = case
+        with pytest.raises(SchemaError, match=message) as exc:
+            ingest_squad(json.dumps(doc).encode())
+        assert exc.value.path == path
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_jsonl())
+    def test_jsonl_error_names_the_damaged_site(self, case):
+        text, path, message = case
+        with pytest.raises(SchemaError, match=message) as exc:
+            ingest_jsonl(text.encode())
+        assert exc.value.path == path
 
 
 class TestIngestJsonl:

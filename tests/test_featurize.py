@@ -136,19 +136,19 @@ class TestFitDensity:
     def test_hand_enumerated_unigrams(self):
         # "a b a": 3 tokens, counts a=2 b=1
         table = fit_density(corpus_of("a b a"), 1)
-        assert table.density("a") == pytest.approx(2 / 3)
-        assert table.density("b") == pytest.approx(1 / 3)
+        assert table.counts.get("a", 0) / table.total == pytest.approx(2 / 3)
+        assert table.counts.get("b", 0) / table.total == pytest.approx(1 / 3)
         assert table.total == 3
 
     def test_single_symbol(self):
         table = fit_density(corpus_of("a a a a"), 1)
-        assert table.density("a") == 1.0
+        assert table.counts.get("a", 0) / table.total == 1.0
 
     def test_hand_enumerated_bigrams(self):
         # "a b" and "b c" each contribute one bigram
         table = fit_density(corpus_of("a b", "b c"), 2)
-        assert table.density(f"a{NGRAM_SEP}b") == pytest.approx(1 / 2)
-        assert table.density(f"b{NGRAM_SEP}c") == pytest.approx(1 / 2)
+        assert table.counts.get(f"a{NGRAM_SEP}b", 0) / table.total == pytest.approx(1 / 2)
+        assert table.counts.get(f"b{NGRAM_SEP}c", 0) / table.total == pytest.approx(1 / 2)
 
     def test_duplicate_contexts_counted_per_example(self):
         table = fit_density(corpus_of("a b", "a b"), 1)
@@ -166,7 +166,7 @@ class TestFitDensity:
         corpus = make_synthetic_corpus(40, vocab_size=30, min_tokens=3, max_tokens=25, seed=5)
         for n in (1, 2, 3):
             table = fit_density(corpus, n)
-            total = sum(table.density(k) for k in table.counts)
+            total = sum(table.counts.get(k, 0) / table.total for k in table.counts)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -245,7 +245,7 @@ class TestBuildMatrix:
         table = fit_density(corpus, 5)
         want = reference_ngram_counts([tokenize(c) for c in corpus.contexts], 5)
         assert table.counts == dict(want)
-        assert table.density(NGRAM_SEP.join(["t4096", "t1", "t2", "t3", "t4"])) == 2 / table.total
+        assert table.counts.get(NGRAM_SEP.join(["t4096", "t1", "t2", "t3", "t4"]), 0) / table.total == 2 / table.total
         assert_matches_oracle(corpus, table)
 
     def test_table_from_another_corpus(self):
@@ -260,7 +260,7 @@ class TestBuildMatrix:
         loaded = load_density(tmp_path / "d.csv", tmp_path / "d.json")
         a, b = build_matrix(corpus, table), build_matrix(corpus, loaded)
         assert a.content.tobytes() == b.content.tobytes()
-        assert a.offsets.tolist() == b.offsets.tolist()
+        assert a.ngram_counts.tolist() == b.ngram_counts.tolist()
         assert a.index.tolist() == b.index.tolist()
 
     def test_one_row_per_distinct_context(self):
@@ -315,14 +315,15 @@ class TestBuildMatrix:
         b = build_matrix(corpus, table)
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_trailing_unseen_ngrams_are_not_stored(self):
-        # Under a foreign table, unseen n-grams have density 0; a row is
-        # stored up to its last nonzero density, zeros inside it included.
+    def test_trailing_unseen_ngrams_are_stored_as_zeros(self):
+        # Under a foreign table, unseen n-grams have count 0, and a row
+        # stores every n-gram it has, trailing zeros included.
         table = fit_density(corpus_of("a b"), 1)
         m = assert_matches_oracle(corpus_of("a zz b qq qq", "zz zz", "b a"), table)
-        assert m.extents.tolist() == [3, 0, 2]
+        assert m.extents.tolist() == [5, 2, 2]
         assert m.true_lengths.tolist() == [5, 2, 2]
-        assert m.content.tolist() == [1, 0, 1, 1, 1] and m.total == 2
+        assert m.content.tolist() == [1, 0, 1, 0, 0, 0, 0, 1, 1] and m.total == 2
+        assert m.values.tolist() == [[0.5, 0, 0.5, 0, 0], [0] * 5, [0.5, 0.5, 0, 0, 0]]
 
     def test_per_record_lengths_derive_from_distinct_ngram_counts(self):
         corpus = corpus_of("a b c d e", "a b", "a b c d e", "")
@@ -333,21 +334,20 @@ class TestBuildMatrix:
 
     def test_dense_rows_are_counts_and_values_are_densities(self):
         counts = np.array([[1, 0, 2, 0], [0, 0, 0, 0], [0, 3, 0, 0], [1, 1, 1, 1]])
-        m = FeatureMatrix(np.array([1, 0, 2, 0, 3, 1, 1, 1, 1]), np.array([0, 3, 3, 5, 9]), np.array([3, 0, 2]), 4,
-                          np.array([3, 0, 2, 4]), 7)
+        m = FeatureMatrix(np.array([1, 0, 2, 0, 3, 1, 1, 1, 1]), np.array([3, 0, 2]), 4, np.array([3, 0, 2, 4]), 7)
         assert m.extents.tolist() == [3, 0, 2, 4]
         assert m.dense(4, np.arange(4)).tobytes() == counts.astype(np.float64).tobytes()
         assert m.dense(5, np.array([3, 0])).tolist() == [[1, 1, 1, 1, 0], [1, 0, 2, 0, 0]]
         assert m.values.tobytes() == (counts[[3, 0, 2]] / 7).tobytes()
 
     @pytest.mark.parametrize("change", [
-        {"offsets": np.array([0, 2, 1, 4])}, {"offsets": np.array([0, 2, 3])}, {"width": 1},
-        {"index": np.array([0, 3])}, {"ngram_counts": np.array([1, 1])},
+        {"content": np.ones(5, dtype=np.int64)}, {"width": 1}, {"ngram_counts": np.array([2, -1, 3])},
+        {"index": np.array([0, 3])}, {"ngram_counts": np.array([3, 1])}, {"ngram_counts": np.array([[2, 1, 1]])},
         {"content": np.zeros((2, 2), dtype=np.int64)}, {"total": 0},
     ])
     def test_inconsistent_fields_raise_value_error(self, change):
-        fields = dict(content=np.ones(4, dtype=np.int64), offsets=np.array([0, 2, 3, 4]), index=np.array([0, 2]),
-                      width=3, ngram_counts=np.array([2, 1, 1]), total=5)
+        fields = dict(content=np.ones(4, dtype=np.int64), index=np.array([0, 2]), width=3,
+                      ngram_counts=np.array([2, 1, 1]), total=5)
         FeatureMatrix(**fields)
         with pytest.raises(ValueError):
             FeatureMatrix(**{**fields, **change})
@@ -356,8 +356,8 @@ class TestBuildMatrix:
         c1 = corpus_of("a a", "b b")
         table = fit_density(c1, 1)
         m = build_matrix(c1, table)
-        assert m.values[0, 0] == table.density("a")
-        assert m.values[1, 0] == table.density("b")
+        assert m.values[0, 0] == table.counts.get("a", 0) / table.total
+        assert m.values[1, 0] == table.counts.get("b", 0) / table.total
 
 
 class TestPersistence:

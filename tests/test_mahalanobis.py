@@ -460,7 +460,7 @@ class TestScore:
     def test_non_finite_rejected(self):
         # A matrix holds int64 counts, which cannot be NaN; float content is refused.
         with pytest.raises(ValueError, match="int64 counts"):
-            FeatureMatrix(np.array([np.nan, 0.0]), np.array([0, 2]), np.array([0]), 2, np.array([2]), 1)
+            FeatureMatrix(np.array([np.nan, 0.0]), np.array([0]), 2, np.array([2]), 1)
 
 
 class TestScoreAll:
