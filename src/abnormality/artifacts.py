@@ -12,6 +12,7 @@ is no int, an int is a float.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
@@ -126,18 +127,23 @@ def read_json(path: str | Path, keys: Iterable[tuple] = ()) -> dict:
 
 
 def read_csv(
-    path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T]
+    data: bytes, name: str, header: Sequence[str], parse: Callable[[list[str]], T]
 ) -> Iterator[T]:
-    """``parse(row)`` for each row of a CSV artifact, after its header.
+    """``parse(row)`` for each row of the CSV artifact ``data``, after its header.
 
-    Raises SchemaError naming the file and line for a header other than
-    ``header``, bytes that are not UTF-8, or a row that is not CSV or that
-    ``parse`` rejects by raising ValueError.
+    ``name`` is the file's name, used only in messages.  Raises SchemaError
+    naming it and the line for bytes that are not UTF-8, a header other than
+    ``header``, or a row that is not CSV or that ``parse`` rejects by raising
+    ValueError.
     """
-    name = Path(path).name
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            rows = csv.reader(f if not _NUL_STAND_IN else (line.replace("\0", _NUL_STAND_IN) for line in f))
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise SchemaError(f"{name} is not valid UTF-8 (line {line}): {e}", path=name) from None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as f:
+        rows = csv.reader(f if not _NUL_STAND_IN else (line.replace("\0", _NUL_STAND_IN) for line in f))
+        try:
             head = next(rows, None)
             if head != list(header):
                 raise SchemaError(f"{name} line 1: header {head} is not {list(header)}", path=name)
@@ -150,17 +156,8 @@ def read_csv(
                     message = f"{name} line {rows.line_num} is malformed ({e}): {row}"
                     raise SchemaError(message, path=name) from None
                 yield value
-    except UnicodeDecodeError:
-        # The text layer decodes ahead of the rows, so find the line in the bytes.
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line = data.count(b"\n", 0, e.start) + 1
-            raise SchemaError(f"{name} is not valid UTF-8 (line {line}): {e}", path=name) from None
-        raise
-    except csv.Error as e:
-        raise SchemaError(f"{name} line {rows.line_num} is not CSV: {e}", path=name) from e
+        except csv.Error as e:
+            raise SchemaError(f"{name} line {rows.line_num} is not CSV: {e}", path=name) from e
 
 
 def row_ordinal(corpus: Corpus, ordinal: str, ex_id: str, char_length: str) -> int:

@@ -2,8 +2,9 @@
 
 Scoring is split from selection and reporting because it dominates runtime
 and its artifacts are reusable across selection configs.  Every output is
-accompanied by content hashes of its inputs; ``sample`` and ``analyze``
-refuse scores whose recorded corpus hash no longer matches the input file.
+accompanied by content hashes of its inputs.  Each command reads each input
+once, and ``sample`` and ``analyze`` refuse an input unless the bytes they
+parse have the hash recorded for it.
 
 Featurization and scoring run once per distinct context and the scores are
 broadcast to every record.  All pipeline outputs are deterministic;
@@ -39,7 +40,7 @@ from .errors import (
     StaleScoresError,
     StatError,
 )
-from .hashing import sha256_file, sha256_json
+from .hashing import sha256_bytes, sha256_file, sha256_json
 
 __all__ = ["RunConfig", "cmd_score", "cmd_sample", "cmd_analyze", "main"]
 
@@ -227,7 +228,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
         meta = {
             "pipeline": cfg.pipeline_dict(),
-            "input": {"path": cfg.input, "hash": sha256_file(cfg.input)},
+            "input": {"path": cfg.input, "hash": corpus.source_hash},
             "n": len(corpus),
             "d": model.d,
             "epsilon": model.epsilon,
@@ -268,17 +269,17 @@ _MANIFEST_KEYS = (
 )
 
 
-def _check_hash(path: Path, recorded: str | None, where: str, actual: str | None = None) -> None:
-    """StaleScoresError unless ``path`` is a file with the hash that ``where`` records.
+def _check_hash(path: Path, found: str | None, recorded: str | None, where: str) -> None:
+    """StaleScoresError unless ``found``, the hash of the bytes read from ``path``, is ``recorded``."""
+    if found != recorded:
+        raise StaleScoresError(f"{path} hash {found} does not match {recorded} recorded in {where}")
 
-    ``actual`` is the hash of ``path`` when it was verified already; the file
-    is then not read again.
-    """
-    actual = actual or (sha256_file(path) if path.is_file() else None)
-    if actual != recorded:
-        raise StaleScoresError(
-            f"{path} hash {actual} does not match {recorded} recorded in {where}"
-        )
+
+def _read_checked(path: Path, recorded: str | None, where: str) -> bytes:
+    """The bytes of ``path``; StaleScoresError unless it is a file with the hash that ``where`` records."""
+    data = path.read_bytes() if path.is_file() else None
+    _check_hash(path, None if data is None else sha256_bytes(data), recorded, where)
+    return data
 
 
 def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
@@ -306,15 +307,13 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     except ValueError as e:
         raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}", path="pipeline") from e
     scored.input = cfg.input or meta["input"]["path"]
-    _check_hash(scores_path, meta["artifacts"].get(scores_path.name), meta_path.name)
+    data = _read_checked(scores_path, meta["artifacts"].get(scores_path.name), meta_path.name)
 
     corpus = _ingest(scored)
-    _check_hash(Path(scored.input), meta["input"]["hash"], meta_path.name)
+    _check_hash(Path(scored.input), corpus.source_hash, meta["input"]["hash"], meta_path.name)
     if len(corpus) != meta["n"]:
-        raise StaleScoresError(
-            f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}"
-        )
-    return scored, corpus, maha_mod.read_scores_csv(scores_path, corpus), meta
+        raise StaleScoresError(f"corpus has {len(corpus)} examples but scores were computed over {meta['n']}")
+    return scored, corpus, maha_mod.read_scores_csv(data, corpus, scores_path.name), meta
 
 
 def _load_selection(
@@ -331,10 +330,9 @@ def _load_selection(
     if not manifest_path.is_file():
         return ["unselected"] * len(corpus)
     manifest = read_json(manifest_path, _MANIFEST_KEYS)
-    _check_hash(scores_path, manifest["inputs"]["scores.csv"], manifest_path.name, scores_hash)
-    selection_csv = out / "selection.csv"
-    _check_hash(selection_csv, manifest["artifacts"]["selection.csv"], manifest_path.name)
-    return sampler_mod.read_selection_csv(selection_csv, corpus, scores)
+    _check_hash(scores_path, scores_hash, manifest["inputs"]["scores.csv"], manifest_path.name)
+    data = _read_checked(out / "selection.csv", manifest["artifacts"]["selection.csv"], manifest_path.name)
+    return sampler_mod.read_selection_csv(data, corpus, scores)
 
 
 def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:

@@ -19,6 +19,7 @@ from typing import IO, Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, SchemaError
+from .hashing import sha256_bytes
 
 __all__ = [
     "Corpus",
@@ -32,12 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable records as four equal-length columns, plus a source descriptor.
+    """Ordered, immutable records as four equal-length columns, plus their source.
 
     Record i is ``ids[i]``, ``titles[i]``, ``contexts[i]`` and ``payloads[i]``,
     and i is its ordinal.  A payload carries the original parsed record (e.g. a
     SQuAD qa object), or None, opaquely for subset writing; payloads play no
-    role in featurization or equality.
+    role in featurization or equality.  ``source_hash`` is the sha256 of the
+    bytes that ingest parsed, so it always describes these records.
     """
 
     ids: tuple[str, ...]
@@ -45,6 +47,7 @@ class Corpus:
     contexts: tuple[str, ...]
     payloads: tuple[Mapping[str, Any] | None, ...] = field(compare=False)
     source_descriptor: str = ""
+    source_hash: str = ""
 
     def __post_init__(self) -> None:
         lengths = tuple(map(len, (self.ids, self.titles, self.contexts, self.payloads)))
@@ -182,7 +185,7 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
                 contexts.append(context)
                 payloads.append(qa)
     descriptor = f"squad:{source};version={version};one example per qa record"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, sha256_bytes(data))
 
 
 def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str = "<stream>") -> Corpus:
@@ -220,7 +223,7 @@ def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str 
             _refuse_lone_surrogates(obj, lpath)
         payloads.append(obj)
     descriptor = f"jsonl:{source};fields={fields.context}/{fields.title}/{fields.id}"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, sha256_bytes(data))
 
 
 def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None = None) -> Corpus:

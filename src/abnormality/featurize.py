@@ -368,9 +368,9 @@ def load_density(csv_path: str | Path, header_path: str | Path) -> DensityTable:
     or the counts do not sum to the header's total.
     """
     header = read_json(header_path, _DENSITY_KEYS)
-    counts = dict(read_csv(csv_path, _DENSITY_HEADER, _density_row))
+    name = Path(csv_path).name
+    counts = dict(read_csv(Path(csv_path).read_bytes(), name, _DENSITY_HEADER, _density_row))
     if sum(counts.values()) != header["total"]:
-        name = Path(csv_path).name
         raise SchemaError(f"{name} counts do not sum to the header total", path=name)
     tokenizer = header["tokenizer"]
     return DensityTable(

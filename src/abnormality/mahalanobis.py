@@ -394,13 +394,13 @@ def write_scores_csv(scores: ScoreVector, corpus: "Corpus", path: str | Path) ->
     ))
 
 
-def read_scores_csv(path: str | Path, corpus: "Corpus") -> np.ndarray:
-    """The scores a scores CSV records for ``corpus``, in ordinal order.
+def read_scores_csv(data: bytes, corpus: "Corpus", name: str = "scores.csv") -> np.ndarray:
+    """The scores that the scores CSV ``data`` records for ``corpus``, in ordinal order.
 
     Row t must name example t of ``corpus`` by ordinal, id and char length,
-    and hold a finite, non-negative score.  Raises SchemaError on bytes that
-    are not UTF-8, a wrong header, any other row, or a row count other than
-    the corpus size.
+    and hold a finite, non-negative score.  Raises SchemaError naming
+    ``name`` on bytes that are not UTF-8, a wrong header, any other row, or
+    a row count other than the corpus size.
     """
     expected = iter(range(len(corpus)))
 
@@ -413,8 +413,7 @@ def read_scores_csv(path: str | Path, corpus: "Corpus") -> np.ndarray:
             raise ValueError(f"score {text} is not finite and non-negative")
         return value
 
-    scores = np.fromiter(read_csv(path, _SCORES_HEADER, parse), dtype=np.float64)
+    scores = np.fromiter(read_csv(data, name, _SCORES_HEADER, parse), dtype=np.float64)
     if len(scores) != len(corpus):
-        name = Path(path).name
         raise SchemaError(f"{name} has {len(scores)} rows for a corpus of {len(corpus)}", path=name)
     return scores

@@ -106,18 +106,21 @@ def _largest_remainder(k: int, pops: list[int]) -> list[int]:
     return floors
 
 
-def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec):
-    """The selection rule over ``groups`` of example indices.
+def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strategy: str):
+    """The selection rule of ``strategy`` over ``groups`` of example indices.
 
     Each quota is split across the groups by largest-remainder
     apportionment.  Groups claim in descending-population order (ties:
     lower list position), each category in low, high, mutual order against
     the group's own score mean; a group's shortfall spills to the next
     group, pass after pass, until every quota is placed.  A pass that
-    places nothing raises CapacityError.  Returns a (3, n) boolean array of
-    claims and the quotas, one row each per category in low, high, mutual
-    order, and each group's score mean.
+    places nothing raises CapacityError, and a ``spec`` that names another
+    strategy raises ValueError, so the policy echo never contradicts itself.
+    Returns a (3, n) boolean array of claims and the quotas, one row each
+    per category in low, high, mutual order, and each group's score mean.
     """
+    if spec.strategy != strategy:
+        raise ValueError(f"select_{strategy} was given a spec with strategy {spec.strategy!r}")
     pops = [len(m) for m in groups]
     means = [_mean(s[m]) for m in groups]
     orders = [_orders(s, m, mean) for m, mean in zip(groups, means)]
@@ -167,7 +170,7 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     s = np.asarray(scores, dtype=np.float64)
     n = len(s)
     # An empty corpus has no group: a group must have a mean.
-    claimed, _, means = _claim(s, [np.arange(n)] if n else [], spec)
+    claimed, _, means = _claim(s, [np.arange(n)] if n else [], spec, "global")
     echo = {"spec": asdict(spec), "strategy": "global", "score_mean": means[0] if n else None}
     return _selection(claimed, echo)
 
@@ -198,7 +201,7 @@ def select_bucketed(
     # np.unique would import numpy.ma (15-19 ms) in NumPy 2.x; bincount gives the same sorted ids.
     bucket_ids = np.flatnonzero(np.bincount(bucket_of)).tolist()
     groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
-    claimed, quota, means = _claim(s, groups, spec)
+    claimed, quota, means = _claim(s, groups, spec, "bucketed")
 
     echo = {
         "spec": asdict(spec),
@@ -250,15 +253,15 @@ def write_selection_csv(labels: Sequence[str], corpus: "Corpus", scores, path: s
     ))
 
 
-def read_selection_csv(path: str | Path, corpus: "Corpus", scores) -> list[str]:
-    """The per-example labels a selection CSV records; unlisted examples are unselected.
+def read_selection_csv(data: bytes, corpus: "Corpus", scores, name: str = "selection.csv") -> list[str]:
+    """The per-example labels that the selection CSV ``data`` records; unlisted examples are unselected.
 
     Each row must name an example of ``corpus`` by ordinal, id and char
     length, with that example's score in ``scores`` (the writer's
-    ``repr(float)`` reads back exactly).  Raises SchemaError on bytes that
-    are not UTF-8, a wrong header, a row without exactly five columns, an
-    unknown category, a row that names no example of the corpus or one that
-    an earlier row names, or a score that is not the example's.
+    ``repr(float)`` reads back exactly).  Raises SchemaError naming ``name``
+    on bytes that are not UTF-8, a wrong header, a row without exactly five
+    columns, an unknown category, a row that names no example of the corpus
+    or one that an earlier row names, or a score that is not the example's.
     """
     s = np.asarray(scores, dtype=np.float64)
     labels = ["unselected"] * len(corpus)
@@ -274,6 +277,6 @@ def read_selection_csv(path: str | Path, corpus: "Corpus", scores) -> list[str]:
             raise ValueError(f"score {score} is not example {i}'s score {float(s[i])!r}")
         return category, i
 
-    for category, i in read_csv(path, _SELECTION_HEADER, parse):
+    for category, i in read_csv(data, name, _SELECTION_HEADER, parse):
         labels[i] = category
     return labels

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import builtins
+import collections
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -89,7 +92,7 @@ class TestScoreCommand:
         )
         out = run_score(tmp_path, corpus_path)
         corpus = ingest_file(corpus_path, "jsonl")
-        scores = read_scores_csv(out / "scores.csv", corpus)
+        scores = read_scores_csv((out / "scores.csv").read_bytes(), corpus)
         assert len(scores) == 3
 
         table = fit_density(corpus, 1)
@@ -106,7 +109,7 @@ class TestScoreCommand:
         assert (out / "model.bin").stat().st_size == 8 * (model.d + model.d * model.d)
         corpus = ingest_file(corpus_path, "jsonl")
         matrix = build_matrix(corpus, fit_density(corpus, 1))
-        expected = read_scores_csv(out / "scores.csv", corpus)
+        expected = read_scores_csv((out / "scores.csv").read_bytes(), corpus)
         assert score_all(model, matrix).scores.tobytes() == expected.tobytes()
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -281,6 +284,46 @@ class TestSampleCommand:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_input_rewritten_while_scoring_is_stale(self, tmp_path, monkeypatch, capsys):
+        # The recorded hash is that of the bytes scored, not of the file as it is after scoring.
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        scored = corpus_path.read_text(encoding="utf-8")
+        pipeline = cli.run_score_pipeline
+
+        def rewrite_then_score(corpus, cfg):
+            # Every id and length stays, so only the hash can tell the two files apart.
+            corpus_path.write_text(scored.replace("alpha", "gamma"), encoding="utf-8")
+            return pipeline(corpus, cfg)
+
+        monkeypatch.setattr(cli, "run_score_pipeline", rewrite_then_score)
+        out = run_score(tmp_path, corpus_path)
+        assert corpus_path.read_text(encoding="utf-8") != scored
+        capsys.readouterr()
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 2
+        assert "does not match" in capsys.readouterr().err
+
+    def test_selects_from_the_scores_it_verified(self, tmp_path, monkeypatch):
+        # scores.csv is rewritten with other scores after its hash is checked: the selection
+        # must carry the verified scores, not the ones a second read would find.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        scores_path = out / "scores.csv"
+        verified = list(csv.reader(io.StringIO(scores_path.read_text(encoding="utf-8"))))
+        tampered = [verified[0], *([*row[:3], repr(float(row[3]) * 2)] for row in verified[1:])]
+        ingest = cli.corpus_mod.ingest_file
+
+        def tamper_then_ingest(*args, **kwargs):
+            with open(scores_path, "w", encoding="utf-8", newline="") as f:
+                csv.writer(f, lineterminator="\n").writerows(tampered)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli.corpus_mod, "ingest_file", tamper_then_ingest)
+        assert main(["sample", "--scores", str(scores_path), "--out-dir", str(out), *K1]) == 0
+        with open(out / "selection.csv", newline="") as f:
+            selected = list(csv.DictReader(f))
+        expected = {row[0]: row[3] for row in verified[1:]}
+        assert len(selected) == 3
+        assert all(r["score"] == expected[r["ordinal"]] for r in selected)
+
     def test_tampered_scores_exit_2(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         out = run_score(tmp_path, corpus_path)
@@ -452,7 +495,7 @@ class TestAnalyzeCommand:
                      "--k-low", "5", "--k-high", "5", "--k-mean", "6"]) == 0
         assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
 
-        scores = read_scores_csv(out / "scores.csv", ingest_file(corpus_path, "jsonl"))
+        scores = read_scores_csv((out / "scores.csv").read_bytes(), ingest_file(corpus_path, "jsonl"))
         sel = select_global(scores, SelectionSpec(k_low=5, k_high=5, k_mean=6, disjoint=False))
         expected: dict[str, str] = {}
         for category, ordinals in (("low", sel.low), ("high", sel.high), ("mutual", sel.mean_proximal)):
@@ -499,14 +542,40 @@ class TestAnalyzeCommand:
         assert "data error" in capsys.readouterr().err
         assert not (out / "report" / "summary.json").exists()
 
-    def test_analyze_hashes_scores_once(self, tmp_path, monkeypatch):
-        # The manifest's scores.csv hash is compared with the one just checked against scores.meta.json.
-        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
-        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 0
-        hashed = []
-        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(Path(path).name) or sha256_file(path))
-        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
-        assert hashed.count("scores.csv") == 1
+    def test_sample_and_analyze_read_each_input_once(self, tmp_path, monkeypatch):
+        # Each hash checked is the hash of the bytes parsed, so no input is opened again to hash it.
+        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
+        out = run_score(tmp_path, corpus_path)
+        inputs = {corpus_path, out / "scores.csv", out / "selection.csv"}
+        reads, hashed, real_path_open, real_open = collections.Counter(), [], Path.open, builtins.open
+
+        def count(file, mode):
+            if isinstance(file, (str, os.PathLike)) and Path(file) in inputs and not set(mode) & set("wax"):
+                reads[Path(file).relative_to(tmp_path).as_posix()] += 1
+
+        def counting_path_open(self, mode="r", *args, **kwargs):
+            count(self, mode)
+            return real_path_open(self, mode, *args, **kwargs)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            count(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        # Path.read_bytes opens through Path.open, which calls io.open directly (3.10 keeps its own
+        # reference to it), so a builtins.open patch alone misses it and the two never count twice.
+        monkeypatch.setattr(Path, "open", counting_path_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(Path(path)) or sha256_file(path))
+        scores = str(out / "scores.csv")
+        assert main(["sample", "--scores", scores, "--out-dir", str(out), *K1]) == 0
+        # sample hashes only what it wrote; the read of selection.csv is that hash.
+        assert sorted(p.name for p in hashed) == ["selection.csv", "subset.jsonl"]
+        assert reads == {"c.jsonl": 1, "out/scores.csv": 1, "out/selection.csv": 1}
+        reads.clear()
+        hashed.clear()
+        assert main(["analyze", "--scores", scores, "--out-dir", str(out)]) == 0
+        assert reads == {"c.jsonl": 1, "out/scores.csv": 1, "out/selection.csv": 1}
+        assert hashed == []
 
     @pytest.mark.parametrize("name", ["scores.meta.json", "selection_manifest.json"])
     def test_deeply_nested_metadata_exits_2(self, tmp_path, capsys, name):

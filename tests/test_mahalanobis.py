@@ -759,7 +759,7 @@ class TestPersistence:
         sv = ScoreVector(scores=np.array([0.1, 1 / 3, 2.5e-17]))
         write_scores_csv(sv, corpus, tmp_path / "s.csv")
         # Reading back checks each row's id and char length against the corpus.
-        back = read_scores_csv(tmp_path / "s.csv", corpus)
+        back = read_scores_csv((tmp_path / "s.csv").read_bytes(), corpus)
         assert back.tobytes() == sv.scores.tobytes()
 
     @pytest.mark.parametrize("row", [
@@ -770,8 +770,7 @@ class TestPersistence:
         "1,ex-1,5,high",         # non-float score
         "2,ex-1,5,0.5",          # ordinal out of order
     ])
-    def test_malformed_scores_csv_raises_schema_error(self, tmp_path, row):
-        path = tmp_path / "s.csv"
-        path.write_text(f"ordinal,id,char_length,score\n0,ex-0,3,0.1\n{row}\n", encoding="utf-8")
-        with pytest.raises(SchemaError):
-            read_scores_csv(path, corpus_of("a b", "c d e"))
+    def test_malformed_scores_csv_raises_schema_error(self, row):
+        data = f"ordinal,id,char_length,score\n0,ex-0,3,0.1\n{row}\n".encode("utf-8")
+        with pytest.raises(SchemaError, match="s.csv line 3"):
+            read_scores_csv(data, corpus_of("a b", "c d e"), "s.csv")

@@ -155,7 +155,14 @@ class TestSelectBucketed:
 
     def test_length_size_mismatch(self):
         with pytest.raises(ValueError):
-            select_bucketed([1.0, 2.0], [10], SelectionSpec(k_low=0, k_high=0, k_mean=0))
+            select_bucketed([1.0, 2.0], [10], SelectionSpec(k_low=0, k_high=0, k_mean=0, strategy="bucketed"))
+
+    def test_spec_naming_the_other_strategy_raises(self):
+        # Else the policy echo says "global" next to a spec that says "bucketed", or the reverse.
+        with pytest.raises(ValueError, match="select_global .* strategy 'bucketed'"):
+            select_global([1.0, 2.0], SelectionSpec(k_low=1, k_high=0, k_mean=0, strategy="bucketed"))
+        with pytest.raises(ValueError, match="select_bucketed .* strategy 'global'"):
+            select_bucketed([1.0, 2.0], [10, 300], SelectionSpec(k_low=1, k_high=0, k_mean=0))
 
 
 @pytest.mark.parametrize("scores, lengths, spec, fits", [
@@ -163,12 +170,12 @@ class TestSelectBucketed:
     pytest.param([], [], SelectionSpec(k_low=0, k_high=0, k_mean=1, strategy="bucketed"), False,
                  id="bucketed-empty"),
     pytest.param([], None, K0, True, id="global-empty-zero-k"),
-    pytest.param([], [], K0, True, id="bucketed-empty-zero-k"),
+    pytest.param([], [], SelectionSpec(0, 0, 0, strategy="bucketed"), True, id="bucketed-empty-zero-k"),
     pytest.param([1.0, 2.0], None, SelectionSpec(k_low=0, k_high=3, k_mean=0, disjoint=False), False,
                  id="global-overlap-k-above-n"),
-    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(k_low=1, k_high=1, k_mean=3, disjoint=False), False,
+    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(1, 1, 3, strategy="bucketed", disjoint=False), False,
                  id="bucketed-overlap-k-above-n"),
-    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(k_low=2, k_high=2, k_mean=2, disjoint=False), True,
+    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(2, 2, 2, strategy="bucketed", disjoint=False), True,
                  id="bucketed-overlap-total-above-n"),
 ])
 def test_capacity_edge_cases(scores, lengths, spec, fits):
@@ -233,25 +240,23 @@ class TestSelectionCsv:
         s = [5, 1, 2, 3, 4, 0, 9]
         labels = label_all(s, select_global(s, K2))
         write_selection_csv(labels, corpus, s, tmp_path / "sel.csv")
-        assert read_selection_csv(tmp_path / "sel.csv", corpus, s) == labels
+        assert read_selection_csv((tmp_path / "sel.csv").read_bytes(), corpus, s) == labels
 
-    def test_repeated_ordinal_rejected(self, tmp_path):
+    def test_repeated_ordinal_rejected(self):
         corpus = corpus_of("aa", "bbb", "c")
-        path = tmp_path / "sel.csv"
-        path.write_text("ordinal,id,category,score,char_length\n1,ex-1,low,0.5,3\n1,ex-1,high,0.5,3\n")
-        with pytest.raises(SchemaError, match="line 3 .*example 1 is listed twice"):
-            read_selection_csv(path, corpus, [0.5, 0.5, 0.5])
+        data = b"ordinal,id,category,score,char_length\n1,ex-1,low,0.5,3\n1,ex-1,high,0.5,3\n"
+        with pytest.raises(SchemaError, match="selection.csv line 3 .*example 1 is listed twice"):
+            read_selection_csv(data, corpus, [0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("row", [
         "1,ex-1,odd,0.5,3", "9,ex-9,low,0.5,1", "1,ex-2,low,0.5,3", "x,ex-1,low", "1",
         "1,ex-1,low", "1,ex-1,low,0.5,4", "1,ex-1,low,0.25,3",
     ])
-    def test_rows_outside_the_corpus_rejected(self, tmp_path, row):
+    def test_rows_outside_the_corpus_rejected(self, row):
         corpus = corpus_of("aa", "bbb", "c")
-        path = tmp_path / "sel.csv"
-        path.write_text(f"ordinal,id,category,score,char_length\n{row}\n")
-        with pytest.raises(SchemaError):
-            read_selection_csv(path, corpus, [0.5, 0.5, 0.5])
+        data = f"ordinal,id,category,score,char_length\n{row}\n".encode("utf-8")
+        with pytest.raises(SchemaError, match="sel.csv line 2"):
+            read_selection_csv(data, corpus, [0.5, 0.5, 0.5], "sel.csv")
 
 
 class TestProperties:
