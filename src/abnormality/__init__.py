@@ -44,7 +44,7 @@ from .mahalanobis import (
     regularized_factorize,
     score_all,
 )
-from .sampler import Selection, SelectionSpec, label_all, select_bucketed, select_global
+from .sampler import Selection, SelectionSpec, select_bucketed, select_global
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "ingest_file",
     "ingest_jsonl",
     "ingest_squad",
-    "label_all",
     "moments_stats",
     "pearson",
     "regularized_factorize",

@@ -158,7 +158,7 @@ def emit_report(
 ) -> dict:
     """Write scores.csv, histogram.csv, summary.json, manifest.json.
 
-    ``labels`` holds one category per example, as ``sampler.label_all``
+    ``labels`` holds one category per example, as ``Selection.labels``
     gives it; they fill the category column of scores.csv and the selection
     counts.  summary.json carries n, ``dimension`` and ``epsilon`` (null
     when not given), the score distribution stats, Pearson r per n-gram

@@ -40,7 +40,7 @@ from .errors import (
     StaleScoresError,
     StatError,
 )
-from .hashing import sha256_bytes, sha256_file, sha256_json
+from .hashing import sha256_bytes, sha256_file
 
 __all__ = ["RunConfig", "cmd_score", "cmd_sample", "cmd_analyze", "main"]
 
@@ -223,8 +223,7 @@ def cmd_score(cfg: RunConfig) -> int:
     with _writing(*artifacts, meta_path):
         maha_mod.write_scores_csv(scores, corpus, scores_path)
         feat_mod.save_density(table, density_csv, density_json)
-        feature_cfg_hash = _feature_config_hash(cfg)
-        maha_mod.save_model(model, model_bin, model_json, feature_config_hash=feature_cfg_hash)
+        maha_mod.save_model(model, model_bin, model_json)
 
         meta = {
             "pipeline": cfg.pipeline_dict(),
@@ -239,16 +238,6 @@ def cmd_score(cfg: RunConfig) -> int:
 
     print(f"scored {len(corpus)} examples (d={model.d}, epsilon={model.epsilon:g}) -> {out}")
     return 0
-
-
-def _feature_config_hash(cfg: RunConfig) -> str:
-    return sha256_json(
-        {
-            "ngram": cfg.ngram,
-            "tokenizer": dataclasses.asdict(cfg.tokenizer_config()),
-            "l_cap": cfg.l_cap,
-        }
-    )
 
 
 # Keys that `sample` and `analyze` read, with the types they must have; the
@@ -307,7 +296,7 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     except ValueError as e:
         raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}", path="pipeline") from e
     scored.input = cfg.input or meta["input"]["path"]
-    data = _read_checked(scores_path, meta["artifacts"].get(scores_path.name), meta_path.name)
+    data = _read_checked(scores_path, meta["artifacts"]["scores.csv"], meta_path.name)
 
     corpus = _ingest(scored)
     _check_hash(Path(scored.input), corpus.source_hash, meta["input"]["hash"], meta_path.name)
@@ -344,8 +333,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
         selection = sampler_mod.select_bucketed(scores, corpus.char_lengths(), spec)
     else:
         selection = sampler_mod.select_global(scores, spec)
-    labels = sampler_mod.label_all(scores, selection)
-    counts = collections.Counter(labels)  # an example claimed twice is labelled once
+    counts = collections.Counter(selection.labels)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,8 +343,8 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     # Both subset names, so a subset in the other format cannot outlive this run.
     with _writing(out / "subset.jsonl", out / "subset.json", selection_csv, manifest_path):
         with open(subset_path, "wb") as sink:
-            written = corpus_mod.write_subset(corpus, labels, sink, cfg.subset_format, scores)
-        sampler_mod.write_selection_csv(labels, corpus, scores, selection_csv)
+            written = corpus_mod.write_subset(corpus, selection.labels, sink, cfg.subset_format, scores)
+        sampler_mod.write_selection_csv(selection.labels, corpus, scores, selection_csv)
 
         manifest = {
             "policy_echo": selection.policy_echo,
@@ -389,7 +377,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     scores_path = Path(scores_path)
     scored, corpus, scores, meta = _load_scores_with_meta(cfg, scores_path)
 
-    scores_hash = meta["artifacts"][scores_path.name]  # checked by _load_scores_with_meta
+    scores_hash = meta["artifacts"]["scores.csv"]  # checked by _load_scores_with_meta
     labels = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path, scores_hash)
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)

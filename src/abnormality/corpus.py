@@ -142,6 +142,8 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
     lone surrogate.
     """
     text = _decode_utf8(data, "SQuAD input")
+    source_hash = sha256_bytes(data)
+    del data  # not held while json.loads builds the document
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -185,7 +187,7 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
                 contexts.append(context)
                 payloads.append(qa)
     descriptor = f"squad:{source};version={version};one example per qa record"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, sha256_bytes(data))
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, source_hash)
 
 
 def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str = "<stream>") -> Corpus:
@@ -200,6 +202,8 @@ def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str 
     """
     fields = fields or JsonlFields()
     text = _decode_utf8(data, "JSONL input")
+    source_hash = sha256_bytes(data)
+    del data  # not held while the records are parsed
     walk = _SURROGATE_ESCAPE.search(text) is not None  # else no record needs the walk
 
     ids: list[str] = []
@@ -223,7 +227,7 @@ def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str 
             _refuse_lone_surrogates(obj, lpath)
         payloads.append(obj)
     descriptor = f"jsonl:{source};fields={fields.context}/{fields.title}/{fields.id}"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, sha256_bytes(data))
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, source_hash)
 
 
 def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None = None) -> Corpus:
@@ -245,7 +249,7 @@ def write_subset(
 ) -> int:
     """Write the selected examples in ascending ordinal order; returns the count.
 
-    ``labels`` holds one category per example, as ``sampler.label_all``
+    ``labels`` holds one category per example, as ``Selection.labels``
     gives it, and examples labelled ``unselected`` are skipped.  Each record
     is annotated with its category label and, when ``scores`` is given (a
     ScoreVector or array aligned to corpus ordinals), its abnormality score.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 
@@ -17,9 +16,3 @@ def sha256_file(path: str | Path, chunk_size: int = 1 << 20) -> str:
         while chunk := f.read(chunk_size):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
-
-
-def sha256_json(obj) -> str:
-    """Hash of an object's canonical JSON encoding (sorted keys, no whitespace)."""
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return sha256_bytes(canon.encode("utf-8"))

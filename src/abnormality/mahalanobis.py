@@ -328,12 +328,7 @@ def score_all(model: MomentModel, matrix: FeatureMatrix, threads: int = 1) -> Sc
     return ScoreVector(scores=out[matrix.index])
 
 
-def save_model(
-    model: MomentModel,
-    bin_path: str | Path,
-    sidecar_path: str | Path,
-    feature_config_hash: str | None = None,
-) -> None:
+def save_model(model: MomentModel, bin_path: str | Path, sidecar_path: str | Path) -> None:
     """Little-endian float64 binary (mu, then the upper factor U) + JSON sidecar.
 
     Each array is written straight from its buffer, so saving holds no
@@ -347,7 +342,6 @@ def save_model(
         "d": model.d,
         "epsilon": model.epsilon,
         "factor": "upper",
-        "feature_config_hash": feature_config_hash,
     })
 
 

@@ -4,7 +4,9 @@ The low tail takes the smallest scores, the high tail the largest, and the
 mutual category the scores nearest the mean of the score distribution.  In
 disjoint mode (default) the tails claim indices first, low before high, and
 the mean-proximal picks come from the remainder; every tie breaks by
-ascending ordinal.  The bucketed strategy applies the same rule within
+ascending ordinal.  A selection labels each example once: with disjoint
+mode off, an example that several categories claim takes the first of
+low, high, mutual.  The bucketed strategy applies the same rule within
 character-length buckets, apportioning each quota across buckets by
 population with largest-remainder rounding and spilling shortfalls from
 underfull buckets to the next-largest bucket.
@@ -30,7 +32,6 @@ __all__ = [
     "Selection",
     "select_global",
     "select_bucketed",
-    "label_all",
     "write_selection_csv",
     "read_selection_csv",
 ]
@@ -67,11 +68,9 @@ class SelectionSpec:
 
 @dataclass(frozen=True)
 class Selection:
-    """Three ordinal lists (each sorted ascending) plus the policy echo."""
+    """One category per example (low | high | mutual | unselected) plus the policy echo."""
 
-    low: tuple[int, ...]
-    high: tuple[int, ...]
-    mean_proximal: tuple[int, ...]
+    labels: tuple[str, ...]
     policy_echo: dict
 
 
@@ -156,8 +155,10 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
 
 
 def _selection(claimed: np.ndarray, echo: dict) -> Selection:
-    low, high, mutual = (tuple(np.flatnonzero(row).tolist()) for row in claimed)
-    return Selection(low=low, high=high, mean_proximal=mutual, policy_echo=echo)
+    """Label each example by its first claim in low, high, mutual order; unclaimed ones are unselected."""
+    first = np.where(claimed.any(axis=0), claimed.argmax(axis=0), len(_CATEGORIES))
+    names = np.array(_CATEGORIES + ("unselected",))
+    return Selection(labels=tuple(names[first].tolist()), policy_echo=echo)
 
 
 def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
@@ -223,27 +224,10 @@ def select_bucketed(
     return _selection(claimed, echo)
 
 
-def label_all(scores, selection: Selection) -> list[str]:
-    """Per-example category: low | mutual | high | unselected.
-
-    When the selection lists overlap (disjoint mode off), the first claim in
-    low, high, mutual order wins, so every index gets exactly one label.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    labels = ["unselected"] * len(s)
-    for name, idxs in zip(_CATEGORIES, (selection.low, selection.high, selection.mean_proximal)):
-        for i in idxs:
-            if i < 0 or i >= len(s):
-                raise IndexError(f"selection index {i} out of range for {len(s)} scores")
-            if labels[i] == "unselected":
-                labels[i] = name
-    return labels
-
-
 def write_selection_csv(labels: Sequence[str], corpus: "Corpus", scores, path: str | Path) -> None:
     """Selected rows only: ordinal,id,category,score,char_length ascending by ordinal.
 
-    ``labels`` holds one category per example, as :func:`label_all` gives it.
+    ``labels`` holds one category per example, as :attr:`Selection.labels` gives it.
     """
     s = np.asarray(scores, dtype=np.float64)
     write_csv(path, _SELECTION_HEADER, (

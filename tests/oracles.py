@@ -256,6 +256,21 @@ def reference_bucketed_selection(
             return None
 
 
+def reference_labels(n: int, low, high, mean_proximal) -> tuple[str, ...]:
+    """One label per example from three ordinal lists.
+
+    Example i takes the first of low, high, mutual whose list holds i, and
+    unselected when none does.
+    """
+    def label(i):
+        for name, picked in (("low", low), ("high", high), ("mutual", mean_proximal)):
+            if i in picked:
+                return name
+        return "unselected"
+
+    return tuple(label(i) for i in range(n))
+
+
 def reference_moments(values) -> dict:
     """Direct two-pass mean/variance/skewness/excess kurtosis."""
     x = [float(v) for v in values]

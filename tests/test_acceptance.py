@@ -25,10 +25,10 @@ from abnormality.cli import main
 from abnormality.corpus import ingest_file, write_subset
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import fit_moments, regularized_factorize, score_all
-from abnormality.sampler import SelectionSpec, label_all, select_global
+from abnormality.sampler import SelectionSpec, select_global
 
 from conftest import corpus_of, long_tail_corpus, make_synthetic_corpus
-from oracles import count_matrix, reference_scores, reference_selection
+from oracles import count_matrix, reference_labels, reference_scores, reference_selection
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -135,10 +135,8 @@ def test_selection_matches_full_sort_reference():
         k_max = n // 3
         kl, kh, km = (int(rng.integers(0, k_max + 1)) for _ in range(3))
         sel = select_global(scores, SelectionSpec(k_low=kl, k_high=kh, k_mean=km))
-        low, high, mean_prox = reference_selection(scores, kl, kh, km)
-        assert (list(sel.low), list(sel.high), list(sel.mean_proximal)) == (low, high, mean_prox)
-        parts = set(sel.low) | set(sel.high) | set(sel.mean_proximal)
-        assert len(parts) == kl + kh + km  # disjoint with exact cardinalities
+        assert sel.labels == reference_labels(n, *reference_selection(scores, kl, kh, km))
+        assert n - sel.labels.count("unselected") == kl + kh + km  # disjoint with exact cardinalities
     check("selection equals full-sort reference (1000 vectors incl. ties)", True)
 
 
@@ -268,7 +266,7 @@ def test_squad_scale_smoke(tmp_path):
 
     subset_path = tmp_path / "subset.jsonl"
     with open(subset_path, "wb") as sink:
-        written = write_subset(corpus, label_all(scores, selection), sink, scores=scores)
+        written = write_subset(corpus, selection.labels, sink, scores=scores)
 
     s = scores.scores
     mean = float(s.mean())

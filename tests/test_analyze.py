@@ -14,7 +14,7 @@ from abnormality.analyze import emit_report, histogram, moments_stats, pearson
 from abnormality.errors import StatError
 from abnormality.featurize import build_matrix, fit_density
 from abnormality.mahalanobis import ScoreVector, fit_moments, regularized_factorize, score_all
-from abnormality.sampler import SelectionSpec, label_all, select_global
+from abnormality.sampler import SelectionSpec, select_global
 
 from conftest import corpus_of, make_synthetic_corpus
 from oracles import reference_histogram_counts, reference_moments
@@ -198,7 +198,7 @@ class TestEmitReport:
     def test_files_and_summary_fields(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        labels = label_all(scores, select_global(scores, SelectionSpec(k_low=1, k_high=1, k_mean=1)))
+        labels = select_global(scores, SelectionSpec(k_low=1, k_high=1, k_mean=1)).labels
         manifest = emit_report(
             corpus, scores, labels, stats, {1: 0.8, 3: None}, tmp_path, bins=4,
             dimension=7, epsilon=0.25, input_hashes={"corpus": "sha256:abc"},
@@ -223,7 +223,7 @@ class TestEmitReport:
     def test_category_column(self, tmp_path):
         corpus, scores = scored_fixture()
         stats = moments_stats(scores)
-        labels = label_all(scores, select_global(scores, SelectionSpec(k_low=2, k_high=2, k_mean=2)))
+        labels = select_global(scores, SelectionSpec(k_low=2, k_high=2, k_mean=2)).labels
         emit_report(corpus, scores, labels, stats, {}, tmp_path)
         rows = (tmp_path / "scores.csv").read_text().splitlines()
         assert rows[0] == "ordinal,id,title,char_length,score,category"

@@ -333,6 +333,18 @@ class TestSampleCommand:
                      "--k-low", "1", "--k-high", "1", "--k-mean", "1"])
         assert code == 2
 
+    def test_renamed_scores_pair_is_not_stale(self, tmp_path):
+        # `score` records the hash under "scores.csv"; a renamed copy holds the same bytes.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        (out / "s.csv").write_bytes((out / "scores.csv").read_bytes())
+        (out / "s.meta.json").write_bytes((out / "scores.meta.json").read_bytes())
+        a, b = tmp_path / "a", tmp_path / "b"
+        k = ["--k-low", "2", "--k-high", "2", "--k-mean", "2"]
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(a), *k]) == 0
+        assert main(["sample", "--scores", str(out / "s.csv"), "--out-dir", str(b), *k]) == 0
+        assert (b / "selection.csv").read_bytes() == (a / "selection.csv").read_bytes()
+        assert main(["analyze", "--scores", str(out / "s.csv"), "--out-dir", str(b)]) == 0
+
     @pytest.mark.parametrize("corrupt", [
         "truncated", "artifacts", "input.hash", "input.path", "pipeline", "pipeline.format",
         "pipeline.ngram", "pipeline.l_cap", "n", "n:ill-typed",
@@ -497,11 +509,8 @@ class TestAnalyzeCommand:
 
         scores = read_scores_csv((out / "scores.csv").read_bytes(), ingest_file(corpus_path, "jsonl"))
         sel = select_global(scores, SelectionSpec(k_low=5, k_high=5, k_mean=6, disjoint=False))
-        expected: dict[str, str] = {}
-        for category, ordinals in (("low", sel.low), ("high", sel.high), ("mutual", sel.mean_proximal)):
-            for i in ordinals:
-                expected.setdefault(str(i), category)
-        assert len(expected) < len(sel.low) + len(sel.high) + len(sel.mean_proximal)  # the quotas overlap
+        expected = {str(i): category for i, category in enumerate(sel.labels) if category != "unselected"}
+        assert len(expected) < 5 + 5 + 6  # the quotas overlap
 
         with open(out / "selection.csv", newline="") as f:
             rows = [(r["ordinal"], r["category"]) for r in csv.DictReader(f)]

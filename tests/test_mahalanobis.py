@@ -746,13 +746,19 @@ class TestPersistence:
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         _, model = random_model(rng, 20, 3)
-        save_model(model, tmp_path / "m.bin", tmp_path / "m.json", feature_config_hash="sha256:x")
-        assert json.loads((tmp_path / "m.json").read_text())["factor"] == "upper"
+        save_model(model, tmp_path / "m.bin", tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text()) == {
+            "n": model.n, "d": model.d, "epsilon": model.epsilon, "factor": "upper",
+        }
         back = load_model(tmp_path / "m.bin", tmp_path / "m.json")
         assert back.mu.tobytes() == model.mu.tobytes()
         assert back.factor.tobytes() == model.factor.tobytes()
         assert back.epsilon == model.epsilon
         assert back.n == model.n
+        # A sidecar written when it still carried feature_config_hash loads the same model.
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**sidecar, "feature_config_hash": "sha256:x"}))
+        assert load_model(tmp_path / "m.bin", tmp_path / "m.json").factor.tobytes() == model.factor.tobytes()
 
     def test_scores_csv_round_trip(self, tmp_path):
         corpus = corpus_of("a b", "c d e", "f")

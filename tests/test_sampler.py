@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,7 +11,6 @@ from abnormality.errors import CapacityError, SchemaError
 from abnormality.sampler import (
     SelectionSpec,
     _largest_remainder,
-    label_all,
     read_selection_csv,
     select_bucketed,
     select_global,
@@ -17,7 +18,7 @@ from abnormality.sampler import (
 )
 
 from conftest import corpus_of
-from oracles import reference_bucketed_selection, reference_selection
+from oracles import reference_bucketed_selection, reference_labels, reference_selection
 
 K1 = SelectionSpec(k_low=1, k_high=1, k_mean=1)
 K2 = SelectionSpec(k_low=2, k_high=2, k_mean=2)
@@ -27,16 +28,12 @@ K0 = SelectionSpec(k_low=0, k_high=0, k_mean=0)
 class TestSelectGlobal:
     def test_six_scores_fully_covered(self):
         sel = select_global([0, 1, 2, 3, 4, 5], K2)
-        assert sel.low == (0, 1)
-        assert sel.high == (4, 5)
-        assert sel.mean_proximal == (2, 3)  # mean 2.5
+        assert sel.labels == ("low", "low", "mutual", "mutual", "high", "high")  # mean 2.5
         assert sel.policy_echo["score_mean"] == 2.5
 
     def test_all_ties_break_by_ordinal(self):
         sel = select_global([7, 7, 7, 7], K1)
-        assert sel.low == (0,)
-        assert sel.high == (1,)
-        assert sel.mean_proximal == (2,)
+        assert sel.labels == ("low", "high", "mutual", "unselected")
 
     def test_matches_full_sort_reference(self):
         rng = np.random.default_rng(17)
@@ -47,31 +44,29 @@ class TestSelectGlobal:
             ks = [int(rng.integers(0, n // 3 + 1)) for _ in range(3)]
             spec = SelectionSpec(k_low=ks[0], k_high=ks[1], k_mean=ks[2])
             sel = select_global(s, spec)
-            low, high, mean_prox = reference_selection(s, *ks)
-            assert list(sel.low) == low
-            assert list(sel.high) == high
-            assert list(sel.mean_proximal) == mean_prox
+            assert sel.labels == reference_labels(n, *reference_selection(s, *ks))
 
     def test_capacity_error_names_sizes(self):
         with pytest.raises(CapacityError, match="9.*4|4.*9"):
             select_global([1.0, 2.0, 3.0, 4.0], SelectionSpec(k_low=3, k_high=3, k_mean=3))
 
     def test_overlap_mode_allows_shared_indices(self):
+        # Every category claims all three; the first claim, low, labels each.
         spec = SelectionSpec(k_low=3, k_high=3, k_mean=3, disjoint=False)
-        sel = select_global([0.0, 1.0, 2.0], spec)
-        assert sel.low == sel.high == sel.mean_proximal == (0, 1, 2)
+        assert select_global([0.0, 1.0, 2.0], spec).labels == ("low", "low", "low")
+        # Mutual claims all four; the tails keep the examples they claimed first.
+        spec = SelectionSpec(k_low=1, k_high=1, k_mean=4, disjoint=False)
+        assert select_global([0.0, 1.0, 2.0, 3.0], spec).labels == ("low", "mutual", "mutual", "high")
 
     def test_zero_counts(self):
         sel = select_global([1.0, 2.0], SelectionSpec(k_low=0, k_high=0, k_mean=0))
-        assert sel.low == sel.high == sel.mean_proximal == ()
+        assert sel.labels == ("unselected", "unselected")
 
     def test_disjoint_and_exact_cardinalities(self):
         rng = np.random.default_rng(18)
         s = rng.normal(size=100)
         sel = select_global(s, SelectionSpec(k_low=10, k_high=20, k_mean=30))
-        parts = [set(sel.low), set(sel.high), set(sel.mean_proximal)]
-        assert len(parts[0] | parts[1] | parts[2]) == 60
-        assert [len(sel.low), len(sel.high), len(sel.mean_proximal)] == [10, 20, 30]
+        assert Counter(sel.labels) == {"low": 10, "high": 20, "mutual": 30, "unselected": 40}
 
 
 class TestLargestRemainder:
@@ -103,7 +98,7 @@ class TestSelectBucketed:
         lengths = np.full(30, 100)
         a = select_bucketed(s, lengths, SelectionSpec(k_low=3, k_high=3, k_mean=3, strategy="bucketed"))
         b = select_global(s, SelectionSpec(k_low=3, k_high=3, k_mean=3))
-        assert (a.low, a.high, a.mean_proximal) == (b.low, b.high, b.mean_proximal)
+        assert a.labels == b.labels
 
     def test_equal_buckets_one_high_pick_each(self):
         # bucket 0: lengths < 250 holds the two largest scores; a global pick
@@ -112,7 +107,7 @@ class TestSelectBucketed:
         lengths = np.array([10, 20, 30, 300, 310, 320])
         spec = SelectionSpec(k_low=0, k_high=2, k_mean=0, strategy="bucketed")
         sel = select_bucketed(s, lengths, spec)
-        assert sel.high == (0, 5)
+        assert sel.labels == ("high", "unselected", "unselected", "unselected", "unselected", "high")
 
     def test_apportionment_echo(self):
         rng = np.random.default_rng(21)
@@ -122,7 +117,7 @@ class TestSelectBucketed:
         sel = select_bucketed(s, lengths, spec)
         quotas = {b["bucket"]: b["quota_low"] for b in sel.policy_echo["buckets"]}
         assert quotas == {0: 3, 1: 2}
-        assert len(sel.low) == 5
+        assert sel.labels.count("low") == 5
 
     def test_bucket_local_mean_used(self):
         # two buckets with different score levels; mean-proximal picks must
@@ -131,7 +126,7 @@ class TestSelectBucketed:
         lengths = np.array([10, 20, 30, 300, 310, 320])
         spec = SelectionSpec(k_low=0, k_high=0, k_mean=2, strategy="bucketed")
         sel = select_bucketed(s, lengths, spec)
-        assert sel.mean_proximal == (1, 4)
+        assert sel.labels == ("unselected", "mutual", "unselected", "unselected", "mutual", "unselected")
 
     def test_spillover_fills_exact_cardinalities(self):
         # bucket 0 (pop 5) is over-allocated by apportionment: quotas 2/2/2
@@ -141,9 +136,7 @@ class TestSelectBucketed:
         lengths = np.array([10] * 5 + [300] * 4)
         spec = SelectionSpec(k_low=3, k_high=3, k_mean=3, strategy="bucketed")
         sel = select_bucketed(s, lengths, spec)
-        assert [len(sel.low), len(sel.high), len(sel.mean_proximal)] == [3, 3, 3]
-        union = set(sel.low) | set(sel.high) | set(sel.mean_proximal)
-        assert len(union) == 9
+        assert Counter(sel.labels) == {"low": 3, "high": 3, "mutual": 3}
 
     def test_capacity_error_after_spillover(self):
         with pytest.raises(CapacityError):
@@ -187,48 +180,42 @@ def test_capacity_edge_cases(scores, lengths, spec, fits):
             select()
         return
     sel = select()
-    assert [len(sel.low), len(sel.high), len(sel.mean_proximal)] == [spec.k_low, spec.k_high, spec.k_mean]
+    ks = (spec.k_low, spec.k_high, spec.k_mean)
+    if lengths is None:
+        claims = reference_selection(scores, *ks, disjoint=spec.disjoint)
+    else:
+        claims = reference_bucketed_selection(scores, lengths, *ks, spec.bucket_width, disjoint=spec.disjoint)
+    assert sel.labels == reference_labels(len(scores), *claims)
     if not scores:
         assert sel.policy_echo["score_mean"] is None
 
 
 class TestLabelAll:
+    """A selection labels all examples, each exactly once."""
+
     def test_full_coverage_no_unselected(self):
-        sel = select_global([0, 1, 2, 3, 4, 5], K2)
-        labels = label_all([0, 1, 2, 3, 4, 5], sel)
+        labels = select_global([0, 1, 2, 3, 4, 5], K2).labels
         assert "unselected" not in labels
-        assert labels == ["low", "low", "mutual", "mutual", "high", "high"]
+        assert labels == ("low", "low", "mutual", "mutual", "high", "high")
 
     def test_partial_coverage_counts(self):
-        s = list(range(10))
-        sel = select_global(s, K2)
-        labels = label_all(s, sel)
+        labels = select_global(list(range(10)), K2).labels
         assert labels.count("unselected") == 4
         assert labels.count("low") == labels.count("high") == labels.count("mutual") == 2
 
     def test_every_index_exactly_one_label(self):
         rng = np.random.default_rng(23)
-        s = rng.normal(size=50)
-        sel = select_global(s, SelectionSpec(k_low=7, k_high=8, k_mean=9))
-        labels = label_all(s, sel)
+        labels = select_global(rng.normal(size=50), SelectionSpec(k_low=7, k_high=8, k_mean=9)).labels
         assert len(labels) == 50
         assert all(l in ("low", "high", "mutual", "unselected") for l in labels)
-
-    def test_out_of_range_index(self):
-        from abnormality.sampler import Selection
-
-        sel = Selection(low=(5,), high=(), mean_proximal=(), policy_echo={})
-        with pytest.raises(IndexError):
-            label_all([1.0, 2.0], sel)
 
 
 class TestSelectionCsv:
     def test_selected_rows_only_sorted(self, tmp_path):
         corpus = corpus_of("aa", "bbb", "c", "dddd", "ee", "f")
         s = [0, 1, 2, 3, 4, 5]
-        sel = select_global(s, K1)
         path = tmp_path / "sel.csv"
-        write_selection_csv(label_all(s, sel), corpus, s, path)
+        write_selection_csv(select_global(s, K1).labels, corpus, s, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "ordinal,id,category,score,char_length"
         assert len(lines) == 4
@@ -238,9 +225,9 @@ class TestSelectionCsv:
     def test_read_back_gives_same_labels(self, tmp_path):
         corpus = corpus_of("aa", "bbb", "c", "dddd", "ee", "f", "g")
         s = [5, 1, 2, 3, 4, 0, 9]
-        labels = label_all(s, select_global(s, K2))
+        labels = select_global(s, K2).labels
         write_selection_csv(labels, corpus, s, tmp_path / "sel.csv")
-        assert read_selection_csv((tmp_path / "sel.csv").read_bytes(), corpus, s) == labels
+        assert read_selection_csv((tmp_path / "sel.csv").read_bytes(), corpus, s) == list(labels)
 
     def test_repeated_ordinal_rejected(self):
         corpus = corpus_of("aa", "bbb", "c")
@@ -282,28 +269,19 @@ class TestProperties:
         rnd.shuffle(perm)
         shuffled = [s[perm[i]] for i in range(len(s))]
         moved = select_global(shuffled, spec)
-
-        def ids(sel_indices, mapping=None):
-            if mapping is None:
-                return {i for i in sel_indices}
-            return {mapping[i] for i in sel_indices}
-
-        assert ids(base.low) == ids(moved.low, perm)
-        assert ids(base.high) == ids(moved.high, perm)
-        assert ids(base.mean_proximal) == ids(moved.mean_proximal, perm)
+        assert moved.labels == tuple(base.labels[perm[i]] for i in range(len(s)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=5, max_size=30, unique=True))
     def test_monotone_consistency_for_high(self, s):
         spec = SelectionSpec(k_low=1, k_high=2, k_mean=1)
         sel = select_global(s, spec)
-        assume(sel.high)
-        target = sel.high[0]
+        assume("high" in sel.labels)
+        target = sel.labels.index("high")
         raised = list(s)
         raised[target] = max(s) + 1.0
         assume(len(set(raised)) == len(raised))
-        sel2 = select_global(raised, spec)
-        assert target in sel2.high
+        assert select_global(raised, spec).labels[target] == "high"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -324,17 +302,47 @@ class TestProperties:
             with pytest.raises(CapacityError):
                 select_bucketed(s, lengths, spec)
         else:
-            sel = select_bucketed(s, lengths, spec)
-            assert (list(sel.low), list(sel.high), list(sel.mean_proximal)) == expected
+            assert select_bucketed(s, lengths, spec).labels == reference_labels(len(s), *expected)
 
         overlap = SelectionSpec(*ks, disjoint=False)
         if max(ks) > len(s):
             with pytest.raises(CapacityError):
                 select_global(s, overlap)
         else:
-            sel = select_global(s, overlap)
             expected = reference_selection(s, *ks, disjoint=False)
-            assert (list(sel.low), list(sel.high), list(sel.mean_proximal)) == expected
+            assert select_global(s, overlap).labels == reference_labels(len(s), *expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 20).flatmap(lambda n: st.tuples(
+            # small integers give ties, floats give the rest
+            st.lists(st.integers(-4, 4).map(float) | st.floats(-10, 10), min_size=n, max_size=n),
+            st.lists(st.integers(0, 100), min_size=n, max_size=n),
+        )),
+        st.integers(1, 50),
+        st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)),
+        st.sampled_from(["global", "bucketed"]),
+        st.booleans(),
+    )
+    def test_labels_are_the_first_claim_of_the_reference(self, data, width, ks, strategy, disjoint):
+        s, lengths = data
+        spec = SelectionSpec(*ks, strategy=strategy, bucket_width=width, disjoint=disjoint)
+        if strategy == "global":
+            fits = (sum(ks) if disjoint else max(ks)) <= len(s)
+            claims = reference_selection(s, *ks, disjoint=disjoint) if fits else None
+        else:
+            claims = reference_bucketed_selection(s, lengths, *ks, width, disjoint=disjoint)
+
+        def select():
+            return select_global(s, spec) if strategy == "global" else select_bucketed(s, lengths, spec)
+
+        if claims is None:
+            with pytest.raises(CapacityError):
+                select()
+            return
+        labels = select().labels
+        assert labels == reference_labels(len(s), *claims)
+        assert labels.count("low") == ks[0]  # low claims first, so no claim of its own is lost
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=9, max_size=40))
