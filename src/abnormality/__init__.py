@@ -36,7 +36,6 @@ from .featurize import (
     tokenize,
 )
 from .mahalanobis import (
-    EpsilonPolicy,
     Moments,
     MomentModel,
     ScoreVector,
@@ -54,7 +53,6 @@ __all__ = [
     "Corpus",
     "DensityTable",
     "DistributionStats",
-    "EpsilonPolicy",
     "FeatureMatrix",
     "FitError",
     "Histogram",

@@ -19,6 +19,7 @@ import collections
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -59,8 +60,6 @@ class RunConfig:
     lowercase: bool = True
     strip_edge_punctuation: bool = True
     l_cap: int | None = None
-    epsilon_base_scale: float = 1e-8
-    epsilon_max_exponent: int = 8
     epsilon_fixed: float | None = None
     k_low: int = 3500
     k_high: int = 3500
@@ -75,16 +74,18 @@ class RunConfig:
     threads: int = 0
 
     def validate(self) -> None:
+        # A larger integer overflows NumPy's int64 and Python's float.
+        for key, value in vars(self).items():
+            if any(type(v) is int and not -(2**63) <= v < 2**63 for v in (value if key == "orders" else [value])):
+                raise ValueError(f"{key} must lie in [-2**63, 2**63), got {value}")
         if self.format not in ("squad", "jsonl"):
             raise ValueError(f"format must be 'squad' or 'jsonl', got {self.format!r}")
         if self.ngram < 1:
             raise ValueError(f"ngram order must be >= 1, got {self.ngram}")
         if self.l_cap is not None and self.l_cap < 1:
             raise ValueError(f"l_cap must be >= 1, got {self.l_cap}")
-        try:
-            self.epsilon_policy()
-        except ValueError as e:  # EpsilonPolicy names its fields without the epsilon_ prefix
-            raise ValueError(f"epsilon_{e}") from None
+        if self.epsilon_fixed is not None and not 0 <= self.epsilon_fixed < math.inf:
+            raise ValueError(f"epsilon_fixed must be finite and >= 0, got {self.epsilon_fixed}")
         self.selection_spec()
         if self.subset_format not in ("jsonl", "squad"):
             raise ValueError(f"subset_format must be 'jsonl' or 'squad', got {self.subset_format!r}")
@@ -131,13 +132,6 @@ class RunConfig:
     def tokenizer_config(self) -> feat_mod.TokenizerConfig:
         return feat_mod.TokenizerConfig(
             lowercase=self.lowercase, strip_edge_punctuation=self.strip_edge_punctuation
-        )
-
-    def epsilon_policy(self) -> maha_mod.EpsilonPolicy:
-        return maha_mod.EpsilonPolicy(
-            base_scale=self.epsilon_base_scale,
-            max_exponent=self.epsilon_max_exponent,
-            fixed=self.epsilon_fixed,
         )
 
     def selection_spec(self) -> sampler_mod.SelectionSpec:
@@ -202,7 +196,7 @@ def run_score_pipeline(
     table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
     matrix = feat_mod.build_matrix(corpus, table, l_cap=cfg.l_cap)
     # Sigma's buffer becomes the factor, so no covariance is held while scoring.
-    model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_policy())
+    model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_fixed)
     scores = maha_mod.score_all(model, matrix)
     return scores, model, table
 
@@ -461,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     score_p.add_argument("--l-cap", type=int, help="cap feature length (covariance is LxL)")
     score_p.add_argument("--epsilon-fixed", type=float, help="use exactly this shrinkage epsilon")
-    score_p.add_argument("--epsilon-base-scale", type=float, help="shrinkage schedule base scale")
-    score_p.add_argument("--epsilon-max-exponent", type=int, help="shrinkage schedule max exponent")
 
     sample_p = sub.add_parser("sample", help="select low/mutual/high subsets from scores")
     add_common(sample_p)

@@ -115,7 +115,10 @@ class _Grams:
 
 
 def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
-    """Intern contexts, tokenize each distinct one once, and code its n-grams."""
+    """Intern contexts, tokenize each distinct one once, and code its n-grams.
+
+    Raises FitError, before any n-gram is coded, when no context has n tokens.
+    """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     distinct: dict[str, int] = {}
@@ -131,6 +134,8 @@ def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
         token_counts[r] = len(tokens)
     token_ids = np.frombuffer(ids, dtype=np.int64)
     lengths = np.maximum(token_counts - n + 1, 0)
+    if not lengths.any():
+        raise FitError(f"corpus yields no n-grams at order {n}")
     words = list(vocab)
     if n == 1:
         # Every token is a unigram: the codes are the token ids.
@@ -211,8 +216,6 @@ def fit_density(corpus: "Corpus", n: int, cfg: TokenizerConfig = TokenizerConfig
     grams = _encode(corpus, n, cfg)
     repeats = np.bincount(grams.index, minlength=len(grams.lengths))
     total = int(grams.lengths @ repeats)
-    if total == 0:
-        raise FitError(f"corpus yields no n-grams at order {n}")
     # Weighted sums of integers below 2**53 are exact in float64.
     code_counts = np.bincount(
         grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams)
@@ -323,12 +326,10 @@ def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = N
         by_code = np.array([counts.get(k, 0) for k in grams.keys()], dtype=np.int64)
 
     lengths, codes = grams.lengths, grams.codes
-    L = int(lengths.max(initial=0))
+    L = int(lengths.max())
     if l_cap is not None and l_cap < L:
         L = l_cap
         codes = codes[np.arange(len(codes)) - np.repeat(np.cumsum(lengths) - lengths, lengths) < L]
-    if L < 1:
-        raise FitError(f"corpus yields no n-grams at order {table.n}")
 
     return FeatureMatrix(by_code[codes], grams.index, width=L, ngram_counts=lengths, total=table.total)
 

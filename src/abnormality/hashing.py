@@ -10,9 +10,9 @@ def sha256_bytes(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def sha256_file(path: str | Path, chunk_size: int = 1 << 20) -> str:
+def sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        while chunk := f.read(chunk_size):
+        while chunk := f.read(1 << 20):
             h.update(chunk)
     return "sha256:" + h.hexdigest()

@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from .corpus import Corpus
 
 __all__ = [
-    "EpsilonPolicy",
     "Moments",
     "MomentModel",
     "ScoreVector",
@@ -48,37 +47,6 @@ __all__ = [
     "write_scores_csv",
     "read_scores_csv",
 ]
-
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    """Shrinkage schedule for factorization.
-
-    Attempts epsilon = 0 first, then base * 10^k for k = 0..max_exponent
-    with base = base_scale * trace(sigma) / d.  A ``fixed`` value replaces
-    the whole schedule; it must be finite and >= 0.
-    """
-
-    base_scale: float = 1e-8
-    max_exponent: int = 8
-    fixed: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.base_scale < math.inf:
-            raise ValueError(f"base_scale must be finite and > 0, got {self.base_scale}")
-        if self.fixed is not None and not 0 <= self.fixed < math.inf:
-            raise ValueError(f"fixed must be finite and >= 0, got {self.fixed}")
-        if self.max_exponent < 0:
-            raise ValueError(f"max_exponent must be >= 0, got {self.max_exponent}")
-
-    def schedule(self, trace: float, d: int) -> list[float]:
-        if self.fixed is not None:
-            return [float(self.fixed)]
-        base = self.base_scale * trace / d
-        steps = [0.0]
-        if base > 0.0:
-            steps += [base * 10.0**k for k in range(self.max_exponent + 1)]
-        return steps
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -214,11 +182,13 @@ def fit_moments(matrix: FeatureMatrix) -> Moments:
     return Moments(mu=s / (n * T), sigma=sigma, n=n)
 
 
-def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolicy()) -> MomentModel:
+def regularized_factorize(moments: Moments, fixed: float | None = None) -> MomentModel:
     """Factor sigma + epsilon*I as U U^T, U upper triangular, in sigma's own buffer.
 
-    Epsilon escalates through the policy's schedule until the factorization
-    succeeds.  U is built from the last _PANEL-column panel to the first, so
+    Epsilon is ``fixed`` when given, which must be finite and >= 0.
+    Otherwise it escalates until the factorization succeeds: 0, then
+    base * 10^k for k = 0..8 with base = 1e-8 * trace(sigma) / d, when base
+    > 0.  U is built from the last _PANEL-column panel to the first, so
     the last (zero-padded) positions are eliminated first, as in a Cholesky
     factorization of the reversed matrix: per panel, one gemm subtracts the
     factored columns to its right, a Cholesky factorization of the reversed
@@ -233,14 +203,21 @@ def regularized_factorize(moments: Moments, policy: EpsilonPolicy = EpsilonPolic
     SingularityError names the final epsilon tried.  Any other dtype is
     factored in a float64 copy.
     """
+    if fixed is not None and not 0 <= fixed < math.inf:
+        raise ValueError(f"fixed must be finite and >= 0, got {fixed}")
     sigma = np.asarray(moments.sigma, dtype=np.float64)
     d = len(sigma)
     trace = float(np.trace(sigma))
+    if fixed is not None:
+        schedule = [float(fixed)]
+    else:
+        base = 1e-8 * trace / d
+        schedule = [0.0] + ([base * 10.0**k for k in range(9)] if base > 0.0 else [])
     diag = sigma.diagonal().copy()
     upper = np.triu(np.ones((_PANEL, _PANEL), dtype=bool))
     panels = [(max(e - _PANEL, 0), e) for e in range(d, 0, -_PANEL)]  # the first holds the remainder
     eps = 0.0
-    for eps in policy.schedule(trace, d):
+    for eps in schedule:
         sigma.flat[:: d + 1] = diag + eps
         done = 0
         try:

@@ -138,6 +138,16 @@ def reference_shifted_cholesky(sigma: np.ndarray, epsilon: float) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.cholesky(np.ascontiguousarray(shifted[::-1, ::-1]))[::-1, ::-1])
 
 
+def reference_epsilon_schedule(trace: float, d: int) -> list[float]:
+    """The shrinkages that factorization tries, in order, as the README states them.
+
+    0, then b * 10^k for k = 0, 1, ..., 8 with b = 1e-8 * trace(sigma) / d;
+    the b * 10^k steps only when b > 0.
+    """
+    b = trace * 1e-8 / d
+    return [0.0] + [b * 10**k for k in range(9) if b > 0]
+
+
 def reference_covariance(X: np.ndarray) -> np.ndarray:
     """1/(n-1) covariance by the direct per-entry definition."""
     X = np.asarray(X, dtype=np.float64)

@@ -756,8 +756,13 @@ class TestRunConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("key, value", [
-        ("epsilon_base_scale", 0.0), ("epsilon_fixed", -1.0), ("epsilon_max_exponent", -1),
+        ("epsilon_fixed", -1.0),
         ("k_low", -1), ("k_high", -1), ("k_mean", -1), ("strategy", "random"), ("bucket_width", 0),
+        pytest.param("ngram", 2**64, id="ngram-2**64"), pytest.param("l_cap", 2**63, id="l_cap-2**63"),
+        pytest.param("k_low", -(2**63) - 1, id="k_low--2**63-1"),
+        pytest.param("bucket_width", 2**64, id="bucket_width-2**64"), pytest.param("bins", 2**64, id="bins-2**64"),
+        pytest.param("orders", (1, 2**64), id="orders-1,2**64"),
+        pytest.param("epsilon_fixed", 10**400, id="epsilon_fixed-10**400"),
     ])
     def test_validation_names_the_config_key(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -794,7 +799,7 @@ class TestRunConfig:
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"), "--config", str(cfg_path))
         assert json.loads((out / "scores.meta.json").read_text())["pipeline"]["strip_edge_punctuation"] is False
 
-    @pytest.mark.parametrize("key", ["strip_edge_punct", "seed"])
+    @pytest.mark.parametrize("key", ["strip_edge_punct", "seed", "epsilon_base_scale", "epsilon_max_exponent"])
     def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: 0}), encoding="utf-8")
@@ -816,6 +821,9 @@ class TestRunConfig:
         ('"ngram"', "JSON object"),
         ('{"epsilon_fixed": NaN}', "epsilon_fixed"),
         ('{"epsilon_base_scale": Infinity}', "epsilon_base_scale"),
+        ('{"ngram": 18446744073709551616}', "ngram"),
+        ('{"bucket_width": 18446744073709551616}', "bucket_width"),
+        ('{"orders": [1, 18446744073709551616]}', "orders"),
         (b'{"ngram": 1}\xff', "utf-8"),
         (b'{"ngram": 1}\xff', "cfg.json"),
         ('{"ngram": ', "cfg.json"),
@@ -830,9 +838,7 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, key", [
-        ("--epsilon-fixed", "epsilon_fixed"), ("--epsilon-base-scale", "epsilon_base_scale"),
-    ])
+    @pytest.mark.parametrize("flag, key", [("--epsilon-fixed", "epsilon_fixed")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_epsilon_flag_exits_1(self, tmp_path, capsys, flag, key, value):
         out = tmp_path / "o"
@@ -903,6 +909,17 @@ class TestRunConfig:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "seed" in err
+
+    def test_metadata_with_retired_epsilon_key_exits_2(self, tmp_path, capsys):
+        # Scores written before the shrinkage schedule was fixed record its two knobs; rerun `score`.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["pipeline"]["epsilon_max_exponent"] = 8
+        meta_path.write_text(json.dumps(meta))
+        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "epsilon_max_exponent" in err
 
     @pytest.mark.parametrize("orders", ["1,x", "1.5", ""])
     def test_bad_orders_exit_1(self, tmp_path, orders):

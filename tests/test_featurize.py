@@ -162,6 +162,21 @@ class TestFitDensity:
         with pytest.raises(FitError, match="order 3"):
             fit_density(corpus_of("a b"), 3)
 
+    def test_order_no_context_reaches_fails_before_coding(self, monkeypatch):
+        # Coding extends every n-gram by one token per np.unique pass, n - 1
+        # passes, so an order past every context must fail before the first.
+        def spy(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", spy)
+        with pytest.raises(FitError, match="order 100000"):
+            fit_density(corpus_of("a b", "c d e"), 10**5)
+
+    def test_loaded_table_at_an_order_no_context_reaches(self):
+        table = fit_density(corpus_of("a b c"), 3)
+        with pytest.raises(FitError, match="order 3"):
+            build_matrix(corpus_of("a b", "c"), table)
+
     def test_densities_sum_to_one(self):
         corpus = make_synthetic_corpus(40, vocab_size=30, min_tokens=3, max_tokens=25, seed=5)
         for n in (1, 2, 3):

@@ -15,7 +15,6 @@ from abnormality.mahalanobis import (
     _BLOCK,
     _PANEL,
     _groups,
-    EpsilonPolicy,
     MomentModel,
     Moments,
     ScoreVector,
@@ -33,6 +32,7 @@ from oracles import (
     count_matrix,
     dense_moments,
     reference_covariance,
+    reference_epsilon_schedule,
     reference_exact_covariance,
     reference_scores,
     reference_shifted_cholesky,
@@ -266,22 +266,20 @@ class TestRegularizedFactorize:
 
     def test_fixed_epsilon(self):
         moments = Moments(mu=np.zeros(2), sigma=np.zeros((2, 2)), n=5)
-        out = regularized_factorize(moments, EpsilonPolicy(fixed=0.5))
+        out = regularized_factorize(moments, fixed=0.5)
         assert out.epsilon == 0.5
 
-    @pytest.mark.parametrize("field, value", [
-        ("fixed", float("nan")), ("fixed", float("inf")), ("fixed", -0.1),
-        ("base_scale", float("nan")), ("base_scale", float("inf")), ("base_scale", 0.0),
-        ("max_exponent", -1),
-    ])
+    @pytest.mark.parametrize("field, value", [("fixed", float("nan")), ("fixed", float("inf")), ("fixed", -0.1)])
     def test_invalid_policy_rejected(self, field, value):
+        moments = Moments(mu=np.zeros(2), sigma=np.eye(2), n=5)
         with pytest.raises(ValueError, match=field):
-            EpsilonPolicy(**{field: value})
+            regularized_factorize(moments, **{field: value})
+        assert (moments.sigma == np.eye(2)).all()
 
     def test_fixed_epsilon_can_fail(self):
         moments = Moments(mu=np.zeros(2), sigma=-np.eye(2), n=5)
         with pytest.raises(SingularityError):
-            regularized_factorize(moments, EpsilonPolicy(fixed=0.0))
+            regularized_factorize(moments, fixed=0.0)
 
     def test_factor_is_sigma_at_zero_epsilon(self):
         moments = dense_moments(np.random.default_rng(41).normal(size=(30, 6)))
@@ -309,10 +307,10 @@ class TestRegularizedFactorize:
         d = 2 * _PANEL + 22
         sigma = dense_moments(np.random.default_rng(46).normal(size=(2 * d, d))).sigma
         pivot = reference_shifted_cholesky(sigma, 0.0)[0, 0] ** 2
-        base = EpsilonPolicy().base_scale * (np.trace(sigma) - pivot) / d
+        base = reference_epsilon_schedule(float(np.trace(sigma) - pivot), d)[1]
         sigma[0, 0] -= pivot + 30 * base
         before = sigma.copy()
-        schedule = EpsilonPolicy().schedule(float(np.trace(sigma)), d)
+        schedule = reference_epsilon_schedule(float(np.trace(sigma)), d)
 
         snapshots, outcomes = [], []
         cholesky = np.linalg.cholesky
@@ -342,17 +340,19 @@ class TestRegularizedFactorize:
         np.testing.assert_allclose(model.factor, oracle, rtol=1e-10, atol=1e-15 * np.abs(oracle).max())
 
     def test_sigma_unchanged_after_singularity_error(self):
-        # No shrinkage in the schedule makes sigma positive definite, and each
-        # attempt fails in the last panel, after the others are overwritten.
+        # No shrinkage in the schedule makes sigma positive definite: sigma[0, 0]
+        # is minus half the trace, and the largest shift is the trace over d.
+        # So each of the 10 attempts fails in the last panel, after the
+        # others are overwritten.
         d = 2 * _PANEL + 22
         A = np.random.default_rng(43).normal(size=(d, d))
         sigma = A @ A.T
         sigma = np.triu(sigma) + np.triu(sigma, 1).T
-        sigma[0, 0] = -1.0
+        sigma[0, 0] = -np.trace(sigma) / 2
         before = sigma.tobytes()
         with pytest.raises(SingularityError) as exc:
-            regularized_factorize(Moments(mu=np.zeros(d), sigma=sigma, n=9), EpsilonPolicy(max_exponent=2))
-        assert exc.value.last_epsilon > 0.0
+            regularized_factorize(Moments(mu=np.zeros(d), sigma=sigma, n=9))
+        assert exc.value.last_epsilon == reference_epsilon_schedule(float(np.trace(sigma)), d)[-1] > 0.0
         assert sigma.tobytes() == before
 
     @settings(max_examples=40, deadline=None)
@@ -374,7 +374,7 @@ class TestRegularizedFactorize:
             X[:, rng.random(d) < 0.2] = 1.0
         moments = dense_moments(X)
         sigma = moments.sigma.copy()
-        schedule = EpsilonPolicy().schedule(float(np.trace(sigma)), d)
+        schedule = reference_epsilon_schedule(float(np.trace(sigma)), d)
         expected = None
         for eps in schedule:
             try:
@@ -402,7 +402,7 @@ class TestRegularizedFactorize:
         # Writing epsilon onto an integer diagonal would truncate it to 0.
         sigma = np.array([[1, 1], [1, 1]])
         out = regularized_factorize(Moments(mu=np.zeros(2), sigma=sigma, n=5))
-        assert out.epsilon == EpsilonPolicy().schedule(2.0, 2)[1]
+        assert out.epsilon == reference_epsilon_schedule(2.0, 2)[1]
         assert sigma.tolist() == [[1, 1], [1, 1]]
 
     def test_factorized_model_drops_sigma(self):
@@ -466,7 +466,7 @@ class TestScore:
 class TestScoreAll:
     def test_identical_rows_all_zero(self):
         matrix = count_matrix(np.tile([2, 3], (6, 1)), TOTAL)
-        model = regularized_factorize(fit_moments(matrix), EpsilonPolicy(fixed=0.5))
+        model = regularized_factorize(fit_moments(matrix), fixed=0.5)
         sv = score_all(model, matrix)
         assert (sv.scores == 0).all()
         assert model.epsilon == 0.5
