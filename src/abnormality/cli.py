@@ -194,7 +194,7 @@ def run_score_pipeline(
 ) -> tuple[maha_mod.ScoreVector, maha_mod.MomentModel, feat_mod.DensityTable]:
     """ingest-free core: density fit, featurize, moments, factorize, score."""
     table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
-    matrix = feat_mod.build_matrix(corpus, table, l_cap=cfg.l_cap)
+    matrix = feat_mod.build_matrix(table, l_cap=cfg.l_cap)
     # Sigma's buffer becomes the factor, so no covariance is held while scoring.
     model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_fixed)
     scores = maha_mod.score_all(model, matrix)
@@ -337,7 +337,7 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
     # Both subset names, so a subset in the other format cannot outlive this run.
     with _writing(out / "subset.jsonl", out / "subset.json", selection_csv, manifest_path):
         with open(subset_path, "wb") as sink:
-            written = corpus_mod.write_subset(corpus, selection.labels, sink, cfg.subset_format, scores)
+            written = corpus_mod.write_subset(corpus, selection.labels, sink, cfg.subset_format, scores=scores)
         sampler_mod.write_selection_csv(selection.labels, corpus, scores, selection_csv)
 
         manifest = {

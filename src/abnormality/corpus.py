@@ -245,14 +245,15 @@ def write_subset(
     labels: Sequence[str],
     sink: IO[bytes],
     fmt: str = "jsonl",
-    scores: Any = None,
+    *,
+    scores: Any,
 ) -> int:
     """Write the selected examples in ascending ordinal order; returns the count.
 
     ``labels`` holds one category per example, as ``Selection.labels``
     gives it, and examples labelled ``unselected`` are skipped.  Each record
-    is annotated with its category label and, when ``scores`` is given (a
-    ScoreVector or array aligned to corpus ordinals), its abnormality score.
+    is annotated with its category label and its abnormality score from
+    ``scores``, a ScoreVector or array aligned to corpus ordinals.
     ``jsonl`` emits one object per line with the default JsonlFields names
     so a subset re-ingests cleanly; ``squad`` reconstructs the nested
     article/paragraph grouping by title, passing original qa payloads
@@ -266,8 +267,8 @@ def write_subset(
     n = len(corpus)
     if len(labels) != n:
         raise ValueError(f"labels length {len(labels)} does not match corpus size {n}")
-    values = None if scores is None else np.asarray(scores, dtype=np.float64)
-    if values is not None and len(values) != n:
+    values = np.asarray(scores, dtype=np.float64)
+    if len(values) != n:
         raise ValueError(f"scores length {len(values)} does not match corpus size {n}")
 
     # squad groups by title (articles in order of first selected ordinal),
@@ -286,17 +287,15 @@ def write_subset(
                 "context": corpus.contexts[i],
                 "ordinal": i,
                 "category": category,
+                "score": float(values[i]),
             }
-            if values is not None:
-                rec["score"] = float(values[i])
             if payload is not None:
                 rec["payload"] = payload
             sink.write((json.dumps(rec, ensure_ascii=False) + "\n").encode("utf-8"))
         else:
             qa: dict[str, Any] = dict(payload) if payload is not None else {"id": corpus.ids[i]}
             qa["category"] = category
-            if values is not None:
-                qa["abnormality_score"] = float(values[i])
+            qa["abnormality_score"] = float(values[i])
             articles.setdefault(corpus.titles[i], {}).setdefault(corpus.contexts[i], []).append(qa)
     if fmt == "squad":
         doc = {

@@ -12,24 +12,23 @@ once, its tokens are mapped to integer ids, and every n-gram occurrence gets
 an integer code.  N-grams are counted with ``np.bincount`` weighted by how
 often each context repeats, and the feature matrix keeps one ragged row of
 counts per distinct context, over one total, plus the row of every record.
-String n-gram keys are spelled out only when the density table's
-``counts`` are read by key.
+The density table carries those codes, and string n-gram keys are spelled
+out only when its ``counts`` are first read, to save it.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from array import array
-from collections.abc import Iterator, Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json
-from .errors import FitError, SchemaError
+from .artifacts import write_csv, write_json
+from .errors import FitError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -43,7 +42,6 @@ __all__ = [
     "fit_density",
     "build_matrix",
     "save_density",
-    "load_density",
 ]
 
 # Unit separator: joins the tokens of an n-gram into a single map key.
@@ -92,11 +90,9 @@ class _Grams:
     context after context: equal codes mean equal n-grams, and code c is the
     n-gram of the words ``words[t]`` for t in ``token_ids[c]`` (at order 1
     the codes are the token ids themselves and ``token_ids`` is None).
-    ``index[t]`` is the distinct context of record t of ``source``, the
-    corpus they were computed from.
+    ``index[t]`` is the distinct context of record t.
     """
 
-    source: object
     codes: np.ndarray
     index: np.ndarray
     lengths: np.ndarray
@@ -139,7 +135,7 @@ def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
     words = list(vocab)
     if n == 1:
         # Every token is a unigram: the codes are the token ids.
-        return _Grams(source=corpus, codes=token_ids, index=index, lengths=lengths, words=words, token_ids=None)
+        return _Grams(codes=token_ids, index=index, lengths=lengths, words=words, token_ids=None)
 
     # Offset of every n-gram's first token in the concatenated contexts.
     starts = np.arange(lengths.sum()) + np.repeat(
@@ -156,71 +152,45 @@ def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
     first = np.zeros(len(ranked), dtype=np.int64)
     first[codes] = starts
     gram_ids = token_ids[first[:, None] + np.arange(n)]
-    return _Grams(source=corpus, codes=codes, index=index, lengths=lengths, words=words, token_ids=gram_ids)
+    return _Grams(codes=codes, index=index, lengths=lengths, words=words, token_ids=gram_ids)
 
 
-class _CodeCounts(Mapping):
-    """Read-only counts per n-gram code of ``grams``; keys are spelled on first read."""
-
-    def __init__(self, grams: _Grams, by_code: np.ndarray) -> None:
-        self.grams, self.by_code = grams, by_code
-
-    @cached_property
-    def _by_key(self) -> dict[str, int]:
-        return dict(zip(self.grams.keys(), self.by_code.tolist()))
-
-    def __getitem__(self, key: str) -> int:
-        return self._by_key[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._by_key)
-
-    def __len__(self) -> int:
-        return len(self.by_code)
-
-    def __repr__(self) -> str:
-        return repr(self._by_key)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityTable:
     """Corpus-wide n-gram occurrence counts; density(g) = count(g) / total.
 
-    ``counts`` is a read-only mapping from each n-gram key to its count.  A
-    table from :func:`fit_density` counts per n-gram code of the corpus it
-    was fit on, which :func:`build_matrix` on that corpus reuses, and spells
-    the string keys out only when ``counts`` is first read by key.
+    ``grams`` codes every n-gram occurrence of the corpus the table was fit
+    on, and ``by_code[c]`` counts the occurrences of code c, which is all
+    :func:`build_matrix` reads.  ``counts`` maps each n-gram key to its
+    count; the keys are spelled out the first time it is read.
     """
 
     n: int
-    counts: Mapping[str, int]
+    tokenizer: TokenizerConfig
+    grams: _Grams = field(repr=False)
+    by_code: np.ndarray = field(repr=False)
     total: int
-    tokenizer: TokenizerConfig = TokenizerConfig()
-    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.counts is None:
-            raise ValueError("DensityTable needs counts")
-
-    def __len__(self) -> int:
-        return len(self.counts)
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        return dict(zip(self.grams.keys(), self.by_code.tolist()))
 
 
 def fit_density(corpus: "Corpus", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
     """Count n-grams over all contexts (duplicates counted once per example).
 
-    The table's ``counts`` keeps the corpus's n-gram codes, so
-    :func:`build_matrix` on this same corpus object spells no key.  Raises
-    FitError when the corpus yields no n-grams at order n.
+    The table keeps the corpus's n-gram codes, which :func:`build_matrix`
+    turns into the corpus's feature matrix without spelling any key.
+    Raises FitError when the corpus yields no n-grams at order n.
     """
     grams = _encode(corpus, n, cfg)
     repeats = np.bincount(grams.index, minlength=len(grams.lengths))
     total = int(grams.lengths @ repeats)
     # Weighted sums of integers below 2**53 are exact in float64.
-    code_counts = np.bincount(
+    by_code = np.bincount(
         grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams)
     ).astype(np.int64)
-    return DensityTable(n=n, counts=_CodeCounts(grams, code_counts), total=total, tokenizer=cfg)
+    return DensityTable(n=n, tokenizer=cfg, grams=grams, by_code=by_code, total=total)
 
 
 @dataclass(frozen=True)
@@ -287,10 +257,6 @@ class FeatureMatrix:
         return out
 
     @property
-    def rows(self) -> int:
-        return len(self.index)
-
-    @property
     def true_lengths(self) -> np.ndarray:
         """Per record: its n-gram count, capped at L."""
         return self.extents[self.index]
@@ -301,37 +267,26 @@ class FeatureMatrix:
         return (self.ngram_counts > self.width)[self.index]
 
 
-def build_matrix(corpus: "Corpus", table: DensityTable, *, l_cap: int | None = None) -> FeatureMatrix:
-    """Feature matrix over the corpus in ordinal order.
+def build_matrix(table: DensityTable, *, l_cap: int | None = None) -> FeatureMatrix:
+    """Feature matrix over the corpus ``table`` was fit on, in ordinal order.
 
-    The corpus is tokenized with ``table.tokenizer``.  L is the maximum
-    per-example n-gram count, reduced to ``l_cap`` when set (longer rows are
-    truncated and flagged).  Downstream covariance is L x L, so for corpora
-    with extreme length outliers capping near the 99.9th percentile length
-    keeps memory in check.  Each position holds its n-gram's count in the
-    table, over the table's total.  When ``table`` was fit on this same
-    corpus object its n-gram codes and their counts are reused.  Any other
-    table, loaded or fit on another corpus, is looked up by key; the
-    n-grams it has not seen have count 0.
+    L is the maximum per-example n-gram count, reduced to ``l_cap`` when set
+    (longer rows are truncated and flagged).  Downstream covariance is L x
+    L, so for corpora with extreme length outliers capping near the 99.9th
+    percentile length keeps memory in check.  Each position holds its
+    n-gram's count in the table, over the table's total.
     """
     if l_cap is not None and l_cap < 1:
         raise ValueError(f"l_cap must be >= 1, got {l_cap}")
 
-    counts = table.counts
-    if isinstance(counts, _CodeCounts) and counts.grams.source is corpus:
-        grams = counts.grams
-        by_code = counts.by_code
-    else:
-        grams = _encode(corpus, table.n, table.tokenizer)
-        by_code = np.array([counts.get(k, 0) for k in grams.keys()], dtype=np.int64)
-
+    grams = table.grams
     lengths, codes = grams.lengths, grams.codes
     L = int(lengths.max())
     if l_cap is not None and l_cap < L:
         L = l_cap
         codes = codes[np.arange(len(codes)) - np.repeat(np.cumsum(lengths) - lengths, lengths) < L]
 
-    return FeatureMatrix(by_code[codes], grams.index, width=L, ngram_counts=lengths, total=table.total)
+    return FeatureMatrix(table.by_code[codes], grams.index, width=L, ngram_counts=lengths, total=table.total)
 
 
 _DENSITY_HEADER = ("ngram_key", "count")
@@ -346,37 +301,3 @@ def save_density(table: DensityTable, csv_path: str | Path, header_path: str | P
         "tokenizer": asdict(table.tokenizer),
     })
 
-
-_DENSITY_KEYS = (
-    (("ngram_order",), int, 1),
-    (("total",), int),
-    (("tokenizer", "lowercase"), bool),
-    (("tokenizer", "strip_edge_punctuation"), bool),
-)
-
-
-def _density_row(row: list[str]) -> tuple[str, int]:
-    key, count = row
-    return key, int(count)
-
-
-def load_density(csv_path: str | Path, header_path: str | Path) -> DensityTable:
-    """Read a table written by :func:`save_density`.
-
-    Raises SchemaError when either file is not UTF-8, the header is not a
-    JSON object with an integer ``ngram_order`` >= 1, an integer ``total``
-    and boolean ``tokenizer`` flags, the CSV header or a row is malformed,
-    or the counts do not sum to the header's total.
-    """
-    header = read_json(header_path, _DENSITY_KEYS)
-    name = Path(csv_path).name
-    counts = dict(read_csv(Path(csv_path).read_bytes(), name, _DENSITY_HEADER, _density_row))
-    if sum(counts.values()) != header["total"]:
-        raise SchemaError(f"{name} counts do not sum to the header total", path=name)
-    tokenizer = header["tokenizer"]
-    return DensityTable(
-        n=header["ngram_order"],
-        counts=counts,
-        total=header["total"],
-        tokenizer=TokenizerConfig(tokenizer["lowercase"], tokenizer["strip_edge_punctuation"]),
-    )

@@ -70,8 +70,8 @@ def test_mahalanobis_oracle_equivalence_at_positive_epsilon():
     epsilons = []
     for seed in range(3):
         corpus = long_tail_corpus(seed)
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.ngram_counts) < matrix.rows
+        matrix = build_matrix(fit_density(corpus, 1))
+        assert len(matrix.ngram_counts) < len(matrix.index)
         model = regularized_factorize(fit_moments(matrix))
         epsilons.append(model.epsilon)
         ours = score_all(model, matrix).scores
@@ -90,7 +90,7 @@ def test_trace_identity():
     worst = 0.0
     for _ in range(100):
         matrix = full_rank_instance(rng)
-        n, d = matrix.rows, matrix.width
+        n, d = len(matrix.index), matrix.width
         model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon == 0.0, "instance unexpectedly rank-deficient"
         total = float(score_all(model, matrix).scores.sum())
@@ -160,7 +160,7 @@ def test_pipeline_determinism_across_threads(tmp_path):
     corpus = make_synthetic_corpus(500, vocab_size=80, min_tokens=5, max_tokens=60, seed=11)
     corpus_path = tmp_path / "fixture.jsonl"
     with open(corpus_path, "wb") as sink:
-        write_subset(corpus, ["low"] * len(corpus), sink)
+        write_subset(corpus, ["low"] * len(corpus), sink, scores=np.zeros(len(corpus)))
 
     runs = {
         "t1-first": _run_pipeline(corpus_path, tmp_path / "run1", threads=1),
@@ -211,7 +211,7 @@ def test_artifacts_byte_identical_at_any_blas_thread_count(tmp_path):
     corpus = corpus_of(*short.contexts, *outliers)
     corpus_path = tmp_path / "longtail.jsonl"
     with open(corpus_path, "wb") as sink:
-        write_subset(corpus, ["low"] * len(corpus), sink)
+        write_subset(corpus, ["low"] * len(corpus), sink, scores=np.zeros(len(corpus)))
 
     src = Path(__file__).resolve().parents[1] / "src"
     runs = {}
@@ -234,7 +234,7 @@ def test_length_score_correlation_desk_scale():
     start = time.perf_counter()
     corpus = make_synthetic_corpus(5000, vocab_size=200, min_tokens=20, max_tokens=400, seed=42)
     table = fit_density(corpus, 1)
-    matrix = build_matrix(corpus, table)
+    matrix = build_matrix(table)
     model = regularized_factorize(fit_moments(matrix))
     scores = score_all(model, matrix, threads=os.cpu_count() or 1)
     lengths = corpus.char_lengths().astype(np.float64)
@@ -259,7 +259,7 @@ def test_squad_scale_smoke(tmp_path):
     print(f"  ingested {len(corpus)} qa records (official v1.1 train has 87,599)")
 
     table = fit_density(corpus, 1)
-    matrix = build_matrix(corpus, table)
+    matrix = build_matrix(table)
     model = regularized_factorize(fit_moments(matrix))
     scores = score_all(model, matrix, threads=os.cpu_count() or 1)
     selection = select_global(scores, SelectionSpec())

@@ -273,7 +273,7 @@ class TestLengthScoreCorrelation:
     def test_padding_couples_length_and_score(self):
         corpus = make_synthetic_corpus(800, vocab_size=200, min_tokens=20, max_tokens=400, seed=7)
         table = fit_density(corpus, 1)
-        matrix = build_matrix(corpus, table)
+        matrix = build_matrix(table)
         model = regularized_factorize(fit_moments(matrix))
         scores = score_all(model, matrix, threads=2)
         lengths = corpus.char_lengths().astype(np.float64)

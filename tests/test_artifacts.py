@@ -19,15 +19,14 @@ from abnormality import artifacts
 from abnormality.artifacts import read_csv, read_json, write_csv, write_json
 from abnormality.cli import main
 from abnormality.errors import SchemaError
-from abnormality.featurize import load_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import load_model
 
 K = ["--k-low", "2", "--k-high", "2", "--k-mean", "2"]
 
-# The artifacts `sample` and `analyze` read, and those only the library loaders read.
+# The artifacts `sample` and `analyze` read, and those only the library's `load_model` reads.
 CLI_ARTIFACTS = ("scores.meta.json", "scores.csv", "selection_manifest.json", "selection.csv")
-LIBRARY_ARTIFACTS = ("model.json", "model.bin", "density.json", "density.csv")
+LIBRARY_ARTIFACTS = ("model.json", "model.bin")
 
 # Where each artifact's hash is recorded: (file, key path).
 RECORDED_IN = {
@@ -118,11 +117,8 @@ def test_damaged_artifacts_exit_0_or_2_and_loaders_raise_only_schema_error(prist
         damage(data, case / name)
         refresh_hashes(case, name)
         if name in LIBRARY_ARTIFACTS:
-            stem = name.split(".")[0]
-            load = load_model if stem == "model" else load_density
-            first, second = (".bin", ".json") if stem == "model" else (".csv", ".json")
             with contextlib.suppress(SchemaError):
-                load(case / (stem + first), case / (stem + second))
+                load_model(case / "model.bin", case / "model.json")
             return
         common = ["--input", str(pristine / "c.jsonl"), "--scores", str(case / "scores.csv")]
         for args, written in (

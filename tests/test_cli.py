@@ -96,7 +96,7 @@ class TestScoreCommand:
         assert len(scores) == 3
 
         table = fit_density(corpus, 1)
-        matrix = build_matrix(corpus, table)
+        matrix = build_matrix(table)
         model = regularized_factorize(fit_moments(matrix))
         expected = score_all(model, matrix).scores
         assert scores.tobytes() == expected.tobytes()
@@ -108,7 +108,7 @@ class TestScoreCommand:
         assert model.epsilon == json.loads((out / "scores.meta.json").read_text())["epsilon"]
         assert (out / "model.bin").stat().st_size == 8 * (model.d + model.d * model.d)
         corpus = ingest_file(corpus_path, "jsonl")
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        matrix = build_matrix(fit_density(corpus, 1))
         expected = read_scores_csv((out / "scores.csv").read_bytes(), corpus)
         assert score_all(model, matrix).scores.tobytes() == expected.tobytes()
 
@@ -649,7 +649,7 @@ class TestAnalyzeCommand:
 
         def library_pearson(lowercase: bool, l_cap: int | None) -> float:
             tok = TokenizerConfig(lowercase=lowercase)
-            matrix = build_matrix(corpus, fit_density(corpus, 2, tok), l_cap=l_cap)
+            matrix = build_matrix(fit_density(corpus, 2, tok), l_cap=l_cap)
             scores = score_all(regularized_factorize(fit_moments(matrix)), matrix).scores
             return pearson(lengths, scores)
 

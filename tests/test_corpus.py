@@ -276,14 +276,14 @@ class TestWriteSubset:
     def test_empty_selection(self):
         corpus = corpus_of("a", "b")
         sink = io.BytesIO()
-        count = write_subset(corpus, ["unselected"] * 2, sink)
+        count = write_subset(corpus, ["unselected"] * 2, sink, scores=[0.5, 2.5])
         assert count == 0
         assert sink.getvalue() == b""
 
     def test_ordinal_order(self):
         corpus = corpus_of("x", "y", "z")
         sink = io.BytesIO()
-        count = write_subset(corpus, ["high", "unselected", "low"], sink)
+        count = write_subset(corpus, ["high", "unselected", "low"], sink, scores=[3.0, 2.0, 1.0])
         assert count == 2
         recs = [json.loads(line) for line in sink.getvalue().decode().splitlines()]
         assert [r["ordinal"] for r in recs] == [0, 2]
@@ -293,7 +293,7 @@ class TestWriteSubset:
         corpus = corpus_of("x")
         sink = io.BytesIO()
         with pytest.raises(ValueError, match="labels length 2"):
-            write_subset(corpus, ["low", "high"], sink)
+            write_subset(corpus, ["low", "high"], sink, scores=[0.5, 2.5])
         assert sink.getvalue() == b""
 
     def test_scores_annotation(self):
@@ -328,19 +328,20 @@ class TestWriteSubset:
         back = ingest_squad(sink.getvalue())
         assert back.contexts == corpus.contexts
 
+    # Integer scores are written as floats.
     @pytest.mark.parametrize("fmt, scores, expected", [
-        ("jsonl", None,
-         b'{"id": "q0", "title": "Alpha", "context": "a b", "ordinal": 0, "category": "high", '
+        ("jsonl", [3, 0],
+         b'{"id": "q0", "title": "Alpha", "context": "a b", "ordinal": 0, "category": "high", "score": 3.0, '
          b'"payload": {"id": "q0", "question": "why?"}}\n'
-         b'{"id": "r1", "title": "Alpha", "context": "c \xc3\xa9", "ordinal": 1, "category": "low"}\n'),
+         b'{"id": "r1", "title": "Alpha", "context": "c \xc3\xa9", "ordinal": 1, "category": "low", "score": 0.0}\n'),
         ("jsonl", [2.5, 0.125],
          b'{"id": "q0", "title": "Alpha", "context": "a b", "ordinal": 0, "category": "high", "score": 2.5, '
          b'"payload": {"id": "q0", "question": "why?"}}\n'
          b'{"id": "r1", "title": "Alpha", "context": "c \xc3\xa9", "ordinal": 1, "category": "low", "score": 0.125}\n'),
-        ("squad", None,
+        ("squad", [3, 0],
          b'{"version": "v1.1-pruned", "data": [{"title": "Alpha", "paragraphs": ['
-         b'{"context": "a b", "qas": [{"id": "q0", "question": "why?", "category": "high"}]}, '
-         b'{"context": "c \xc3\xa9", "qas": [{"id": "r1", "category": "low"}]}]}]}\n'),
+         b'{"context": "a b", "qas": [{"id": "q0", "question": "why?", "category": "high", "abnormality_score": 3.0}]}, '
+         b'{"context": "c \xc3\xa9", "qas": [{"id": "r1", "category": "low", "abnormality_score": 0.0}]}]}]}\n'),
         ("squad", [2.5, 0.125],
          b'{"version": "v1.1-pruned", "data": [{"title": "Alpha", "paragraphs": ['
          b'{"context": "a b", "qas": [{"id": "q0", "question": "why?", "category": "high", "abnormality_score": 2.5}]}, '
@@ -355,12 +356,12 @@ class TestWriteSubset:
             payloads=({"id": "q0", "question": "why?"}, None),
         )
         sink = io.BytesIO()
-        assert write_subset(corpus, ["high", "low"], sink, fmt, scores) == 2
+        assert write_subset(corpus, ["high", "low"], sink, fmt, scores=scores) == 2
         assert sink.getvalue() == expected
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            write_subset(corpus_of("x"), everything_selected(1), io.BytesIO(), fmt="csv")
+            write_subset(corpus_of("x"), everything_selected(1), io.BytesIO(), fmt="csv", scores=[1.0])
 
 
 class TestInvariants:
@@ -381,14 +382,14 @@ class TestInvariants:
     def test_jsonl_round_trip_any_text(self, pairs):
         corpus = corpus_of(*(c for c, _ in pairs), titles=[t for _, t in pairs])
         sink = io.BytesIO()
-        write_subset(corpus, everything_selected(len(corpus)), sink)
+        write_subset(corpus, everything_selected(len(corpus)), sink, scores=np.zeros(len(corpus)))
         back = ingest_jsonl(sink.getvalue())
         assert (back.contexts, back.titles) == (corpus.contexts, corpus.titles)
 
     def test_ordinals_dense(self, squad_bytes):
         corpus = ingest_squad(squad_bytes)
         sink = io.BytesIO()
-        write_subset(corpus, everything_selected(len(corpus)), sink)
+        write_subset(corpus, everything_selected(len(corpus)), sink, scores=np.zeros(len(corpus)))
         recs = [json.loads(line) for line in sink.getvalue().decode().splitlines()]
         assert [r["ordinal"] for r in recs] == list(range(len(corpus)))
 

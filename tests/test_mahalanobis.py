@@ -101,8 +101,8 @@ class TestFitMoments:
         # 12 distinct contexts, repeated 1-8 times: the weighted fit over the
         # distinct rows must equal the direct fit over every record.
         corpus = repeated_corpus(12, max_repeats=8, seed=13)
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.ngram_counts) == 12 < matrix.rows
+        matrix = build_matrix(fit_density(corpus, 1))
+        assert len(matrix.ngram_counts) == 12 < len(matrix.index)
         model = fit_moments(matrix)
         X = matrix.values
         assert model.n == len(X)
@@ -118,14 +118,14 @@ class TestFitMoments:
         # The Gram matrix and column sums are exact integers, so sigma is
         # within a few roundings of the rational covariance of the densities.
         corpus = make_synthetic_corpus(30, vocab_size=25, min_tokens=3, max_tokens=20, seed=14)
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
-        assert len(matrix.ngram_counts) == matrix.rows
+        matrix = build_matrix(fit_density(corpus, 1))
+        assert len(matrix.ngram_counts) == len(matrix.index)
         moments = fit_moments(matrix)
         exact = np.array(reference_exact_covariance(matrix.values), dtype=np.float64)
         peak = np.abs(exact).max()
         assert np.abs(moments.sigma - exact).max() <= 4e-16 * peak
         counts = matrix.dense(matrix.width, np.arange(len(matrix.ngram_counts)))
-        assert moments.mu.tobytes() == (counts.sum(axis=0) / (matrix.rows * matrix.total)).tobytes()
+        assert moments.mu.tobytes() == (counts.sum(axis=0) / (len(matrix.index) * matrix.total)).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -161,7 +161,7 @@ class TestFitMoments:
         # 2**53, so its rows are summed in pieces (of about ten rows at
         # k = 5,003, one row each at k = 1,000,003), and the pieces round
         # when they are added.
-        matrix = build_matrix(corpus := long_tail_corpus(1), fit_density(corpus, 1))
+        matrix = build_matrix(fit_density(long_tail_corpus(1), 1))
         scaled = dataclasses.replace(matrix, content=matrix.content * k, total=matrix.total * k)
         assert scaled.total < 2**53
         assert scaled.values.tobytes() == matrix.values.tobytes()
@@ -203,7 +203,7 @@ class TestFitMoments:
             for c in [*counts, 0, longest, longest - 1]
         ]
         corpus = corpus_of(*(c for c in contexts for _ in range(int(rng.integers(1, 4)))))
-        matrix = build_matrix(corpus, fit_density(corpus, n), l_cap=l_cap)
+        matrix = build_matrix(fit_density(corpus, n), l_cap=l_cap)
         X = matrix.values
         assert X.shape[1] == min(longest, l_cap or longest) and (X == 0).all(axis=1).any()
         if l_cap is not None:
@@ -233,16 +233,16 @@ class TestFitMoments:
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
         tracemalloc.start()
         try:
-            matrix = build_matrix(corpus, fit_density(corpus, 1))
+            matrix = build_matrix(fit_density(corpus, 1))
             fit_moments(matrix)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         d, content = matrix.width, matrix.content.nbytes
-        assert matrix.rows == 1200 and d > 150
+        assert len(matrix.index) == 1200 and d > 150
         bound = 2 * d * d * 8 + 4 * content
         assert peak <= bound, f"peak {peak} bytes > {bound} (2 L x L + 4 x {content} content bytes)"
-        assert bound < matrix.rows * d * 8
+        assert bound < len(matrix.index) * d * 8
 
 
 class TestRegularizedFactorize:
@@ -501,8 +501,8 @@ class TestScoreAll:
         records = [c for c in distinct for _ in range(int(rng.integers(1, 6)))]
         records = [records[i] for i in rng.permutation(len(records))]
         corpus = corpus_of(*records)
-        matrix = build_matrix(corpus, fit_density(corpus, 2))
-        assert len(matrix.ngram_counts) == 40 < matrix.rows
+        matrix = build_matrix(fit_density(corpus, 2))
+        assert len(matrix.ngram_counts) == 40 < len(matrix.index)
         model = regularized_factorize(fit_moments(matrix))
         dedup = score_all(model, matrix).scores
         expanded = count_matrix(matrix.dense(matrix.width, matrix.index), matrix.total)
@@ -582,7 +582,7 @@ class TestBlockedSubstitution:
     @given(seed=st.integers(0, 2**16))
     def test_long_tail_positive_epsilon_matches_inverse_oracle(self, seed):
         corpus = long_tail_corpus(seed)
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        matrix = build_matrix(fit_density(corpus, 1))
         model = regularized_factorize(fit_moments(matrix))
         assert model.epsilon > 0.0
         counts = matrix.dense(matrix.width, np.arange(len(matrix.ngram_counts))).astype(np.int64)
@@ -597,7 +597,7 @@ class TestBlockedSubstitution:
         # or a d x d array.
         contexts = list(make_synthetic_corpus(150, vocab_size=300, min_tokens=150, max_tokens=200, seed=15).contexts)
         corpus = corpus_of(*(c for c in contexts for _ in range(8)))
-        matrix = build_matrix(corpus, fit_density(corpus, 1))
+        matrix = build_matrix(fit_density(corpus, 1))
         model = regularized_factorize(fit_moments(matrix))
         tracemalloc.start()
         try:
@@ -608,7 +608,7 @@ class TestBlockedSubstitution:
         rows, d = len(matrix.ngram_counts), matrix.width
         assert rows == 150 and d > 150
         buffers = sum(8 * (group.stop - group.start) * W for group, W in _groups(matrix)[1])
-        bound = buffers + 6 * 8 * _BLOCK * rows + 8 * matrix.rows
+        bound = buffers + 6 * 8 * _BLOCK * rows + 8 * len(matrix.index)
         assert buffers < 8 * rows * d
         assert peak <= bound, f"peak {peak} bytes > {bound} ({buffers} bytes of group buffers + block temporaries)"
 
