@@ -30,7 +30,6 @@ from .errors import (
 from .featurize import (
     DensityTable,
     FeatureMatrix,
-    TokenizerConfig,
     build_matrix,
     fit_density,
     tokenize,
@@ -67,7 +66,6 @@ __all__ = [
     "SingularityError",
     "StaleScoresError",
     "StatError",
-    "TokenizerConfig",
     "build_matrix",
     "emit_report",
     "fit_density",

@@ -103,8 +103,8 @@ def histogram(scores, bins: int = 100) -> Histogram:
     Degenerate range (all values equal at v): edges become the unit interval
     [v-1, v] so the closed final bin receives all n values.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins < 2**63 - 1:  # np.linspace makes bins + 1 edges, an int64 count
+        raise ValueError(f"bins must be >= 1 with bins + 1 < 2**63, got {bins}")
     x = np.asarray(scores, dtype=np.float64)
     if len(x) == 0:
         raise StatError("cannot histogram an empty score vector")

@@ -57,8 +57,6 @@ class RunConfig:
     title_field: str = "title"
     id_field: str = "id"
     ngram: int = 1
-    lowercase: bool = True
-    strip_edge_punctuation: bool = True
     l_cap: int | None = None
     epsilon_fixed: float | None = None
     k_low: int = 3500
@@ -66,7 +64,6 @@ class RunConfig:
     k_mean: int = 3500
     strategy: str = "global"
     bucket_width: int = 250
-    disjoint: bool = True
     subset_format: str = "jsonl"
     orders: tuple[int, ...] = (1,)
     bins: int = 100
@@ -91,8 +88,8 @@ class RunConfig:
             raise ValueError(f"subset_format must be 'jsonl' or 'squad', got {self.subset_format!r}")
         if not self.orders or any(o < 1 for o in self.orders):
             raise ValueError(f"orders must be a nonempty list of integers >= 1, got {self.orders}")
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
+        if not 1 <= self.bins < 2**63 - 1:
+            raise ValueError(f"bins must be >= 1 with bins + 1 < 2**63, got {self.bins}")
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0, got {self.threads}")
 
@@ -129,11 +126,6 @@ class RunConfig:
         except (ValueError, RecursionError) as e:  # undecodable bytes, malformed or too deep JSON, bad values
             raise ValueError(f"config file {path}: {e}") from e
 
-    def tokenizer_config(self) -> feat_mod.TokenizerConfig:
-        return feat_mod.TokenizerConfig(
-            lowercase=self.lowercase, strip_edge_punctuation=self.strip_edge_punctuation
-        )
-
     def selection_spec(self) -> sampler_mod.SelectionSpec:
         return sampler_mod.SelectionSpec(
             k_low=self.k_low,
@@ -141,7 +133,6 @@ class RunConfig:
             k_mean=self.k_mean,
             strategy=self.strategy,
             bucket_width=self.bucket_width,
-            disjoint=self.disjoint,
         )
 
     def jsonl_fields(self) -> corpus_mod.JsonlFields:
@@ -193,7 +184,7 @@ def run_score_pipeline(
     corpus: corpus_mod.Corpus, cfg: RunConfig
 ) -> tuple[maha_mod.ScoreVector, maha_mod.MomentModel, feat_mod.DensityTable]:
     """ingest-free core: density fit, featurize, moments, factorize, score."""
-    table = feat_mod.fit_density(corpus, cfg.ngram, cfg.tokenizer_config())
+    table = feat_mod.fit_density(corpus, cfg.ngram)
     matrix = feat_mod.build_matrix(table, l_cap=cfg.l_cap)
     # Sigma's buffer becomes the factor, so no covariance is held while scoring.
     model = maha_mod.regularized_factorize(maha_mod.fit_moments(matrix), cfg.epsilon_fixed)
@@ -283,12 +274,12 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
     meta = read_json(meta_path, _META_KEYS)
     missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
     if missing:
-        raise SchemaError(f"{meta_path.name}: pipeline keys {missing} are missing", path="pipeline")
+        raise SchemaError(f"{meta_path.name}: pipeline keys {missing} are missing; rerun `score`", path="pipeline")
     try:
         scored = RunConfig.from_dict(meta["pipeline"])
         scored.validate()
     except ValueError as e:
-        raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}", path="pipeline") from e
+        raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}; rerun `score`", path="pipeline") from e
     scored.input = cfg.input or meta["input"]["path"]
     data = _read_checked(scores_path, meta["artifacts"]["scores.csv"], meta_path.name)
 
@@ -447,12 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     score_p = sub.add_parser("score", help="featurize and score every example")
     add_common(score_p)
     score_p.add_argument("--ngram", type=int, help="n-gram order (default 1)")
-    score_p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
-    score_p.add_argument(
-        "--strip-edge-punct", dest="strip_edge_punctuation",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="strip leading/trailing punctuation from tokens",
-    )
     score_p.add_argument("--l-cap", type=int, help="cap feature length (covariance is LxL)")
     score_p.add_argument("--epsilon-fixed", type=float, help="use exactly this shrinkage epsilon")
 
@@ -464,10 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sample_p.add_argument("--k-mean", type=int, help="mean-proximal count (default 3500)")
     sample_p.add_argument("--strategy", choices=["global", "bucketed"], help="selection strategy")
     sample_p.add_argument("--bucket-width", type=int, help="bucket width in characters (default 250)")
-    sample_p.add_argument(
-        "--disjoint", action=argparse.BooleanOptionalAction, default=None,
-        help="keep the three categories disjoint (default on)",
-    )
     sample_p.add_argument("--subset-format", choices=["jsonl", "squad"], help="subset output format")
 
     analyze_p = sub.add_parser("analyze", help="distribution stats and report bundle")
@@ -508,6 +489,9 @@ def main(argv: list[str] | None = None) -> int:
     except SingularityError as e:
         print(f"abnormality: numerical error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"abnormality: out of memory: {e}", file=sys.stderr)
+        return 1
     except (CapacityError, ValueError, OSError) as e:
         print(f"abnormality: {e}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import unicodedata
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from .corpus import Corpus
 
 __all__ = [
-    "TokenizerConfig",
     "DensityTable",
     "FeatureMatrix",
     "NGRAM_SEP",
@@ -48,14 +47,6 @@ __all__ = [
 NGRAM_SEP = "\x1f"
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Tokenizer flags; splitting is fixed to unicode whitespace."""
-
-    lowercase: bool = True
-    strip_edge_punctuation: bool = True
-
-
 def _strip_edge_punct(token: str) -> str:
     if token[0].isalnum() and token[-1].isalnum():  # letters and digits are never punctuation
         return token
@@ -67,19 +58,10 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Split on unicode whitespace, optionally lowercase and strip edge punctuation.
-
-    Tokens that become empty after stripping are dropped; the empty string
-    tokenizes to an empty list under every configuration.
-    """
-    tokens = text.split()
-    if cfg.lowercase:
-        tokens = [t.lower() for t in tokens]
-    if cfg.strip_edge_punctuation:
-        tokens = [_strip_edge_punct(t) for t in tokens]
-        tokens = [t for t in tokens if t]
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """Split on unicode whitespace, lowercase, strip edge punctuation, drop empty tokens."""
+    tokens = [_strip_edge_punct(t.lower()) for t in text.split()]
+    return [t for t in tokens if t]
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,7 @@ class _Grams:
         return [NGRAM_SEP.join([words[t] for t in gram]) for gram in self.token_ids.tolist()]
 
 
-def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
+def _encode(corpus: "Corpus", n: int) -> _Grams:
     """Intern contexts, tokenize each distinct one once, and code its n-grams.
 
     Raises FitError, before any n-gram is coded, when no context has n tokens.
@@ -125,7 +107,7 @@ def _encode(corpus: "Corpus", n: int, cfg: TokenizerConfig) -> _Grams:
     ids = array("q")
     token_counts = np.zeros(len(distinct), dtype=np.int64)
     for r, context in enumerate(distinct):
-        tokens = tokenize(context, cfg)
+        tokens = tokenize(context)
         ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
         token_counts[r] = len(tokens)
     token_ids = np.frombuffer(ids, dtype=np.int64)
@@ -166,7 +148,6 @@ class DensityTable:
     """
 
     n: int
-    tokenizer: TokenizerConfig
     grams: _Grams = field(repr=False)
     by_code: np.ndarray = field(repr=False)
     total: int
@@ -176,21 +157,21 @@ class DensityTable:
         return dict(zip(self.grams.keys(), self.by_code.tolist()))
 
 
-def fit_density(corpus: "Corpus", n: int, cfg: TokenizerConfig = TokenizerConfig()) -> DensityTable:
+def fit_density(corpus: "Corpus", n: int) -> DensityTable:
     """Count n-grams over all contexts (duplicates counted once per example).
 
     The table keeps the corpus's n-gram codes, which :func:`build_matrix`
     turns into the corpus's feature matrix without spelling any key.
     Raises FitError when the corpus yields no n-grams at order n.
     """
-    grams = _encode(corpus, n, cfg)
+    grams = _encode(corpus, n)
     repeats = np.bincount(grams.index, minlength=len(grams.lengths))
     total = int(grams.lengths @ repeats)
     # Weighted sums of integers below 2**53 are exact in float64.
     by_code = np.bincount(
         grams.codes, weights=np.repeat(repeats, grams.lengths), minlength=len(grams)
     ).astype(np.int64)
-    return DensityTable(n=n, tokenizer=cfg, grams=grams, by_code=by_code, total=total)
+    return DensityTable(n=n, grams=grams, by_code=by_code, total=total)
 
 
 @dataclass(frozen=True)
@@ -295,9 +276,5 @@ _DENSITY_HEADER = ("ngram_key", "count")
 def save_density(table: DensityTable, csv_path: str | Path, header_path: str | Path) -> None:
     """Two-column CSV (ngram_key, count) sorted by key, plus a JSON header."""
     write_csv(csv_path, _DENSITY_HEADER, sorted(table.counts.items()))
-    write_json(header_path, {
-        "ngram_order": table.n,
-        "total": table.total,
-        "tokenizer": asdict(table.tokenizer),
-    })
+    write_json(header_path, {"ngram_order": table.n, "total": table.total})
 

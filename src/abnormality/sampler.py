@@ -1,12 +1,10 @@
 """Partition scored examples into low / mutual / high abnormality selections.
 
 The low tail takes the smallest scores, the high tail the largest, and the
-mutual category the scores nearest the mean of the score distribution.  In
-disjoint mode (default) the tails claim indices first, low before high, and
-the mean-proximal picks come from the remainder; every tie breaks by
-ascending ordinal.  A selection labels each example once: with disjoint
-mode off, an example that several categories claim takes the first of
-low, high, mutual.  The bucketed strategy applies the same rule within
+mutual category the scores nearest the mean of the score distribution.  The
+three are disjoint: the tails claim indices first, low before high, and the
+mean-proximal picks come from the remainder; every tie breaks by ascending
+ordinal.  The bucketed strategy applies the same rule within
 character-length buckets, apportioning each quota across buckets by
 population with largest-remainder rounding and spilling shortfalls from
 underfull buckets to the next-largest bucket.
@@ -49,7 +47,6 @@ class SelectionSpec:
     k_mean: int = 3500
     strategy: str = "global"
     bucket_width: int = 250
-    disjoint: bool = True
 
     def __post_init__(self) -> None:
         if self.k_low < 0 or self.k_high < 0 or self.k_mean < 0:
@@ -111,12 +108,13 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
     Each quota is split across the groups by largest-remainder
     apportionment.  Groups claim in descending-population order (ties:
     lower list position), each category in low, high, mutual order against
-    the group's own score mean; a group's shortfall spills to the next
-    group, pass after pass, until every quota is placed.  A pass that
-    places nothing raises CapacityError, and a ``spec`` that names another
-    strategy raises ValueError, so the policy echo never contradicts itself.
-    Returns a (3, n) boolean array of claims and the quotas, one row each
-    per category in low, high, mutual order, and each group's score mean.
+    the group's own score mean, passing over examples already claimed; a
+    group's shortfall spills to the next group, pass after pass, until
+    every quota is placed.  A pass that places nothing raises
+    CapacityError, and a ``spec`` that names another strategy raises
+    ValueError, so the policy echo never contradicts itself.  Returns each
+    example's category index (3 for unclaimed), the quotas, one row per
+    category in low, high, mutual order, and each group's score mean.
     """
     if spec.strategy != strategy:
         raise ValueError(f"select_{strategy} was given a spec with strategy {spec.strategy!r}")
@@ -127,7 +125,8 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
     quota = [_largest_remainder(k, pops) for k in ks]
     process_order = sorted(range(len(groups)), key=lambda g: (-pops[g], g))
 
-    claimed = np.zeros((len(_CATEGORIES), len(s)), dtype=bool)
+    unclaimed = len(_CATEGORIES)
+    owner = np.full(len(s), unclaimed, dtype=np.int64)
     # Nonzero only without groups (n = 0): the first pass then places nothing and raises.
     carry = [k - sum(q) for k, q in zip(ks, quota)]
     first_pass = True
@@ -138,9 +137,8 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
                 want = carry[c] + (quota[c][g] if first_pass else 0)
                 if want == 0:
                     continue
-                blocked = claimed[:, order].any(axis=0) if spec.disjoint else claimed[c, order]
-                got = order[~blocked][:want]
-                claimed[c, got] = True
+                got = order[owner[order] == unclaimed][:want]
+                owner[got] = c
                 placed_any |= len(got) > 0
                 carry[c] = want - len(got)
         first_pass = False
@@ -151,29 +149,28 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
                 f"could not place {sum(carry)} of the {spec.total} requested selections "
                 f"among {len(s)} examples"
             )
-    return claimed, quota, means
+    return owner, quota, means
 
 
-def _selection(claimed: np.ndarray, echo: dict) -> Selection:
-    """Label each example by its first claim in low, high, mutual order; unclaimed ones are unselected."""
-    first = np.where(claimed.any(axis=0), claimed.argmax(axis=0), len(_CATEGORIES))
+def _selection(owner: np.ndarray, echo: dict) -> Selection:
+    """Label each example by the category that claimed it; unclaimed ones are unselected."""
     names = np.array(_CATEGORIES + ("unselected",))
-    return Selection(labels=tuple(names[first].tolist()), policy_echo=echo)
+    return Selection(labels=tuple(names[owner].tolist()), policy_echo=echo)
 
 
 def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     """Select the k_low smallest, k_high largest, and k_mean mean-nearest scores.
 
-    With ``disjoint`` on, low claims first, then high, then mean-proximal
-    from whatever remains; the mean is always the mean of all scores.  This
-    is the bucketed rule with every example in one bucket.
+    Low claims first, then high, then mean-proximal from whatever remains;
+    the mean is the mean of all scores.  This is the bucketed rule with
+    every example in one bucket.
     """
     s = np.asarray(scores, dtype=np.float64)
     n = len(s)
     # An empty corpus has no group: a group must have a mean.
-    claimed, _, means = _claim(s, [np.arange(n)] if n else [], spec, "global")
+    owner, _, means = _claim(s, [np.arange(n)] if n else [], spec, "global")
     echo = {"spec": asdict(spec), "strategy": "global", "score_mean": means[0] if n else None}
-    return _selection(claimed, echo)
+    return _selection(owner, echo)
 
 
 def select_bucketed(
@@ -202,7 +199,7 @@ def select_bucketed(
     # np.unique would import numpy.ma (15-19 ms) in NumPy 2.x; bincount gives the same sorted ids.
     bucket_ids = np.flatnonzero(np.bincount(bucket_of)).tolist()
     groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
-    claimed, quota, means = _claim(s, groups, spec, "bucketed")
+    owner, quota, means = _claim(s, groups, spec, "bucketed")
 
     echo = {
         "spec": asdict(spec),
@@ -221,7 +218,7 @@ def select_bucketed(
             for g, b in enumerate(bucket_ids)
         ],
     }
-    return _selection(claimed, echo)
+    return _selection(owner, echo)
 
 
 def write_selection_csv(labels: Sequence[str], corpus: "Corpus", scores, path: str | Path) -> None:

@@ -9,6 +9,7 @@ package's types.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -17,6 +18,27 @@ import numpy as np
 
 # N-gram keys join their tokens with the unit separator, as DensityTable.counts does.
 SEP = "\x1f"
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The README's tokenizer rule, step by step.
+
+    Split on unicode whitespace (``str.split``), lowercase, strip leading
+    and trailing characters of unicode category P*, drop empty tokens.
+    """
+    def is_punct(ch: str) -> bool:
+        return unicodedata.category(ch)[0] == "P"
+
+    tokens = []
+    for token in text.split():
+        chars = list(token.lower())
+        while chars and is_punct(chars[0]):
+            chars.pop(0)
+        while chars and is_punct(chars[-1]):
+            chars.pop()
+        if chars:
+            tokens.append("".join(chars))
+    return tokens
 
 
 def ngrams(tokens: list[str], n: int) -> list[str]:
@@ -161,12 +183,12 @@ def reference_covariance(X: np.ndarray) -> np.ndarray:
 
 
 def reference_selection(
-    scores, k_low: int, k_high: int, k_mean: int, disjoint: bool = True
+    scores, k_low: int, k_high: int, k_mean: int
 ) -> tuple[list[int], list[int], list[int]]:
     """Full-sort three-way selection; ties break by ascending index.
 
-    Returns (low, high, mean_proximal), each sorted ascending, with the
-    disjoint claiming order low, high, mean.
+    Returns (low, high, mean_proximal), each sorted ascending and disjoint:
+    low claims first, then high, then mean, each passing over taken indices.
     """
     s = [float(v) for v in getattr(scores, "scores", scores)]
     n = len(s)
@@ -182,11 +204,9 @@ def reference_selection(
         for i in order:
             if len(picked) == k:
                 break
-            if disjoint and i in taken:
-                continue
-            picked.append(i)
-        if disjoint:
-            taken.update(picked)
+            if i not in taken:
+                picked.append(i)
+        taken.update(picked)
         return sorted(picked)
 
     low = take(low_order, k_low)
@@ -196,8 +216,7 @@ def reference_selection(
 
 
 def reference_bucketed_selection(
-    scores, char_lengths, k_low: int, k_high: int, k_mean: int, bucket_width: int,
-    disjoint: bool = True,
+    scores, char_lengths, k_low: int, k_high: int, k_mean: int, bucket_width: int
 ):
     """Three-way selection within character-length buckets, written out.
 
@@ -207,10 +226,10 @@ def reference_bucketed_selection(
     the largest remainders (ties: larger population, then smaller b).
     Buckets then claim in descending population (ties: smaller b), each
     category in low, high, mean order against the bucket's own mean, ties
-    by ascending index; a quota a bucket cannot fill carries to the next
-    bucket, pass after pass.  Returns (low, high, mean_proximal), each
-    sorted ascending, or None when a pass places nothing while a quota is
-    still open.
+    by ascending index, passing over indices any category has taken; a
+    quota a bucket cannot fill carries to the next bucket, pass after pass.
+    Returns (low, high, mean_proximal), each sorted ascending, or None when
+    a pass places nothing while a quota is still open.
     """
     s = [float(v) for v in scores]
     n = len(s)
@@ -249,7 +268,7 @@ def reference_bucketed_selection(
         for b in sorted(buckets, key=lambda b: (-pop[b], b)):
             for cat in cats:
                 want = open_[cat] + (quota[cat][b] if first_pass else 0)
-                taken = set().union(*picked.values()) if disjoint else picked[cat]
+                taken = set().union(*picked.values())
                 got = []
                 for i in orders[b][cat]:
                     if len(got) == want:
@@ -269,8 +288,8 @@ def reference_bucketed_selection(
 def reference_labels(n: int, low, high, mean_proximal) -> tuple[str, ...]:
     """One label per example from three ordinal lists.
 
-    Example i takes the first of low, high, mutual whose list holds i, and
-    unselected when none does.
+    Example i takes the name of the list that holds it, and unselected when
+    none does; the lists are disjoint.
     """
     def label(i):
         for name, picked in (("low", low), ("high", high), ("mutual", mean_proximal)):

@@ -137,6 +137,8 @@ class TestHistogram:
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             histogram([1.0], bins=0)
+        with pytest.raises(ValueError, match="bins"):  # np.linspace would get 2**63 edges
+            histogram([1.0], bins=2**63 - 1)
 
     def test_empty(self):
         with pytest.raises(StatError):

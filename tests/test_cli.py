@@ -22,12 +22,9 @@ from abnormality import cli
 from abnormality.analyze import pearson
 from abnormality.cli import RunConfig, _build_parser, main
 from abnormality.corpus import ingest_file
-from abnormality.featurize import TokenizerConfig, build_matrix, fit_density
+from abnormality.featurize import build_matrix, fit_density
 from abnormality.hashing import sha256_file
 from abnormality.mahalanobis import fit_moments, load_model, read_scores_csv, regularized_factorize, score_all
-from abnormality.sampler import SelectionSpec, select_global
-
-from conftest import make_synthetic_corpus
 
 
 def write_jsonl_fixture(path: Path, n: int = 12, seed: int = 3) -> Path:
@@ -228,27 +225,6 @@ class TestSampleCommand:
         manifest = json.loads((out / "selection_manifest.json").read_text())
         assert manifest["counts"]["written"] == 6
         assert manifest["policy_echo"]["spec"]["k_low"] == 2
-
-    def test_overlapping_quotas_count_labels_not_claims(self, tmp_path, capsys):
-        # The 200-record synthetic corpus with overlapping --no-disjoint quotas:
-        # 52 of the 80 mean-proximal examples are also low or high, so only
-        # 28 are labelled mutual, and the manifest and stdout must say 28.
-        corpus_path = tmp_path / "c.jsonl"
-        synthetic = make_synthetic_corpus(200)
-        corpus_path.write_text("".join(
-            json.dumps({"context": context, "id": ex_id, "title": title}) + "\n"
-            for ex_id, title, context in zip(synthetic.ids, synthetic.titles, synthetic.contexts)
-        ), encoding="utf-8")
-        out = run_score(tmp_path, corpus_path)
-        capsys.readouterr()
-        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--no-disjoint",
-                     "--k-low", "80", "--k-high", "80", "--k-mean", "80"]) == 0
-        with open(out / "selection.csv", newline="") as f:
-            categories = [r["category"] for r in csv.DictReader(f)]
-        counts = json.loads((out / "selection_manifest.json").read_text())["counts"]
-        assert (categories.count("low"), categories.count("high"), categories.count("mutual")) == (80, 80, 28)
-        assert counts == {"low": 80, "high": 80, "mean_proximal": 28, "written": 188}
-        assert "(80 low / 28 mutual / 80 high)" in capsys.readouterr().out
 
     def test_bucketed_strategy_echoed(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
@@ -500,31 +476,6 @@ class TestAnalyzeCommand:
             labels = {r["ordinal"]: r["category"] for r in csv.DictReader(f)}
         assert {o: c for o, c in labels.items() if c != "unselected"} == selected
 
-    def test_overlapping_selection_labels_each_example_once(self, tmp_path):
-        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
-        out = run_score(tmp_path, corpus_path)
-        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--no-disjoint",
-                     "--k-low", "5", "--k-high", "5", "--k-mean", "6"]) == 0
-        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
-
-        scores = read_scores_csv((out / "scores.csv").read_bytes(), ingest_file(corpus_path, "jsonl"))
-        sel = select_global(scores, SelectionSpec(k_low=5, k_high=5, k_mean=6, disjoint=False))
-        expected = {str(i): category for i, category in enumerate(sel.labels) if category != "unselected"}
-        assert len(expected) < 5 + 5 + 6  # the quotas overlap
-
-        with open(out / "selection.csv", newline="") as f:
-            rows = [(r["ordinal"], r["category"]) for r in csv.DictReader(f)]
-        assert dict(rows) == expected
-        assert len(rows) == len(expected)  # each ordinal once
-        manifest = json.loads((out / "selection_manifest.json").read_text())
-        assert manifest["counts"]["written"] == len(rows)
-        summary = json.loads((out / "report" / "summary.json").read_text())
-        categories = [c for _, c in rows]
-        assert summary["selection_counts"] == {
-            "low": categories.count("low"), "mutual": categories.count("mutual"),
-            "high": categories.count("high"), "unselected": 12 - len(rows),
-        }
-
     def test_without_selection_rows_unselected(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
@@ -637,9 +588,9 @@ class TestAnalyzeCommand:
             for i in range(16):
                 words = rng.choice(vocab, size=int(rng.integers(3, 12)))
                 f.write(json.dumps({"context": " ".join(words), "id": f"doc-{i}"}) + "\n")
-        out = run_score(tmp_path, corpus_path, "--no-lowercase", "--l-cap", "4")
+        out = run_score(tmp_path, corpus_path, "--l-cap", "4", "--epsilon-fixed", "0.001")
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lowercase": True, "l_cap": None}), encoding="utf-8")
+        cfg_path.write_text(json.dumps({"l_cap": None, "epsilon_fixed": None}), encoding="utf-8")
         assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
                      "--config", str(cfg_path), "--orders", "1,2"]) == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
@@ -647,16 +598,25 @@ class TestAnalyzeCommand:
         corpus = ingest_file(corpus_path, "jsonl")
         lengths = corpus.char_lengths().astype(np.float64)
 
-        def library_pearson(lowercase: bool, l_cap: int | None) -> float:
-            tok = TokenizerConfig(lowercase=lowercase)
-            matrix = build_matrix(fit_density(corpus, 2, tok), l_cap=l_cap)
-            scores = score_all(regularized_factorize(fit_moments(matrix)), matrix).scores
+        def library_pearson(l_cap: int | None, epsilon: float | None) -> float:
+            matrix = build_matrix(fit_density(corpus, 2), l_cap=l_cap)
+            scores = score_all(regularized_factorize(fit_moments(matrix), epsilon), matrix).scores
             return pearson(lengths, scores)
 
-        expected = library_pearson(False, 4)
+        expected = library_pearson(4, 0.001)
         got = summary["pearson_by_order"]["2"]
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-        assert expected != library_pearson(True, None)  # the config file's settings would differ
+        assert expected != library_pearson(None, None)  # the config file's settings would differ
+
+    @pytest.mark.parametrize("bins", [10**15, 2**63 - 1])
+    def test_huge_bin_count_exits_1(self, tmp_path, capsys, bins):
+        # 10**15 + 1 edges cannot be allocated; 2**63 edges overflow np.linspace's int64 count.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl", n=200))
+        capsys.readouterr()
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--bins", str(bins)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("abnormality: ") and "Traceback" not in err
+        assert not (out / "report").exists() or not any((out / "report").iterdir())
 
     def test_degenerate_lengths_pearson_null_exit_0(self, tmp_path):
         # equal char lengths (pearson degenerate) but distinct word densities
@@ -723,7 +683,7 @@ class TestScipyLoadedOnlyToSolve:
 
 class TestRunConfig:
     def test_json_round_trip(self):
-        cfg = RunConfig(input="x.json", ngram=3, orders=(1, 3), l_cap=500, disjoint=False)
+        cfg = RunConfig(input="x.json", ngram=3, orders=(1, 3), l_cap=500, strategy="bucketed")
         back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
 
@@ -761,6 +721,7 @@ class TestRunConfig:
         pytest.param("ngram", 2**64, id="ngram-2**64"), pytest.param("l_cap", 2**63, id="l_cap-2**63"),
         pytest.param("k_low", -(2**63) - 1, id="k_low--2**63-1"),
         pytest.param("bucket_width", 2**64, id="bucket_width-2**64"), pytest.param("bins", 2**64, id="bins-2**64"),
+        pytest.param("bins", 2**63 - 1, id="bins-2**63-1"),
         pytest.param("orders", (1, 2**64), id="orders-1,2**64"),
         pytest.param("epsilon_fixed", 10**400, id="epsilon_fixed-10**400"),
     ])
@@ -776,16 +737,10 @@ class TestRunConfig:
         for name, sub in commands.choices.items():
             dests = {a.dest for a in sub._actions if a.dest != "help"}
             assert dests <= fields | {"config", "scores"}, name
+            # So a config file's keys are the flag names with underscores.
+            assert all(a.option_strings == ["--" + a.dest.replace("_", "-")]
+                       for a in sub._actions if a.dest != "help"), name
         assert {a.dest for a in parser._actions} == {"help", "command"}
-
-    def test_negated_tokenizer_flags_reach_pipeline_echo(self, tmp_path):
-        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"), "--no-strip-edge-punct", "--no-lowercase")
-        pipeline = json.loads((out / "scores.meta.json").read_text())["pipeline"]
-        assert pipeline["strip_edge_punctuation"] is False
-        assert pipeline["lowercase"] is False
-        assert json.loads((out / "density.json").read_text())["tokenizer"] == {
-            "lowercase": False, "strip_edge_punctuation": False,
-        }
 
     def test_pipeline_echo_is_every_field_but_input_and_runtime_knobs(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
@@ -793,13 +748,10 @@ class TestRunConfig:
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert set(pipeline) == fields - {"input", "out_dir", "threads"}
 
-    def test_config_file_key_strip_edge_punctuation(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"strip_edge_punctuation": False}), encoding="utf-8")
-        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"), "--config", str(cfg_path))
-        assert json.loads((out / "scores.meta.json").read_text())["pipeline"]["strip_edge_punctuation"] is False
-
-    @pytest.mark.parametrize("key", ["strip_edge_punct", "seed", "epsilon_base_scale", "epsilon_max_exponent"])
+    @pytest.mark.parametrize("key", [
+        "strip_edge_punct", "seed", "epsilon_base_scale", "epsilon_max_exponent",
+        "lowercase", "strip_edge_punctuation", "disjoint",
+    ])
     def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: 0}), encoding="utf-8")
@@ -813,7 +765,6 @@ class TestRunConfig:
         ('{"l_cap": "9"}', "l_cap"),
         ('{"orders": 3}', "orders"),
         ('{"orders": [1, "2"]}', "orders"),
-        ('{"lowercase": 1}', "lowercase"),
         ('{"k_low": true}', "k_low"),
         ('{"epsilon_fixed": "0.5"}', "epsilon_fixed"),
         ('{"format": null}', "format"),
@@ -873,8 +824,8 @@ class TestRunConfig:
         assert "data error" in err and "epsilon_fixed" in err
 
     def test_config_values_of_field_type_accepted(self):
-        cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None, "lowercase": False})
-        assert (cfg.epsilon_fixed, cfg.l_cap, cfg.orders, cfg.lowercase) == (1, None, (1, 2), False)
+        cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None})
+        assert (cfg.epsilon_fixed, cfg.l_cap, cfg.orders, cfg.input) == (1, None, (1, 2), None)
 
     @pytest.mark.parametrize("key, value", [("format", 1), ("ngram", "1"), ("orders", 3), ("l_cap", 1.5)])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
@@ -896,6 +847,23 @@ class TestRunConfig:
         assert main(["score", "--input", str(corpus_path), "--format", "jsonl",
                      "--out-dir", str(tmp_path / "o"), "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--lowercase"), ("score", "--no-lowercase"),
+        ("score", "--strip-edge-punct"), ("score", "--no-strip-edge-punct"),
+        ("sample", "--disjoint"), ("sample", "--no-disjoint"),
+    ])
+    def test_retired_flag_exits_1(self, tmp_path, capsys, command, flag):
+        # The tokenizer and the selection are fixed rules; their old switches are unknown arguments.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        capsys.readouterr()
+        files = sorted(out.iterdir())
+        args = ["--input", str(tmp_path / "c.jsonl"), "--format", "jsonl"] if command == "score" else [
+            "--scores", str(out / "scores.csv"), *K1]
+        assert main([command, *args, "--out-dir", str(out), flag]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert sorted(out.iterdir()) == files
+
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_metadata_with_seed_exits_2(self, tmp_path, capsys, command):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
@@ -910,16 +878,24 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "data error" in err and "seed" in err
 
-    def test_metadata_with_retired_epsilon_key_exits_2(self, tmp_path, capsys):
-        # Scores written before the shrinkage schedule was fixed record its two knobs; rerun `score`.
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon_max_exponent", 8), ("lowercase", True), ("strip_edge_punctuation", True), ("disjoint", True),
+    ])
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_metadata_with_retired_key_exits_2(self, tmp_path, capsys, command, key, value):
+        # Scores written before the shrinkage schedule, the tokenizer and the
+        # selection were fixed rules record their knobs; rerun `score`.
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         meta_path = out / "scores.meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["pipeline"]["epsilon_max_exponent"] = 8
+        meta["pipeline"][key] = value
         meta_path.write_text(json.dumps(meta))
-        assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out), *K1]) == 2
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += K1
+        assert main(args) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "epsilon_max_exponent" in err
+        assert "data error" in err and key in err and "rerun `score`" in err
 
     @pytest.mark.parametrize("orders", ["1,x", "1.5", ""])
     def test_bad_orders_exit_1(self, tmp_path, orders):

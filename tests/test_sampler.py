@@ -50,14 +50,6 @@ class TestSelectGlobal:
         with pytest.raises(CapacityError, match="9.*4|4.*9"):
             select_global([1.0, 2.0, 3.0, 4.0], SelectionSpec(k_low=3, k_high=3, k_mean=3))
 
-    def test_overlap_mode_allows_shared_indices(self):
-        # Every category claims all three; the first claim, low, labels each.
-        spec = SelectionSpec(k_low=3, k_high=3, k_mean=3, disjoint=False)
-        assert select_global([0.0, 1.0, 2.0], spec).labels == ("low", "low", "low")
-        # Mutual claims all four; the tails keep the examples they claimed first.
-        spec = SelectionSpec(k_low=1, k_high=1, k_mean=4, disjoint=False)
-        assert select_global([0.0, 1.0, 2.0, 3.0], spec).labels == ("low", "mutual", "mutual", "high")
-
     def test_zero_counts(self):
         sel = select_global([1.0, 2.0], SelectionSpec(k_low=0, k_high=0, k_mean=0))
         assert sel.labels == ("unselected", "unselected")
@@ -164,12 +156,9 @@ class TestSelectBucketed:
                  id="bucketed-empty"),
     pytest.param([], None, K0, True, id="global-empty-zero-k"),
     pytest.param([], [], SelectionSpec(0, 0, 0, strategy="bucketed"), True, id="bucketed-empty-zero-k"),
-    pytest.param([1.0, 2.0], None, SelectionSpec(k_low=0, k_high=3, k_mean=0, disjoint=False), False,
-                 id="global-overlap-k-above-n"),
-    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(1, 1, 3, strategy="bucketed", disjoint=False), False,
-                 id="bucketed-overlap-k-above-n"),
-    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(2, 2, 2, strategy="bucketed", disjoint=False), True,
-                 id="bucketed-overlap-total-above-n"),
+    pytest.param([1.0, 2.0], None, SelectionSpec(k_low=0, k_high=3, k_mean=0), False, id="global-k-above-n"),
+    pytest.param([1.0, 2.0], [10, 300], SelectionSpec(1, 1, 3, strategy="bucketed"), False,
+                 id="bucketed-k-above-n"),
 ])
 def test_capacity_edge_cases(scores, lengths, spec, fits):
     def select():
@@ -182,9 +171,9 @@ def test_capacity_edge_cases(scores, lengths, spec, fits):
     sel = select()
     ks = (spec.k_low, spec.k_high, spec.k_mean)
     if lengths is None:
-        claims = reference_selection(scores, *ks, disjoint=spec.disjoint)
+        claims = reference_selection(scores, *ks)
     else:
-        claims = reference_bucketed_selection(scores, lengths, *ks, spec.bucket_width, disjoint=spec.disjoint)
+        claims = reference_bucketed_selection(scores, lengths, *ks, spec.bucket_width)
     assert sel.labels == reference_labels(len(scores), *claims)
     if not scores:
         assert sel.policy_echo["score_mean"] is None
@@ -292,25 +281,16 @@ class TestProperties:
         )),
         st.integers(1, 60),
         st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
-        st.booleans(),
     )
-    def test_selection_matches_naive_references(self, data, width, ks, disjoint):
+    def test_selection_matches_naive_references(self, data, width, ks):
         s, lengths = data
-        spec = SelectionSpec(*ks, strategy="bucketed", bucket_width=width, disjoint=disjoint)
-        expected = reference_bucketed_selection(s, lengths, *ks, width, disjoint=disjoint)
+        spec = SelectionSpec(*ks, strategy="bucketed", bucket_width=width)
+        expected = reference_bucketed_selection(s, lengths, *ks, width)
         if expected is None:
             with pytest.raises(CapacityError):
                 select_bucketed(s, lengths, spec)
         else:
             assert select_bucketed(s, lengths, spec).labels == reference_labels(len(s), *expected)
-
-        overlap = SelectionSpec(*ks, disjoint=False)
-        if max(ks) > len(s):
-            with pytest.raises(CapacityError):
-                select_global(s, overlap)
-        else:
-            expected = reference_selection(s, *ks, disjoint=False)
-            assert select_global(s, overlap).labels == reference_labels(len(s), *expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -322,16 +302,14 @@ class TestProperties:
         st.integers(1, 50),
         st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)),
         st.sampled_from(["global", "bucketed"]),
-        st.booleans(),
     )
-    def test_labels_are_the_first_claim_of_the_reference(self, data, width, ks, strategy, disjoint):
+    def test_labels_are_the_first_claim_of_the_reference(self, data, width, ks, strategy):
         s, lengths = data
-        spec = SelectionSpec(*ks, strategy=strategy, bucket_width=width, disjoint=disjoint)
+        spec = SelectionSpec(*ks, strategy=strategy, bucket_width=width)
         if strategy == "global":
-            fits = (sum(ks) if disjoint else max(ks)) <= len(s)
-            claims = reference_selection(s, *ks, disjoint=disjoint) if fits else None
+            claims = reference_selection(s, *ks) if sum(ks) <= len(s) else None
         else:
-            claims = reference_bucketed_selection(s, lengths, *ks, width, disjoint=disjoint)
+            claims = reference_bucketed_selection(s, lengths, *ks, width)
 
         def select():
             return select_global(s, spec) if strategy == "global" else select_bucketed(s, lengths, spec)
@@ -342,7 +320,7 @@ class TestProperties:
             return
         labels = select().labels
         assert labels == reference_labels(len(s), *claims)
-        assert labels.count("low") == ks[0]  # low claims first, so no claim of its own is lost
+        assert [labels.count(c) for c in ("low", "high", "mutual")] == list(ks)  # disjoint, exact counts
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=9, max_size=40))
