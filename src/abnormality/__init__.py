@@ -11,7 +11,6 @@ correlation).
 from .analyze import DistributionStats, Histogram, emit_report, histogram, moments_stats, pearson
 from .corpus import (
     Corpus,
-    JsonlFields,
     ingest_file,
     ingest_jsonl,
     ingest_squad,
@@ -55,7 +54,6 @@ __all__ = [
     "FeatureMatrix",
     "FitError",
     "Histogram",
-    "JsonlFields",
     "Moments",
     "MomentModel",
     "ParseError",

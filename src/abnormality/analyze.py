@@ -119,9 +119,10 @@ def histogram(scores, bins: int = 100) -> Histogram:
 def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) -> float:
     """Product-moment correlation, clamped to [-1, 1].
 
-    Raises StatError when either argument is constant (undefined correlation)
-    or fewer than two points are given.  The sums are NumPy reductions, not
-    BLAS dot products, so the result does not depend on the BLAS thread count.
+    Raises StatError when either argument is constant (undefined correlation),
+    fewer than two points are given, or a sum of squares or products
+    overflows float64.  The sums are NumPy reductions, not BLAS dot products,
+    so the result does not depend on the BLAS thread count.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -129,13 +130,18 @@ def pearson(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) 
         raise ValueError(f"inputs must be 1-d of equal length, got {x.shape} and {y.shape}")
     if len(x) < 2:
         raise StatError(f"need at least 2 points for correlation, got {len(x)}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.sum(xc * xc))
-    syy = float(np.sum(yc * yc))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx = float(np.sum(xc * xc))
+        syy = float(np.sum(yc * yc))
+        sxy = float(np.sum(xc * yc))
+        sxx_syy = sxx * syy
+    if not np.isfinite([sxx, syy, sxy, sxx_syy]).all():
+        raise StatError("correlation sums overflow float64")
     if sxx == 0.0 or syy == 0.0:
         raise StatError("correlation undefined: at least one input is constant")
-    r = float(np.sum(xc * yc)) / float(np.sqrt(sxx * syy))
+    r = sxy / float(np.sqrt(sxx_syy))
     return min(1.0, max(-1.0, r))
 
 

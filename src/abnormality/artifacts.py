@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import re
-import sys
 import typing
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -33,19 +32,13 @@ T = TypeVar("T")
 # first in the alternation, so a match never starts inside one.
 _FIELD_WITH_CR = re.compile(r'"(?:[^"]|"")*"|[^,"\n]*\r[^,"\n]*')
 
-# The csv module of Python 3.10 can neither write nor read a NUL, which later
-# ones treat as any other character.  There, a NUL crosses the csv module as a
-# lone surrogate, which no UTF-8 text holds; the bytes are the same.
-_NUL_STAND_IN = "\ud800" if sys.version_info < (3, 11) else None
-
 
 class _RowSink:
     """A text sink for ``csv.writer`` that quotes each bare field holding a carriage return.
 
     The writer quotes only for the delimiter, the quote and its "\n" line
     terminator, so it leaves "\r" bare, and a reader ends the row there.  It
-    writes each row in one call, so a quoted field never spans two calls.  The
-    sink also turns the NUL stand-in, if any, back into NUL.
+    writes each row in one call, so a quoted field never spans two calls.
     """
 
     def __init__(self, f) -> None:
@@ -54,8 +47,6 @@ class _RowSink:
     def write(self, row: str) -> int:
         if "\r" in row:
             row = _FIELD_WITH_CR.sub(lambda m: m[0] if m[0].startswith('"') else f'"{m[0]}"', row)
-        if _NUL_STAND_IN:
-            row = row.replace(_NUL_STAND_IN, "\0")
         return self._f.write(row)
 
 
@@ -82,8 +73,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     A field is quoted when it holds a comma, a quote, a newline or a carriage
     return; without a carriage return the bytes are the ``csv`` module's own.
     """
-    if _NUL_STAND_IN:
-        rows = ([v.replace("\0", _NUL_STAND_IN) if isinstance(v, str) else v for v in row] for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(_RowSink(f), lineterminator="\n")
         w.writerow(header)
@@ -142,14 +131,12 @@ def read_csv(
         line = data.count(b"\n", 0, e.start) + 1
         raise SchemaError(f"{name} is not valid UTF-8 (line {line}): {e}", path=name) from None
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as f:
-        rows = csv.reader(f if not _NUL_STAND_IN else (line.replace("\0", _NUL_STAND_IN) for line in f))
+        rows = csv.reader(f)
         try:
             head = next(rows, None)
             if head != list(header):
                 raise SchemaError(f"{name} line 1: header {head} is not {list(header)}", path=name)
             for row in rows:
-                if _NUL_STAND_IN:
-                    row = [field.replace(_NUL_STAND_IN, "\0") for field in row]
                 try:
                     value = parse(row)
                 except ValueError as e:

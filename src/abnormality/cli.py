@@ -53,9 +53,6 @@ class RunConfig:
 
     input: str | None = None
     format: str = "squad"
-    context_field: str = "context"
-    title_field: str = "title"
-    id_field: str = "id"
     ngram: int = 1
     l_cap: int | None = None
     epsilon_fixed: float | None = None
@@ -135,11 +132,6 @@ class RunConfig:
             bucket_width=self.bucket_width,
         )
 
-    def jsonl_fields(self) -> corpus_mod.JsonlFields:
-        return corpus_mod.JsonlFields(
-            context=self.context_field, title=self.title_field, id=self.id_field
-        )
-
 
 # The fields echoed as the pipeline config.  The input is recorded on its own
 # (path and hash); out_dir and threads are runtime knobs, left out so that
@@ -177,7 +169,7 @@ def _ingest(cfg: RunConfig) -> corpus_mod.Corpus:
     path = Path(cfg.input)
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
-    return corpus_mod.ingest_file(path, cfg.format, cfg.jsonl_fields())
+    return corpus_mod.ingest_file(path, cfg.format)
 
 
 def run_score_pipeline(
@@ -292,21 +284,22 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
 
 def _load_selection(
     out: Path, corpus: corpus_mod.Corpus, scores: np.ndarray, scores_path: Path, scores_hash: str
-) -> list[str]:
-    """The per-example labels `sample` wrote into ``out``, checked against its manifest.
+) -> tuple[list[str], str | None]:
+    """The per-example labels `sample` wrote into ``out``, checked against its manifest, and their hash.
 
     ``scores_hash`` is the verified hash of ``scores_path``.  Every example is
-    unselected when ``out`` holds no selection manifest.  A manifest written
-    for other scores, or a selection.csv whose hash it does not record,
-    raises StaleScoresError.
+    unselected, and the hash is None, when ``out`` holds no selection
+    manifest.  A manifest written for other scores, or a selection.csv whose
+    hash it does not record, raises StaleScoresError.
     """
     manifest_path = out / "selection_manifest.json"
     if not manifest_path.is_file():
-        return ["unselected"] * len(corpus)
+        return ["unselected"] * len(corpus), None
     manifest = read_json(manifest_path, _MANIFEST_KEYS)
     _check_hash(scores_path, scores_hash, manifest["inputs"]["scores.csv"], manifest_path.name)
-    data = _read_checked(out / "selection.csv", manifest["artifacts"]["selection.csv"], manifest_path.name)
-    return sampler_mod.read_selection_csv(data, corpus, scores)
+    selection_hash = manifest["artifacts"]["selection.csv"]
+    data = _read_checked(out / "selection.csv", selection_hash, manifest_path.name)
+    return sampler_mod.read_selection_csv(data, corpus, scores), selection_hash
 
 
 def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
@@ -363,7 +356,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
     scored, corpus, scores, meta = _load_scores_with_meta(cfg, scores_path)
 
     scores_hash = meta["artifacts"]["scores.csv"]  # checked by _load_scores_with_meta
-    labels = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path, scores_hash)
+    labels, selection_hash = _load_selection(Path(cfg.out_dir), corpus, scores, scores_path, scores_hash)
     stats = analyze_mod.moments_stats(scores)
     char_lengths = corpus.char_lengths().astype(np.float64)
 
@@ -383,6 +376,9 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
         except StatError:
             pearson_by_order[order] = None
 
+    input_hashes = {"corpus": meta["input"]["hash"], "scores.csv": scores_hash}
+    if selection_hash is not None:
+        input_hashes["selection.csv"] = selection_hash
     report_dir = Path(cfg.out_dir) / "report"
     names = ("scores.csv", "histogram.csv", "summary.json", "manifest.json")
     with _writing(*(report_dir / name for name in names)):
@@ -396,10 +392,7 @@ def cmd_analyze(cfg: RunConfig, scores_path: str | Path) -> int:
             bins=cfg.bins,
             dimension=meta["d"],
             epsilon=meta["epsilon"],
-            input_hashes={
-                "corpus": meta["input"]["hash"],
-                "scores.csv": meta["artifacts"]["scores.csv"],
-            },
+            input_hashes=input_hashes,
         )
 
     kurt = stats.excess_kurtosis
@@ -429,9 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--input", help="corpus file path")
         p.add_argument("--format", choices=["squad", "jsonl"], help="corpus format")
-        p.add_argument("--context-field", help="JSONL context field name")
-        p.add_argument("--title-field", help="JSONL title field name")
-        p.add_argument("--id-field", help="JSONL id field name")
         p.add_argument("--out-dir", help="output directory")
         p.add_argument("--threads", type=int, help="accepted for compatibility; never changes results")
 

@@ -1,8 +1,9 @@
 """Corpus ingestion and subset writing.
 
-Reads SQuAD v1.1 JSON (one example per question-answer record) and generic
-JSONL corpora into immutable, deterministically ordered columns, and
-writes pruned subsets back out as JSONL or reconstructed SQuAD JSON.
+Reads SQuAD v1.1 JSON (one example per question-answer record) and JSONL
+corpora (one record per line, with ``context``, ``title`` and ``id``
+fields) into immutable, deterministically ordered columns, and writes
+pruned subsets back out as JSONL or reconstructed SQuAD JSON.
 
 Ingestion never mutates or normalizes context text; raw text survives so a
 written subset is byte-faithful to its source.
@@ -23,7 +24,6 @@ from .hashing import sha256_bytes
 
 __all__ = [
     "Corpus",
-    "JsonlFields",
     "ingest_squad",
     "ingest_jsonl",
     "ingest_file",
@@ -60,15 +60,6 @@ class Corpus:
     def char_lengths(self) -> np.ndarray:
         """Unicode code points in each context."""
         return np.fromiter(map(len, self.contexts), dtype=np.int64, count=len(self.contexts))
-
-
-@dataclass(frozen=True)
-class JsonlFields:
-    """Field names used when reading JSONL records."""
-
-    context: str = "context"
-    title: str = "title"
-    id: str = "id"
 
 
 def _decode_utf8(data: bytes, what: str) -> str:
@@ -190,17 +181,17 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
     return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, source_hash)
 
 
-def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str = "<stream>") -> Corpus:
+def ingest_jsonl(data: bytes, *, source: str = "<stream>") -> Corpus:
     """Parse JSONL bytes (one JSON object per nonempty line) into a Corpus.
 
-    Missing title defaults to "", missing id to ``line-<k>`` where k is the
+    Each record's fields are ``context``, ``title`` and ``id``.  A missing
+    title defaults to "", a missing id to ``line-<k>`` where k is the
     1-based physical line number.  Raises ParseError carrying the line
     number for an unparseable or too deeply nested line, and SchemaError
     (at path ``line <k>``) for a line that is not a JSON object, a missing
     context field, a context, id or title field that is present but not a
     JSON string, or a string of the record that holds a lone surrogate.
     """
-    fields = fields or JsonlFields()
     text = _decode_utf8(data, "JSONL input")
     source_hash = sha256_bytes(data)
     del data  # not held while the records are parsed
@@ -220,24 +211,23 @@ def ingest_jsonl(data: bytes, fields: JsonlFields | None = None, *, source: str 
         except RecursionError as e:
             raise ParseError(f"line {lineno}: JSON nested too deeply to parse: {e}", line=lineno) from e
         lpath = f"line {lineno}"
-        contexts.append(_field(obj, fields.context, lpath))
-        ids.append(_field(obj, fields.id, lpath, default=f"line-{lineno}"))
-        titles.append(_field(obj, fields.title, lpath, default=""))
+        contexts.append(_field(obj, "context", lpath))
+        ids.append(_field(obj, "id", lpath, default=f"line-{lineno}"))
+        titles.append(_field(obj, "title", lpath, default=""))
         if walk:
             _refuse_lone_surrogates(obj, lpath)
         payloads.append(obj)
-    descriptor = f"jsonl:{source};fields={fields.context}/{fields.title}/{fields.id}"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, source_hash)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), f"jsonl:{source}", source_hash)
 
 
-def ingest_file(path: str | Path, fmt: str = "squad", fields: JsonlFields | None = None) -> Corpus:
+def ingest_file(path: str | Path, fmt: str = "squad") -> Corpus:
     """Ingest a corpus file by path; ``fmt`` is ``squad`` or ``jsonl``."""
     if fmt not in ("squad", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r} (expected 'squad' or 'jsonl')")
     path = Path(path)
     if fmt == "squad":
         return ingest_squad(path.read_bytes(), source=str(path))
-    return ingest_jsonl(path.read_bytes(), fields, source=str(path))
+    return ingest_jsonl(path.read_bytes(), source=str(path))
 
 
 def write_subset(
@@ -254,10 +244,10 @@ def write_subset(
     gives it, and examples labelled ``unselected`` are skipped.  Each record
     is annotated with its category label and its abnormality score from
     ``scores``, a ScoreVector or array aligned to corpus ordinals.
-    ``jsonl`` emits one object per line with the default JsonlFields names
-    so a subset re-ingests cleanly; ``squad`` reconstructs the nested
-    article/paragraph grouping by title, passing original qa payloads
-    through opaquely.
+    ``jsonl`` emits one object per line with the ``context``, ``title`` and
+    ``id`` fields that ``ingest_jsonl`` reads, so a subset re-ingests
+    cleanly; ``squad`` reconstructs the nested article/paragraph grouping by
+    title, passing original qa payloads through opaquely.
 
     Labels or scores of another length than the corpus raise ValueError
     before any byte is written.

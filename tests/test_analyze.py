@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,16 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        pytest.param([0.0, 1e100, 2e100], [0.0, 1e100, 2e100], id="sxx*syy"),
+        pytest.param([1.0, 2.0, 3.0], [0.0, 1e160, 2e160], id="yc*yc"),
+    ])
+    def test_overflowing_sums_raise_stat_error(self, xs, ys):
+        # Correlated data must not read as r = 0, nor warn; the CLI records a StatError as null.
+        with warnings.catch_warnings(), pytest.raises(StatError, match="overflow"):
+            warnings.simplefilter("error")
+            pearson(xs, ys)
 
 
 UNSELECTED = ["unselected"] * 6

@@ -397,7 +397,7 @@ class TestSampleCommand:
     def test_parse_flags_give_way_to_the_recorded_settings(self, tmp_path):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         outputs = []
-        for extra in ([], ["--format", "squad", "--context-field", "text", "--id-field", "key"]):
+        for extra in ([], ["--format", "squad"]):
             sel_dir = tmp_path / f"sel{len(outputs)}"
             args = ["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(sel_dir), *K1]
             assert main(args + extra) == 0
@@ -464,8 +464,12 @@ class TestAnalyzeCommand:
         assert main(["sample", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
                      "--k-low", "2", "--k-high", "3", "--k-mean", "1"]) == 0
         assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
-        counts = json.loads((out / "selection_manifest.json").read_text())["counts"]
+        selection_manifest = json.loads((out / "selection_manifest.json").read_text())
+        counts = selection_manifest["counts"]
         summary = json.loads((out / "report" / "summary.json").read_text())
+        # The report's manifest ties it to the selection it read.
+        inputs = json.loads((out / "report" / "manifest.json").read_text())["inputs"]
+        assert inputs["selection.csv"] == selection_manifest["artifacts"]["selection.csv"]
         assert summary["selection_counts"] == {
             "low": counts["low"], "mutual": counts["mean_proximal"], "high": counts["high"],
             "unselected": 12 - counts["written"],
@@ -481,6 +485,8 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out)]) == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert summary["selection_counts"]["unselected"] == 12
+        inputs = json.loads((out / "report" / "manifest.json").read_text())["inputs"]
+        assert set(inputs) == {"corpus", "scores.csv"}
 
     @pytest.mark.parametrize("tamper", ["selection.csv", "manifest-inputs", "manifest-json"])
     def test_stale_selection_exits_2(self, tmp_path, capsys, tamper):
@@ -521,8 +527,8 @@ class TestAnalyzeCommand:
             count(file, mode)
             return real_open(file, mode, *args, **kwargs)
 
-        # Path.read_bytes opens through Path.open, which calls io.open directly (3.10 keeps its own
-        # reference to it), so a builtins.open patch alone misses it and the two never count twice.
+        # Path.read_bytes opens through Path.open, which calls io.open directly, so a
+        # builtins.open patch alone misses it and the two never count twice.
         monkeypatch.setattr(Path, "open", counting_path_open)
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(Path(path)) or sha256_file(path))
@@ -724,6 +730,7 @@ class TestRunConfig:
         pytest.param("bins", 2**63 - 1, id="bins-2**63-1"),
         pytest.param("orders", (1, 2**64), id="orders-1,2**64"),
         pytest.param("epsilon_fixed", 10**400, id="epsilon_fixed-10**400"),
+        ("format", "xml"), ("subset_format", "csv"),
     ])
     def test_validation_names_the_config_key(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -750,7 +757,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key", [
         "strip_edge_punct", "seed", "epsilon_base_scale", "epsilon_max_exponent",
-        "lowercase", "strip_edge_punctuation", "disjoint",
+        "lowercase", "strip_edge_punctuation", "disjoint", "context_field", "title_field", "id_field",
     ])
     def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
@@ -851,9 +858,11 @@ class TestRunConfig:
         ("score", "--lowercase"), ("score", "--no-lowercase"),
         ("score", "--strip-edge-punct"), ("score", "--no-strip-edge-punct"),
         ("sample", "--disjoint"), ("sample", "--no-disjoint"),
+        ("score", "--context-field"), ("score", "--title-field"), ("sample", "--id-field"),
     ])
     def test_retired_flag_exits_1(self, tmp_path, capsys, command, flag):
-        # The tokenizer and the selection are fixed rules; their old switches are unknown arguments.
+        # The tokenizer, the selection and the JSONL layout are fixed rules; their old switches
+        # are unknown arguments.
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         capsys.readouterr()
         files = sorted(out.iterdir())
@@ -880,11 +889,13 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("epsilon_max_exponent", 8), ("lowercase", True), ("strip_edge_punctuation", True), ("disjoint", True),
+        ("context_field", "context"), ("title_field", "title"), ("id_field", "id"),
     ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_metadata_with_retired_key_exits_2(self, tmp_path, capsys, command, key, value):
-        # Scores written before the shrinkage schedule, the tokenizer and the
-        # selection were fixed rules record their knobs; rerun `score`.
+        # Scores written before the shrinkage schedule, the tokenizer, the
+        # selection and the JSONL layout were fixed rules record their knobs;
+        # rerun `score`.
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         meta_path = out / "scores.meta.json"
         meta = json.loads(meta_path.read_text())
@@ -913,8 +924,7 @@ class TestRunConfig:
 
 # Text that a CSV field or a line reader could split on, mixed into drawn
 # text: line ends, the delimiter, the quote, U+2028 and non-ASCII letters.
-# st.text() draws no surrogate, but it draws NUL, which the csv module of
-# Python 3.10 cannot carry by itself.
+# st.text() draws no surrogate, but it draws NUL, which a CSV field must carry.
 AWKWARD = st.lists(
     st.one_of(st.text(max_size=4), st.sampled_from(["\r", "\n", "\r\n", ",", '"', "\u2028", "é", "ß", "Ж"])),
     max_size=5,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from abnormality.corpus import (
     Corpus,
-    JsonlFields,
     ingest_jsonl,
     ingest_squad,
     write_subset,
@@ -232,20 +231,12 @@ class TestIngestJsonl:
             ingest_jsonl(b'{"text":"x"}\n')
         assert "context" in str(exc.value)
 
-    def test_custom_field_map(self):
-        fields = JsonlFields(context="text", title="name", id="docid")
-        corpus = ingest_jsonl(b'{"text":"hello world","name":"N","docid":"d7"}\n', fields)
-        assert corpus.contexts == ("hello world",)
-        assert corpus.titles == ("N",)
-        assert corpus.ids == ("d7",)
-
     @pytest.mark.parametrize("value", [7, None, ["x"], {"text": "x"}, False])
-    @pytest.mark.parametrize("field", ["docid", "name", "text"])
+    @pytest.mark.parametrize("field", ["id", "title", "context"])
     def test_non_string_field_names_line_and_field(self, field, value):
-        fields = JsonlFields(context="text", title="name", id="docid")
-        record = {"text": "a b", "name": "N", "docid": "d1", field: value}
+        record = {"context": "a b", "title": "N", "id": "d1", field: value}
         with pytest.raises(SchemaError, match="not a string") as exc:
-            ingest_jsonl(b'{"text":"ok"}\n' + json.dumps(record).encode(), fields)
+            ingest_jsonl(b'{"context":"ok"}\n' + json.dumps(record).encode())
         assert exc.value.path == f"line 2.{field}"
 
     def test_surrogate_pair_escape_is_one_code_point(self):
