@@ -5,8 +5,8 @@ trailing newline, and never hold ``NaN`` or ``Infinity``.  CSV artifacts are
 UTF-8 with ``\\n`` line ends and a fixed header row.  The readers raise
 SchemaError naming the file, and the key or line, for anything else.
 
-One type rule covers every JSON value read, config files included: a bool
-is no int, an int is a float.
+One type rule covers every JSON value read: a bool is no int, an int is a
+float.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def fits(value, hint) -> bool:
     """Whether a JSON value fits a type annotation: a bool is no int, an int is a float."""
     if typing.get_origin(hint) is typing.Literal:
         return any(type(value) is type(v) and value == v for v in typing.get_args(hint))  # its own values
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(type(o) is int for o in value)
     if typing.get_args(hint):
         return any(fits(value, arg) for arg in typing.get_args(hint))
     return type(value) in ((int, float) if hint is float else (hint,))

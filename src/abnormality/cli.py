@@ -18,7 +18,6 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import json
 import math
 import sys
 import typing
@@ -32,7 +31,7 @@ from . import corpus as corpus_mod
 from . import featurize as feat_mod
 from . import mahalanobis as maha_mod
 from . import sampler as sampler_mod
-from .artifacts import fits, read_json, write_json
+from .artifacts import read_json, write_json
 from .errors import (
     AbnormalityError,
     CapacityError,
@@ -49,7 +48,10 @@ META_SUFFIX = ".meta.json"
 
 @dataclass
 class RunConfig:
-    """Pipeline configuration; JSON-serializable, CLI flags override file values."""
+    """Pipeline settings, one field per flag: ``--l-cap`` sets ``l_cap``.
+
+    Flags are the only source of settings; a flag not given keeps the default.
+    """
 
     input: str | None = None
     format: str = "squad"
@@ -90,39 +92,6 @@ class RunConfig:
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0, got {self.threads}")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["orders"] = list(self.orders)
-        return d
-
-    def pipeline_dict(self) -> dict:
-        d = self.to_dict()
-        return {k: d[k] for k in _PIPELINE_FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(annotations)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        for key, value in d.items():
-            if not fits(value, hints[key]):
-                raise ValueError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
-        cfg = cls(**d)
-        cfg.orders = tuple(cfg.orders)
-        return cfg
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        """The config file at ``path``; ValueError naming the file if it is not a valid config."""
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (ValueError, RecursionError) as e:  # undecodable bytes, malformed or too deep JSON, bad values
-            raise ValueError(f"config file {path}: {e}") from e
-
     def selection_spec(self) -> sampler_mod.SelectionSpec:
         return sampler_mod.SelectionSpec(
             k_low=self.k_low,
@@ -133,12 +102,10 @@ class RunConfig:
         )
 
 
-# The fields echoed as the pipeline config.  The input is recorded on its own
-# (path and hash); out_dir and threads are runtime knobs, left out so that
-# artifacts stay byte-identical across directories and worker counts.
-_PIPELINE_FIELDS = tuple(
-    f.name for f in dataclasses.fields(RunConfig) if f.name not in ("input", "out_dir", "threads")
-)
+# The settings that `score` records as the pipeline block: `sample` and
+# `analyze` ingest and rescore under these, and under no other recorded
+# setting.  The input is recorded on its own (path and hash).
+_PIPELINE_FIELDS = ("format", "ngram", "l_cap", "epsilon_fixed")
 
 
 @contextlib.contextmanager
@@ -161,7 +128,7 @@ def _writing(*paths: Path) -> typing.Iterator[None]:
 
 def _ingest(cfg: RunConfig) -> corpus_mod.Corpus:
     if not cfg.input:
-        raise ValueError("no input file configured (use --input or a config file)")
+        raise ValueError("no input file given (use --input)")
     try:  # the path is recorded in scores.meta.json, which is UTF-8
         cfg.input.encode("utf-8")
     except UnicodeEncodeError:
@@ -203,7 +170,7 @@ def cmd_score(cfg: RunConfig) -> int:
         maha_mod.save_model(model, model_bin, model_json)
 
         meta = {
-            "pipeline": cfg.pipeline_dict(),
+            "pipeline": {k: getattr(cfg, k) for k in _PIPELINE_FIELDS},
             "input": {"path": cfg.input, "hash": corpus.source_hash},
             "n": len(corpus),
             "d": model.d,
@@ -217,8 +184,7 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
-# Keys that `sample` and `analyze` read, with the types they must have; the
-# pipeline block's values are checked by RunConfig.from_dict.
+# Keys that `sample` and `analyze` read, with the types they must have.
 _META_KEYS = (
     (("artifacts", "scores.csv"), str),
     (("input", "hash"), str),
@@ -227,6 +193,10 @@ _META_KEYS = (
     (("d",), int, 0),
     (("epsilon",), float, 0),
     (("pipeline",), dict),
+    (("pipeline", "format"), str),
+    (("pipeline", "ngram"), int),
+    (("pipeline", "l_cap"), int | None),
+    (("pipeline", "epsilon_fixed"), float | None),
 )
 _MANIFEST_KEYS = (
     (("inputs", "scores.csv"), str),
@@ -253,26 +223,31 @@ def _load_scores_with_meta(cfg: RunConfig, scores_path: Path) -> tuple[
 ]:
     """The scored config, corpus, scores and metadata behind ``scores_path``.
 
-    The scored config is the one `score` recorded: the scores are bound to
-    the settings they were computed under, and only the input path may be
-    overridden (e.g. a moved file with equal bytes).  Stale or damaged
-    artifacts raise StaleScoresError or SchemaError.
+    The scored config holds the four settings that `score` recorded, and
+    RunConfig's defaults for the rest: the scores are bound to the settings
+    they were computed under, and only the input path may be overridden
+    (e.g. a moved file with equal bytes).  Stale or damaged artifacts raise
+    StaleScoresError or SchemaError.  A pipeline block that holds any other
+    key is damaged; so is every block written before `score` recorded only
+    these four.
     """
     if not scores_path.is_file():
         raise FileNotFoundError(f"scores file not found: {scores_path}")
     meta_path = scores_path.with_name(scores_path.stem + META_SUFFIX)
     if not meta_path.is_file():
         raise ValueError(f"missing metadata sidecar {meta_path.name}; rerun `score`")
-    meta = read_json(meta_path, _META_KEYS)
-    missing = [k for k in _PIPELINE_FIELDS if k not in meta["pipeline"]]
-    if missing:
-        raise SchemaError(f"{meta_path.name}: pipeline keys {missing} are missing; rerun `score`", path="pipeline")
+    try:  # only `score` writes this file, so rerunning it mends any damage
+        meta = read_json(meta_path, _META_KEYS)
+    except SchemaError as e:
+        raise SchemaError(f"{e}; rerun `score`", path=e.path) from e
+    unknown = ", ".join(repr(f"pipeline.{k}") for k in sorted(set(meta["pipeline"]) - set(_PIPELINE_FIELDS)))
+    if unknown:
+        raise SchemaError(f"{meta_path.name}: unknown keys {unknown}; rerun `score`", path="pipeline")
+    scored = RunConfig(input=cfg.input or meta["input"]["path"], **meta["pipeline"])
     try:
-        scored = RunConfig.from_dict(meta["pipeline"])
         scored.validate()
     except ValueError as e:
         raise SchemaError(f"{meta_path.name}: invalid pipeline config: {e}; rerun `score`", path="pipeline") from e
-    scored.input = cfg.input or meta["input"]["path"]
     data = _read_checked(scores_path, meta["artifacts"]["scores.csv"], meta_path.name)
 
     corpus = _ingest(scored)
@@ -419,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--input", help="corpus file path")
         p.add_argument("--format", choices=["squad", "jsonl"], help="corpus format")
         p.add_argument("--out-dir", help="output directory")
@@ -452,12 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(cfg, field.name, value)
-    return cfg
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

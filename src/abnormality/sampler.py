@@ -112,9 +112,10 @@ def _claim(s: np.ndarray, groups: list[np.ndarray], spec: SelectionSpec, strateg
     group's shortfall spills to the next group, pass after pass, until
     every quota is placed.  A pass that places nothing raises
     CapacityError, and a ``spec`` that names another strategy raises
-    ValueError, so the policy echo never contradicts itself.  Returns each
-    example's category index (3 for unclaimed), the quotas, one row per
-    category in low, high, mutual order, and each group's score mean.
+    ValueError, so the echoed spec always names the rule that ran.
+    Returns each example's category index (3 for unclaimed), the quotas,
+    one row per category in low, high, mutual order, and each group's
+    score mean.
     """
     if spec.strategy != strategy:
         raise ValueError(f"select_{strategy} was given a spec with strategy {spec.strategy!r}")
@@ -169,7 +170,7 @@ def select_global(scores, spec: SelectionSpec = SelectionSpec()) -> Selection:
     n = len(s)
     # An empty corpus has no group: a group must have a mean.
     owner, _, means = _claim(s, [np.arange(n)] if n else [], spec, "global")
-    echo = {"spec": asdict(spec), "strategy": "global", "score_mean": means[0] if n else None}
+    echo = {"spec": asdict(spec), "score_mean": means[0] if n else None}
     return _selection(owner, echo)
 
 
@@ -193,9 +194,8 @@ def select_bucketed(
     n = len(s)
     if len(lengths) != n:
         raise ValueError(f"char_lengths size {len(lengths)} does not match scores size {n}")
-    width = spec.bucket_width
 
-    bucket_of = lengths // width
+    bucket_of = lengths // spec.bucket_width
     # np.unique would import numpy.ma (15-19 ms) in NumPy 2.x; bincount gives the same sorted ids.
     bucket_ids = np.flatnonzero(np.bincount(bucket_of)).tolist()
     groups = [np.nonzero(bucket_of == b)[0] for b in bucket_ids]
@@ -203,9 +203,7 @@ def select_bucketed(
 
     echo = {
         "spec": asdict(spec),
-        "strategy": "bucketed",
         "score_mean": _mean(s) if n else None,
-        "bucket_width": width,
         "buckets": [
             {
                 "bucket": b,

@@ -236,8 +236,9 @@ class TestSampleCommand:
         ])
         assert code == 0
         manifest = json.loads((out / "selection_manifest.json").read_text())
-        assert manifest["policy_echo"]["strategy"] == "bucketed"
-        assert manifest["policy_echo"]["bucket_width"] == 250
+        assert manifest["policy_echo"]["spec"]["strategy"] == "bucketed"
+        assert manifest["policy_echo"]["spec"]["bucket_width"] == 250
+        assert set(manifest["policy_echo"]) == {"spec", "score_mean", "buckets"}  # the spec is echoed once
 
     def test_bucketed_sample_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma in NumPy 2.x, 15-19 ms of every bucketed sample.
@@ -595,10 +596,7 @@ class TestAnalyzeCommand:
                 words = rng.choice(vocab, size=int(rng.integers(3, 12)))
                 f.write(json.dumps({"context": " ".join(words), "id": f"doc-{i}"}) + "\n")
         out = run_score(tmp_path, corpus_path, "--l-cap", "4", "--epsilon-fixed", "0.001")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"l_cap": None, "epsilon_fixed": None}), encoding="utf-8")
-        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out),
-                     "--config", str(cfg_path), "--orders", "1,2"]) == 0
+        assert main(["analyze", "--scores", str(out / "scores.csv"), "--out-dir", str(out), "--orders", "1,2"]) == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
 
         corpus = ingest_file(corpus_path, "jsonl")
@@ -612,7 +610,7 @@ class TestAnalyzeCommand:
         expected = library_pearson(4, 0.001)
         got = summary["pearson_by_order"]["2"]
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-        assert expected != library_pearson(None, None)  # the config file's settings would differ
+        assert expected != library_pearson(None, None)  # analyze's own defaults would differ
 
     @pytest.mark.parametrize("bins", [10**15, 2**63 - 1])
     def test_huge_bin_count_exits_1(self, tmp_path, capsys, bins):
@@ -688,28 +686,6 @@ class TestScipyLoadedOnlyToSolve:
 
 
 class TestRunConfig:
-    def test_json_round_trip(self):
-        cfg = RunConfig(input="x.json", ngram=3, orders=(1, 3), l_cap=500, strategy="bucketed")
-        back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert back == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config"):
-            RunConfig.from_dict({"no_such_key": 1})
-
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "input": str(corpus_path), "format": "jsonl",
-            "out_dir": str(tmp_path / "ignored"), "ngram": 1, "threads": 1,
-        }), encoding="utf-8")
-        code = main(["score", "--config", str(cfg_path), "--out-dir", str(out)])
-        assert code == 0
-        assert (out / "scores.csv").is_file()
-        assert not (tmp_path / "ignored").exists()
-
     def test_invalid_config_value_exits_1(self, tmp_path, capsys):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
         code = main(["score", "--input", str(corpus_path), "--format", "jsonl",
@@ -743,58 +719,16 @@ class TestRunConfig:
         assert set(commands.choices) == {"score", "sample", "analyze"}
         for name, sub in commands.choices.items():
             dests = {a.dest for a in sub._actions if a.dest != "help"}
-            assert dests <= fields | {"config", "scores"}, name
-            # So a config file's keys are the flag names with underscores.
+            assert dests <= fields | {"scores"}, name
             assert all(a.option_strings == ["--" + a.dest.replace("_", "-")]
                        for a in sub._actions if a.dest != "help"), name
         assert {a.dest for a in parser._actions} == {"help", "command"}
 
-    def test_pipeline_echo_is_every_field_but_input_and_runtime_knobs(self, tmp_path):
-        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+    def test_pipeline_echo_is_the_four_scoring_settings(self, tmp_path):
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"),
+                        "--ngram", "2", "--l-cap", "40", "--epsilon-fixed", "0.001")
         pipeline = json.loads((out / "scores.meta.json").read_text())["pipeline"]
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert set(pipeline) == fields - {"input", "out_dir", "threads"}
-
-    @pytest.mark.parametrize("key", [
-        "strip_edge_punct", "seed", "epsilon_base_scale", "epsilon_max_exponent",
-        "lowercase", "strip_edge_punctuation", "disjoint", "context_field", "title_field", "id_field",
-    ])
-    def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, key):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: 0}), encoding="utf-8")
-        code = main(["score", "--config", str(cfg_path), "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
-                     "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config, key", [
-        ('{"ngram": "2"}', "ngram"),
-        ('{"l_cap": "9"}', "l_cap"),
-        ('{"orders": 3}', "orders"),
-        ('{"orders": [1, "2"]}', "orders"),
-        ('{"k_low": true}', "k_low"),
-        ('{"epsilon_fixed": "0.5"}', "epsilon_fixed"),
-        ('{"format": null}', "format"),
-        ("[1]", "JSON object"),
-        ('"ngram"', "JSON object"),
-        ('{"epsilon_fixed": NaN}', "epsilon_fixed"),
-        ('{"epsilon_base_scale": Infinity}', "epsilon_base_scale"),
-        ('{"ngram": 18446744073709551616}', "ngram"),
-        ('{"bucket_width": 18446744073709551616}', "bucket_width"),
-        ('{"orders": [1, 18446744073709551616]}', "orders"),
-        (b'{"ngram": 1}\xff', "utf-8"),
-        (b'{"ngram": 1}\xff', "cfg.json"),
-        ('{"ngram": ', "cfg.json"),
-        pytest.param('{"orders": ' + DEEP + "}", "cfg.json", id="deeply-nested-cfg.json"),
-    ])
-    def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, key):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_bytes(config if isinstance(config, bytes) else config.encode("utf-8"))
-        code = main(["score", "--config", str(cfg_path), "--input", str(write_jsonl_fixture(tmp_path / "c.jsonl")),
-                     "--format", "jsonl", "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert key in err and "Traceback" not in err
+        assert pipeline == {"format": "jsonl", "ngram": 2, "l_cap": 40, "epsilon_fixed": 0.001}
 
     @pytest.mark.parametrize("flag, key", [("--epsilon-fixed", "epsilon_fixed")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -830,11 +764,10 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "data error" in err and "epsilon_fixed" in err
 
-    def test_config_values_of_field_type_accepted(self):
-        cfg = RunConfig.from_dict({"epsilon_fixed": 1, "l_cap": None, "orders": [1, 2], "input": None})
-        assert (cfg.epsilon_fixed, cfg.l_cap, cfg.orders, cfg.input) == (1, None, (1, 2), None)
-
-    @pytest.mark.parametrize("key, value", [("format", 1), ("ngram", "1"), ("orders", 3), ("l_cap", 1.5)])
+    # orders is no scoring setting, so the pipeline block may not hold it at all.
+    @pytest.mark.parametrize("key, value", [
+        ("format", 1), ("ngram", "1"), ("orders", 3), ("l_cap", 1.5), ("ngram", True), ("epsilon_fixed", "0.5"),
+    ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_ill_typed_pipeline_metadata_exits_2(self, tmp_path, capsys, command, key, value):
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
@@ -847,7 +780,7 @@ class TestRunConfig:
             args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and repr(key) in err
+        assert "data error" in err and repr(f"pipeline.{key}") in err
 
     def test_seed_flag_exits_1(self, tmp_path):
         corpus_path = write_jsonl_fixture(tmp_path / "c.jsonl")
@@ -859,15 +792,17 @@ class TestRunConfig:
         ("score", "--strip-edge-punct"), ("score", "--no-strip-edge-punct"),
         ("sample", "--disjoint"), ("sample", "--no-disjoint"),
         ("score", "--context-field"), ("score", "--title-field"), ("sample", "--id-field"),
+        ("score", "--config"), ("sample", "--config"), ("analyze", "--config"),
     ])
     def test_retired_flag_exits_1(self, tmp_path, capsys, command, flag):
-        # The tokenizer, the selection and the JSONL layout are fixed rules; their old switches
-        # are unknown arguments.
+        # The tokenizer, the selection and the JSONL layout are fixed rules, and settings come
+        # from flags alone; the old switches and the config file are unknown arguments.
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         capsys.readouterr()
         files = sorted(out.iterdir())
-        args = ["--input", str(tmp_path / "c.jsonl"), "--format", "jsonl"] if command == "score" else [
-            "--scores", str(out / "scores.csv"), *K1]
+        args = {"score": ["--input", str(tmp_path / "c.jsonl"), "--format", "jsonl"],
+                "sample": ["--scores", str(out / "scores.csv"), *K1],
+                "analyze": ["--scores", str(out / "scores.csv")]}[command]
         assert main([command, *args, "--out-dir", str(out), flag]) == 1
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
@@ -890,12 +825,15 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value", [
         ("epsilon_max_exponent", 8), ("lowercase", True), ("strip_edge_punctuation", True), ("disjoint", True),
         ("context_field", "context"), ("title_field", "title"), ("id_field", "id"),
+        ("k_low", 3500), ("k_high", 3500), ("k_mean", 3500), ("strategy", "global"), ("bucket_width", 250),
+        ("subset_format", "jsonl"), pytest.param("orders", [1], id="orders-[1]"), ("bins", 100),
     ])
     @pytest.mark.parametrize("command", ["sample", "analyze"])
     def test_metadata_with_retired_key_exits_2(self, tmp_path, capsys, command, key, value):
         # Scores written before the shrinkage schedule, the tokenizer, the
-        # selection and the JSONL layout were fixed rules record their knobs;
-        # rerun `score`.
+        # selection and the JSONL layout were fixed rules record their knobs,
+        # and scores written before the pipeline block held only the scoring
+        # settings echo the sample and analyze settings too; rerun `score`.
         out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
         meta_path = out / "scores.meta.json"
         meta = json.loads(meta_path.read_text())
