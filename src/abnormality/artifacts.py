@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -24,7 +25,7 @@ from .errors import SchemaError
 if typing.TYPE_CHECKING:
     from .corpus import Corpus
 
-__all__ = ["fits", "write_json", "write_csv", "read_json", "read_csv", "row_ordinal"]
+__all__ = ["fits", "decode_json", "write_json", "write_csv", "read_json", "read_csv", "row_ordinal"]
 
 T = TypeVar("T")
 
@@ -77,8 +78,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         w.writerows(rows)
 
 
-def _no_constant(name: str):
-    raise ValueError(f"non-finite number {name} is not JSON")
+def _finite(token: str) -> float:
+    """A JSON number as a float; ValueError for ``NaN``, ``Infinity`` or one that overflows, as 1e400 does."""
+    if math.isfinite(value := float(token)):
+        return value
+    raise ValueError(f"non-finite number {token} is not JSON")
+
+
+# ValueError for bad JSON or a non-finite number; built once, not per json.loads call.
+decode_json = json.JSONDecoder(parse_float=_finite, parse_constant=_finite).decode
 
 
 def read_json(path: str | Path, keys: Iterable[tuple] = ()) -> dict:
@@ -88,13 +96,12 @@ def read_json(path: str | Path, keys: Iterable[tuple] = ()) -> dict:
     value reached through the tuple of object keys ``key_path`` must fit
     ``hint`` under :func:`fits`, and be at least ``minimum`` when one is
     given (``hint`` is then ``int`` or ``float``).  Raises SchemaError when
-    the file is not UTF-8, not a JSON object, holds ``NaN`` or
-    ``Infinity``, is nested too deeply to parse, or a key is missing or
-    ill-typed.
+    the file is not UTF-8, not a JSON object, holds a non-finite number, is
+    nested too deeply to parse, or a key is missing or ill-typed.
     """
     name = Path(path).name
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+        obj = decode_json(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:  # undecodable bytes, malformed or too deep JSON
         raise SchemaError(f"{name} is not valid JSON: {e}", path=name) from e
     if not isinstance(obj, dict):

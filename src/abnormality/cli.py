@@ -160,13 +160,12 @@ def cmd_score(cfg: RunConfig) -> int:
 
     scores, model, table = run_score_pipeline(corpus, cfg)
 
-    names = ("scores.csv", "density.csv", "density.json", "model.bin", "model.json")
-    artifacts = [out / name for name in names]
-    scores_path, density_csv, density_json, model_bin, model_json = artifacts
+    artifacts = [out / name for name in ("scores.csv", "density.csv", "model.bin", "model.json")]
+    scores_path, density_csv, model_bin, model_json = artifacts
     meta_path = out / ("scores" + META_SUFFIX)
     with _writing(*artifacts, meta_path):
         maha_mod.write_scores_csv(scores, corpus, scores_path)
-        feat_mod.save_density(table, density_csv, density_json)
+        feat_mod.save_density(table, density_csv)
         maha_mod.save_model(model, model_bin, model_json)
 
         meta = {
@@ -175,7 +174,6 @@ def cmd_score(cfg: RunConfig) -> int:
             "n": len(corpus),
             "d": model.d,
             "epsilon": model.epsilon,
-            "source_descriptor": corpus.source_descriptor,
             "artifacts": {p.name: sha256_file(p) for p in artifacts},
         }
         write_json(meta_path, meta)
@@ -301,7 +299,6 @@ def cmd_sample(cfg: RunConfig, scores_path: str | Path) -> int:
 
         manifest = {
             "policy_echo": selection.policy_echo,
-            "epsilon": meta["epsilon"],
             "inputs": {
                 "corpus": meta["input"]["hash"],
                 "scores.csv": meta["artifacts"]["scores.csv"],

@@ -19,6 +19,7 @@ from typing import IO, Any, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import decode_json
 from .errors import ParseError, SchemaError
 from .hashing import sha256_bytes
 
@@ -33,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable records as four equal-length columns, plus their source.
+    """Ordered, immutable records as four equal-length columns, plus their source's hash.
 
     Record i is ``ids[i]``, ``titles[i]``, ``contexts[i]`` and ``payloads[i]``,
     and i is its ordinal.  A payload carries the original parsed record (e.g. a
@@ -46,7 +47,6 @@ class Corpus:
     titles: tuple[str, ...]
     contexts: tuple[str, ...]
     payloads: tuple[Mapping[str, Any] | None, ...] = field(compare=False)
-    source_descriptor: str = ""
     source_hash: str = ""
 
     def __post_init__(self) -> None:
@@ -66,7 +66,7 @@ def _decode_utf8(data: bytes, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"{what} is not valid UTF-8: {e}", offset=e.start) from e
+        raise ParseError(f"{what} is not valid UTF-8: {e}") from e
 
 
 # A JSON escape of a UTF-16 surrogate.  ``json.loads`` joins a pair into one
@@ -116,7 +116,7 @@ def _field(obj: Any, key: str, path: str, kind: type = str, default: Any = _ABSE
     raise SchemaError(what, path=f"{path}.{key}")
 
 
-def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
+def ingest_squad(data: bytes) -> Corpus:
     """Parse SQuAD v1.1 JSON bytes into a Corpus, one example per qa record.
 
     Document order is preserved: articles, then paragraphs, then qas.  Each
@@ -124,22 +124,22 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
     across qa records of the same paragraph), and the original qa object is
     kept as the example payload.
 
-    Raises ParseError (with byte offset) on malformed JSON, ParseError on
-    JSON nested too deeply to parse, and SchemaError (naming the JSON path)
+    Raises ParseError on malformed JSON (naming the byte offset), a non-finite
+    number or JSON nested too deeply, and SchemaError (naming the JSON path)
     on an article, paragraph or qa that is not an object, a missing title,
     paragraphs, context, qas or id, a title, context or id that is not a
-    string, paragraphs or qas that are not an array, or a kept string (the
-    version, a title, a context, or any string of a qa object) that holds a
-    lone surrogate.
+    string, paragraphs or qas that are not an array, or a kept string (a
+    title, a context, or any string of a qa object) holding a lone surrogate.
     """
     text = _decode_utf8(data, "SQuAD input")
     source_hash = sha256_bytes(data)
-    del data  # not held while json.loads builds the document
+    del data  # not held while the document is decoded
     try:
-        doc = json.loads(text)
+        doc = decode_json(text)
     except json.JSONDecodeError as e:
-        byte_offset = len(text[: e.pos].encode("utf-8"))
-        raise ParseError(f"malformed JSON at byte {byte_offset}: {e.msg}", offset=byte_offset) from e
+        raise ParseError(f"malformed JSON at byte {len(text[: e.pos].encode('utf-8'))}: {e.msg}") from e
+    except ValueError as e:  # a non-finite number, or an integer too long to convert
+        raise ParseError(f"malformed JSON: {e}") from e
     except RecursionError as e:
         raise ParseError(f"JSON nested too deeply to parse: {e}") from e
 
@@ -149,10 +149,7 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
     if not isinstance(articles, list):
         raise SchemaError("'data' is not an array", path="data")
 
-    version = doc.get("version", "")
     walk = _SURROGATE_ESCAPE.search(text) is not None  # else no kept string needs the walk
-    if walk:
-        _refuse_lone_surrogates(version, "version")
     ids: list[str] = []
     titles: list[str] = []
     contexts: list[str] = []
@@ -177,20 +174,20 @@ def ingest_squad(data: bytes, *, source: str = "<stream>") -> Corpus:
                 titles.append(title)
                 contexts.append(context)
                 payloads.append(qa)
-    descriptor = f"squad:{source};version={version};one example per qa record"
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), descriptor, source_hash)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), source_hash)
 
 
-def ingest_jsonl(data: bytes, *, source: str = "<stream>") -> Corpus:
+def ingest_jsonl(data: bytes) -> Corpus:
     """Parse JSONL bytes (one JSON object per nonempty line) into a Corpus.
 
     Each record's fields are ``context``, ``title`` and ``id``.  A missing
     title defaults to "", a missing id to ``line-<k>`` where k is the
-    1-based physical line number.  Raises ParseError carrying the line
-    number for an unparseable or too deeply nested line, and SchemaError
-    (at path ``line <k>``) for a line that is not a JSON object, a missing
-    context field, a context, id or title field that is present but not a
-    JSON string, or a string of the record that holds a lone surrogate.
+    1-based physical line number.  Raises ParseError naming the line for a
+    line that is not JSON, holds a non-finite number or is nested too deeply,
+    and SchemaError (at path ``line <k>``) for a line that is not a JSON
+    object, a missing context field, a context, id or title field that is
+    present but not a JSON string, or a string of the record that holds a
+    lone surrogate.
     """
     text = _decode_utf8(data, "JSONL input")
     source_hash = sha256_bytes(data)
@@ -205,11 +202,13 @@ def ingest_jsonl(data: bytes, *, source: str = "<stream>") -> Corpus:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except json.JSONDecodeError as e:
-            raise ParseError(f"line {lineno}: malformed JSON: {e.msg}", line=lineno) from e
+            raise ParseError(f"line {lineno}: malformed JSON: {e.msg}") from e
+        except ValueError as e:  # a non-finite number, or an integer too long to convert
+            raise ParseError(f"line {lineno}: malformed JSON: {e}") from e
         except RecursionError as e:
-            raise ParseError(f"line {lineno}: JSON nested too deeply to parse: {e}", line=lineno) from e
+            raise ParseError(f"line {lineno}: JSON nested too deeply to parse: {e}") from e
         lpath = f"line {lineno}"
         contexts.append(_field(obj, "context", lpath))
         ids.append(_field(obj, "id", lpath, default=f"line-{lineno}"))
@@ -217,17 +216,14 @@ def ingest_jsonl(data: bytes, *, source: str = "<stream>") -> Corpus:
         if walk:
             _refuse_lone_surrogates(obj, lpath)
         payloads.append(obj)
-    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), f"jsonl:{source}", source_hash)
+    return Corpus(tuple(ids), tuple(titles), tuple(contexts), tuple(payloads), source_hash)
 
 
 def ingest_file(path: str | Path, fmt: str = "squad") -> Corpus:
     """Ingest a corpus file by path; ``fmt`` is ``squad`` or ``jsonl``."""
     if fmt not in ("squad", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r} (expected 'squad' or 'jsonl')")
-    path = Path(path)
-    if fmt == "squad":
-        return ingest_squad(path.read_bytes(), source=str(path))
-    return ingest_jsonl(path.read_bytes(), source=str(path))
+    return (ingest_squad if fmt == "squad" else ingest_jsonl)(Path(path).read_bytes())
 
 
 def write_subset(

@@ -11,16 +11,7 @@ class AbnormalityError(Exception):
 
 
 class ParseError(AbnormalityError):
-    """Input bytes are not valid JSON / JSONL.
-
-    ``offset`` is the byte offset into the stream when known; ``line`` is
-    the 1-based line number for line-oriented formats.
-    """
-
-    def __init__(self, message: str, offset: int | None = None, line: int | None = None):
-        super().__init__(message)
-        self.offset = offset
-        self.line = line
+    """Input bytes are not valid JSON / JSONL, or hold a non-finite number."""
 
 
 class SchemaError(AbnormalityError):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv
 from .errors import FitError
 
 if TYPE_CHECKING:
@@ -273,8 +273,7 @@ def build_matrix(table: DensityTable, *, l_cap: int | None = None) -> FeatureMat
 _DENSITY_HEADER = ("ngram_key", "count")
 
 
-def save_density(table: DensityTable, csv_path: str | Path, header_path: str | Path) -> None:
-    """Two-column CSV (ngram_key, count) sorted by key, plus a JSON header."""
+def save_density(table: DensityTable, csv_path: str | Path) -> None:
+    """Two-column CSV (ngram_key, count) sorted by key."""
     write_csv(csv_path, _DENSITY_HEADER, sorted(table.counts.items()))
-    write_json(header_path, {"ngram_order": table.n, "total": table.total})
 

@@ -67,20 +67,16 @@ def make_synthetic_corpus(
         length = int(rng.integers(min_tokens, max_tokens + 1))
         words = rng.choice(vocab_size, size=length, p=weights)
         contexts.append(" ".join(vocab[w] for w in words))
-    descriptor = (
-        f"synthetic:seed={seed};n={n_examples};vocab={vocab_size};"
-        f"tokens=[{min_tokens},{max_tokens}];zipf={zipf_exponent:g}"
-    )
     ids = tuple(f"synth-{i}" for i in range(n_examples))
     titles = tuple(f"topic-{i % 25:02d}" for i in range(n_examples))
-    return Corpus(ids, titles, tuple(contexts), (None,) * n_examples, descriptor)
+    return Corpus(ids, titles, tuple(contexts), (None,) * n_examples)
 
 
 def corpus_of(*contexts: str, titles: list[str] | None = None) -> Corpus:
     n = len(contexts)
     ids = tuple(f"ex-{i}" for i in range(n))
     titles = tuple(titles) if titles else tuple(f"t{i}" for i in range(n))
-    return Corpus(ids, titles, contexts, (None,) * n, source_descriptor="inline")
+    return Corpus(ids, titles, contexts, (None,) * n)
 
 
 def long_tail_corpus(seed: int) -> Corpus:
@@ -97,4 +93,4 @@ def long_tail_corpus(seed: int) -> Corpus:
     records = [records[i] for i in rng.permutation(len(records))]
     n = len(records)
     ids = tuple(f"tail-{i}" for i in range(n))
-    return Corpus(ids, ("t",) * n, tuple(records), (None,) * n, source_descriptor=f"long-tail:seed={seed}")
+    return Corpus(ids, ("t",) * n, tuple(records), (None,) * n)

@@ -225,7 +225,7 @@ def test_artifacts_byte_identical_at_any_blas_thread_count(tmp_path):
     mismatches = sorted(name for name in runs[1].keys() | runs[2].keys() if runs[1].get(name) != runs[2].get(name))
     check(
         "artifacts byte-identical at OPENBLAS_NUM_THREADS 1 and 2 (long-tail fixture, L = 1,500)",
-        not mismatches and epsilon > 0 and len(runs[1]) == 13,
+        not mismatches and epsilon > 0 and len(runs[1]) == 12,
         f"{len(runs[1])} files, epsilon {epsilon:.3e}" + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
 

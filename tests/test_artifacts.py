@@ -164,7 +164,7 @@ class TestReadersAndWriters:
             write_json(tmp_path / "x.json", {"epsilon": math.nan})
 
     @pytest.mark.parametrize("text", [
-        '{"a": NaN}', '{"a": -Infinity}', "[1]", '{"a": 1', "",
+        '{"a": NaN}', '{"a": -Infinity}', '{"a": 1e400}', "[1]", '{"a": 1', "",
         pytest.param('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"),
     ])
     def test_read_json_rejects(self, tmp_path, text):

@@ -52,7 +52,7 @@ def run_score(tmp_path: Path, corpus_path: Path, *extra: str) -> Path:
 DEEP = "[" * 100_000 + "]" * 100_000
 
 SCORE_ARTIFACTS = {
-    "scores.csv", "scores.meta.json", "density.csv", "density.json", "model.bin", "model.json",
+    "scores.csv", "scores.meta.json", "density.csv", "model.bin", "model.json",
 }
 K1 = ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
 
@@ -139,9 +139,10 @@ class TestScoreCommand:
         ("squad", '{"data": [{"title": "T", "paragraphs": [{"context": "x", "qas": ["q"]}]}]}'),
         ("jsonl", '["a b"]\n'),
         ("jsonl", '{"context": "a b", "id": 7}\n'),
+        ("jsonl", '{"context": "a b", "n": 1' + "0" * 5000 + "}\n"),
     ], ids=["squad-context-not-string", "squad-deeply-nested", "jsonl-deeply-nested", "squad-id-null",
             "squad-title-not-string", "jsonl-id-null", "jsonl-title-not-string", "squad-paragraphs-not-array",
-            "squad-qa-not-object", "jsonl-line-not-object", "jsonl-id-not-string"])
+            "squad-qa-not-object", "jsonl-line-not-object", "jsonl-id-not-string", "jsonl-integer-too-long"])
     def test_malformed_corpus_exits_2_without_traceback(self, tmp_path, capsys, fmt, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
@@ -149,6 +150,24 @@ class TestScoreCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "squad"])
+    def test_non_finite_number_exits_2_writing_nothing(self, tmp_path, capsys, fmt, number):
+        # Python's json reads each as a float, 1e400 by overflowing to inf; no artifact may hold one.
+        qa = '{"id": "q1", "score_hint": %s}' % number
+        if fmt == "jsonl":
+            text, where = '{"context": "a b", "id": "q0"}\n{"context": "a b c", %s\n' % qa[1:], "line 2: "
+        else:
+            text, where = '{"data": [{"title": "T", "paragraphs": [{"context": "a b c", "qas": [%s]}]}]}' % qa, ""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["score", "--input", str(bad), "--format", fmt, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: {where}malformed JSON: non-finite number {number} is not JSON" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_singular_corpus_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "flat.jsonl"
@@ -353,6 +372,20 @@ class TestSampleCommand:
             args += ["--k-low", "1", "--k-high", "1", "--k-mean", "1"]
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_overflowing_epsilon_in_metadata_exits_2(self, tmp_path, capsys, command):
+        # 1e400 is a number token, not a constant like NaN, and overflows a float to inf.
+        out = run_score(tmp_path, write_jsonl_fixture(tmp_path / "c.jsonl"))
+        meta_path = out / "scores.meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "epsilon": "E"}).replace('"E"', "1e400"))
+        args = [command, "--scores", str(out / "scores.csv"), "--out-dir", str(out)]
+        if command == "sample":
+            args += K1
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error: scores.meta.json is not valid JSON: non-finite number 1e400" in err
+        assert "Traceback" not in err and not (out / "selection.csv").exists() and not (out / "report").exists()
 
     @pytest.mark.parametrize("damage", [
         "columns", "ordinal", "char_length", "score", "order", "rows", "utf8",

@@ -133,7 +133,8 @@ class TestIngestSquad:
         text = '{"k": "é", !}'
         with pytest.raises(ParseError) as exc:
             ingest_squad(text.encode("utf-8"))
-        assert exc.value.offset == len(text[:11].encode("utf-8")) == 12
+        assert len(text[:11].encode("utf-8")) == 12
+        assert "at byte 12:" in str(exc.value)
 
     def test_missing_title_names_path(self):
         doc = {"data": [{"paragraphs": []}]}
@@ -218,13 +219,12 @@ class TestIngestJsonl:
     def test_bad_line_names_line_number(self):
         with pytest.raises(ParseError) as exc:
             ingest_jsonl(b'{"context":"ok"}\nnot json\n')
-        assert exc.value.line == 2
-        assert "line 2" in str(exc.value)
+        assert str(exc.value).startswith("line 2:")
 
     def test_deeply_nested_line_raises_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply") as exc:
             ingest_jsonl(('{"context":"ok"}\n{"context": ' + DEEP + "}\n").encode())
-        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2:")
 
     def test_missing_context_field(self):
         with pytest.raises(SchemaError) as exc:

@@ -350,7 +350,7 @@ class TestPersistence:
             table = fit_density(corpus, 2)
             build_matrix(table)
             run_score_pipeline(corpus, RunConfig(ngram=2))
-        save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
+        save_density(table, tmp_path / "d.csv")
         want = reference_ngram_counts([reference_tokenize(c) for c in corpus.contexts], 2)
         with open(tmp_path / "d.csv", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -376,7 +376,7 @@ class TestPersistence:
     def test_density_keys_with_commas_and_separator(self, tmp_path):
         corpus = corpus_of("a,b c", titles=None)
         table = fit_density(corpus, 2)
-        save_density(table, tmp_path / "d.csv", tmp_path / "d.json")
+        save_density(table, tmp_path / "d.csv")
         with open(tmp_path / "d.csv", encoding="utf-8", newline="") as f:
             assert list(csv.reader(f)) == [["ngram_key", "count"], [f"a,b{NGRAM_SEP}c", "1"]]
 

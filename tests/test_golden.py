@@ -2,15 +2,14 @@
 
 ``score``, a global and a bucketed ``sample``, and ``analyze --orders 1,2``
 run through ``cli.main`` on ``long_tail_corpus(7)`` written as JSONL: it has
-repeated contexts, its long outliers make epsilon > 0, and d < 100.  The
-density files, ``model.json`` and the bytes of mu are exact by construction
-(integer counts, exact sums, epsilon from the exact trace), so they are
-compared byte for byte, as are ``scores.meta.json`` (but for the input
-path, which its source descriptor also names, and the artifact hashes),
-every label and the counts in ``summary.json``.  The scores depend on the
-machine's BLAS kernels and are compared to a relative 1e-9; every
-selection boundary has a larger relative gap, so rounding alone cannot
-flip a label.
+repeated contexts, its long outliers make epsilon > 0, and d < 100.
+``density.csv``, ``model.json`` and the bytes of mu are exact by
+construction (integer counts, exact sums, epsilon from the exact trace), so
+they are compared byte for byte, as are ``scores.meta.json`` (but for the
+input path and the artifact hashes), every label and the counts in
+``summary.json``.  The scores depend on the machine's BLAS kernels and are
+compared to a relative 1e-9; every selection boundary has a larger
+relative gap, so rounding alone cannot flip a label.
 
 A change that alters these outputs on purpose rewrites the expected file
 with ``PYTHONPATH=src python tests/test_golden.py`` and names each changed
@@ -56,7 +55,6 @@ def run_pipeline(tmp: Path) -> dict:
 
     meta = json.loads((out / "scores.meta.json").read_text(encoding="utf-8"))
     del meta["input"]["path"], meta["artifacts"]
-    meta["source_descriptor"] = meta["source_descriptor"].replace(str(corpus_path), corpus_path.name)
     d = meta["d"]
     with open(out / "scores.csv", newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
@@ -68,7 +66,7 @@ def run_pipeline(tmp: Path) -> dict:
         summary = json.loads((tmp / strategy / "report" / "summary.json").read_text(encoding="utf-8"))
         counts[strategy] = summary["selection_counts"]
     return {
-        "files": {name: (out / name).read_text(encoding="utf-8") for name in ("density.csv", "density.json", "model.json")},
+        "files": {name: (out / name).read_text(encoding="utf-8") for name in ("density.csv", "model.json")},
         "mu": np.fromfile(out / "model.bin", dtype="<f8", count=d).tolist(),
         "scores.meta.json": meta,
         "scores": [float(r["score"]) for r in rows],
